@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .field import FieldParams, FixedPointCodec
+from .field import FieldParams, FixedPointCodec, as_limbs, to_ints
 from .fedcore import (
     ModelSpec,
     Population,
@@ -137,9 +137,11 @@ def train_cohort_updates(
 
 
 def aggregate_encoded(encoded_updates: list, params: FieldParams) -> list:
-    """Field sum of encoded update vectors (the plaintext twin of sharing)."""
-    dim = len(encoded_updates[0])
-    return [sum(vec[i] for vec in encoded_updates) % params.q for i in range(dim)]
+    """Field sum of encoded update vectors (the plaintext twin of sharing),
+    in Python ints so it stays independent of the limb kernels."""
+    vectors = [to_ints(as_limbs(vec)) for vec in encoded_updates]
+    dim = len(vectors[0])
+    return [sum(vec[i] for vec in vectors) % params.q for i in range(dim)]
 
 
 def plaintext_adaptive_fl_oracle(
@@ -161,9 +163,9 @@ def plaintext_adaptive_fl_oracle(
         cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
         cohorts[k] = cohort
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
-        encoded = [codec.encode_vector(updates[j]) for j in cohort]
-        for j, enc in zip(cohort, encoded):
-            ius[(j, k)] = codec.decode_vector(enc)
+        encoded = codec.encode_vector(np.stack([updates[j] for j in cohort]))
+        for j, iu in zip(cohort, codec.decode_vector(encoded)):
+            ius[(j, k)] = iu
         total = aggregate_encoded(encoded, codec.params)
         average = client_average(total, len(cohort), codec)
         raw, state = update_global_model(om, average, state, optimizer_mode)

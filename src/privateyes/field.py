@@ -3,7 +3,8 @@
 Model weights are reals; everything that crosses a wire is an element of
 Z_q. The codec maps reals onto a 2^-f_bits grid, with negative values in
 the upper half of the field (two's-complement style) and a centered
-representative on the way back.
+representative on the way back. Vectors of field elements are numpy limb
+arrays whose bytes are the wire encoding (see "Limb vectors" below).
 """
 
 from __future__ import annotations
@@ -116,14 +117,6 @@ class FieldElement:
         return self.value if self.value <= self.params.q // 2 else self.value - self.params.q
 
 
-def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
 @dataclass(frozen=True)
 class FixedPointCodec:
     """Real <-> field bridge at resolution 2^-f_bits.
@@ -162,23 +155,227 @@ class FixedPointCodec:
             raise DecodeOverflowError(f"centered magnitude {centered} too large")
         return centered / self.scale
 
-    def encode_vector(self, xs) -> list[int]:
-        return [self.encode(float(x)) for x in xs]
+    @property
+    def _vectorised(self) -> bool:
+        # Limb kernels decode the centered representative through int64.
+        return (
+            self.signed
+            and self.params.q == DEFAULT_MODULUS
+            and self.params.f_bits + MAGNITUDE_BITS <= 63
+        )
+
+    def encode_vector(self, xs) -> np.ndarray:
+        """Limb array of ``encode(x)`` for every x of a real array of any
+        shape, raising the error ``encode`` raises for the first bad x."""
+        xs = np.asarray(xs, dtype=np.float64)
+        bad = ~np.isfinite(xs) | (np.abs(xs) >= 2.0**MAGNITUDE_BITS)
+        if not self.signed:
+            bad |= xs < 0
+        if bad.any():
+            self.encode(float(xs.reshape(-1)[np.argmax(bad)]))
+        if not self._vectorised:
+            ints = [self.encode(x) for x in xs.reshape(-1).tolist()]
+            return from_ints(ints).reshape(xs.shape + (2,))
+        # round() and rint() both round half to even; the product is exact.
+        v = np.rint(xs * self.scale).astype(np.int64)
+        out = np.empty(v.shape + (2,), dtype=LIMB_DTYPE)
+        neg = v < 0
+        # A negative v maps to q + v = (2^63 - 1) * 2^64 + (2^64 - 1 + v).
+        out[..., 0] = np.where(neg, v - 1, v).astype(np.uint64)
+        out[..., 1] = np.where(neg, _M63, 0)
+        return out
 
     def decode_vector(self, es) -> np.ndarray:
-        return np.array([self.decode(e) for e in es], dtype=np.float64)
+        """``decode`` of every element of a limb array (or of a sequence of
+        ints), raising ``DecodeOverflowError`` as ``decode`` does."""
+        es = as_limbs(es)
+        if not self._vectorised:
+            flat = [self.decode(e) for e in to_ints(es.reshape(-1, 2))]
+            return np.array(flat, dtype=np.float64).reshape(es.shape[:-1])
+        es = _reduce32(_sublimbs(es, "<u4").astype(np.uint64))  # canonical, like e %= q
+        lo, hi = es[..., 0], es[..., 1]
+        bound = np.uint64(2 ** (self.params.f_bits + MAGNITUDE_BITS))
+        magnitude = np.where(hi == 0, lo, ~lo)  # ~lo = q - e when hi = 2^63 - 1
+        ok = ((hi == 0) | (hi == _M63)) & (magnitude < bound)
+        if not ok.all():
+            self.decode(to_ints(es.reshape(-1, 2))[np.argmin(ok)])
+        magnitude = magnitude.astype(np.int64)
+        return np.where(hi == 0, magnitude, -magnitude) / self.scale
 
     def quantize(self, xs) -> np.ndarray:
         """Snap a real vector onto the codec grid (encode then decode)."""
         return self.decode_vector(self.encode_vector(xs))
 
 
-def encode_fixed(x: float, codec: FixedPointCodec) -> int:
-    return codec.encode(x)
+# ---------------------------------------------------------------------------
+# Limb vectors: the one representation of field vectors
+# ---------------------------------------------------------------------------
+#
+# A vector of d field elements is a C-contiguous (d, 2) array of little-endian
+# uint64 limbs (lo, hi), so ``.tobytes()`` is the wire encoding: 16 bytes per
+# element, little-endian. Leading axes stack vectors, e.g. (J, d, 2) for a
+# cohort. For q = 2^127 - 1 the kernels below work on 32- and 16-bit sublimbs
+# in uint64 and fold with 2^127 = 1 and 2^128 = 2 (mod q); for any other
+# modulus the same functions fall back to Python-int arithmetic.
+
+LIMB_DTYPE = np.dtype("<u8")
+_LOW64 = 2**64 - 1
+_M16 = np.uint64(2**16 - 1)
+_M32 = np.uint64(2**32 - 1)
+_M63 = np.uint64(2**63 - 1)
+_MAX = np.uint64(2**64 - 1)
+_ONE, _S16, _S32, _S48, _S63 = (np.uint64(k) for k in (1, 16, 32, 48, 63))
 
 
-def decode_fixed(e: int, codec: FixedPointCodec) -> float:
-    return codec.decode(e)
+def from_ints(values) -> np.ndarray:
+    """Limb vector of a sequence of ints in [0, 2^128)."""
+    ints = [int(v) for v in values]
+    out = np.empty((len(ints), 2), dtype=LIMB_DTYPE)
+    out[:, 0] = [v & _LOW64 for v in ints]
+    out[:, 1] = [v >> 64 for v in ints]
+    return out
+
+
+def to_ints(limbs) -> list:
+    """Python ints of a (d, 2) limb vector."""
+    return [lo | (hi << 64) for lo, hi in np.asarray(limbs).tolist()]
+
+
+def as_limbs(values) -> np.ndarray:
+    """A limb vector as is, or a sequence of ints converted to one."""
+    if isinstance(values, np.ndarray) and values.dtype == LIMB_DTYPE:
+        return np.ascontiguousarray(values)
+    return from_ints(values)
+
+
+def random_vector(gen: np.random.Generator, shape: tuple, params: FieldParams) -> np.ndarray:
+    """Limb array of the given leading shape, uniform on [0, q): draws
+    q.bit_length() random bits per element and redraws those >= q."""
+    q = params.q
+    top = (1 << q.bit_length()) - 1
+    mask = np.array([top & _LOW64, top >> 64], dtype=LIMB_DTYPE)
+    count = int(np.prod(shape))
+    out = np.frombuffer(gen.bytes(ELEMENT_BYTES * count), dtype=LIMB_DTYPE).reshape(count, 2) & mask
+    q_lo, q_hi = np.uint64(q & _LOW64), np.uint64(q >> 64)
+    while True:
+        reject = (out[:, 1] > q_hi) | ((out[:, 1] == q_hi) & (out[:, 0] >= q_lo))
+        redo = int(np.count_nonzero(reject))
+        if not redo:
+            return out.reshape(shape + (2,))
+        redrawn = np.frombuffer(gen.bytes(ELEMENT_BYTES * redo), dtype=LIMB_DTYPE)
+        out[reject] = redrawn.reshape(redo, 2) & mask
+
+
+def _sublimbs(a, width: str) -> np.ndarray:
+    """Little-endian sublimbs of a limb array (a view where possible)."""
+    return np.ascontiguousarray(a, dtype=LIMB_DTYPE).view(width)
+
+
+def _fold(lo, hi, extra):
+    """Canonical limbs of hi*2^64 + lo + extra mod 2^127 - 1, for extra < 2^62."""
+    add = (hi >> _S63) + extra  # 2^127 = 1
+    hi = hi & _M63
+    lo = lo + add
+    hi = hi + (lo < add)  # carry; hi <= 2^63 now
+    top = hi >> _S63  # set only after a carry out of lo, so lo + top cannot carry
+    hi &= _M63
+    lo += top
+    out = np.empty(lo.shape + (2,), dtype=LIMB_DTYPE)
+    out[..., 0] = lo
+    out[..., 1] = hi
+    out[(lo == _MAX) & (hi == _M63)] = 0  # q itself
+    return out
+
+
+def _reduce32(s):
+    """Canonical limbs of sum_k s[..., k] * 2^(32k) mod 2^127 - 1, for each
+    s[..., k] < 2^64 - 2^32 (a sum of at most 2^32 sublimbs)."""
+    t0 = s[..., 0]
+    t1 = s[..., 1] + (t0 >> _S32)
+    t2 = s[..., 2] + (t1 >> _S32)
+    t3 = s[..., 3] + (t2 >> _S32)
+    lo = (t0 & _M32) | (t1 << _S32)
+    hi = (t2 & _M32) | (t3 << _S32)
+    return _fold(lo, hi, (t3 >> _S32) << _ONE)  # 2^128 = 2
+
+
+# 16-bit sublimb products a_i * b_j land on digit (i + j) mod 8, and digits
+# past 2^128 come back doubled (2^128 = 2): digit m of a*b is
+# sum_i a_i * b_{(m - i) mod 8} * (2 if i > m else 1).
+_ROT = np.array([[(m - i) % 8 for m in range(8)] for i in range(8)])
+_ROT_WEIGHT = np.array([[1 + (i > m) for m in range(8)] for i in range(8)], dtype=np.uint64)
+# q - 1 as 32-bit sublimbs: a - b = a + ~b + (q - 1) mod q, as ~b = 2^128 - 1 - b.
+_QM1_32 = np.array([2**32 - 2, 2**32 - 1, 2**32 - 1, 2**31 - 1], dtype=np.uint64)
+
+
+def _mul_mersenne(a, b):
+    A = _sublimbs(a, "<u2").astype(np.uint64)
+    B = _sublimbs(b, "<u2").astype(np.uint64)
+    digits = (A[..., None, :] @ (B[..., _ROT] * _ROT_WEIGHT))[..., 0, :]  # each < 2^36
+    carry = np.uint64(0)
+    r = []
+    for m in range(8):
+        t = digits[..., m] + carry
+        r.append(t & _M16)
+        carry = t >> _S16
+    lo = r[0] | (r[1] << _S16) | (r[2] << _S32) | (r[3] << _S48)
+    hi = r[4] | (r[5] << _S16) | (r[6] << _S32) | (r[7] << _S48)
+    return _fold(lo, hi, carry << _ONE)
+
+
+def _as_objects(a) -> np.ndarray:
+    a = np.asarray(a, dtype=LIMB_DTYPE)
+    return a[..., 0].astype(object) + (a[..., 1].astype(object) << 64)
+
+
+def _from_objects(values, q: int) -> np.ndarray:
+    values = np.asarray(np.asarray(values, dtype=object) % q, dtype=object)
+    out = np.empty(values.shape + (2,), dtype=LIMB_DTYPE)
+    out[..., 0] = values & _LOW64
+    out[..., 1] = values >> 64
+    return out
+
+
+def vec_add(a, b, params: FieldParams) -> np.ndarray:
+    """Elementwise a + b mod q of broadcastable limb arrays."""
+    if params.q == DEFAULT_MODULUS:
+        return _reduce32(np.add(_sublimbs(a, "<u4"), _sublimbs(b, "<u4"), dtype=np.uint64))
+    return _from_objects(_as_objects(a) + _as_objects(b), params.q)
+
+
+def vec_neg(a, params: FieldParams) -> np.ndarray:
+    """Elementwise -a mod q."""
+    if params.q == DEFAULT_MODULUS:
+        return _reduce32(np.add(_sublimbs(np.invert(a), "<u4"), _QM1_32, dtype=np.uint64))
+    return _from_objects(-_as_objects(a), params.q)
+
+
+def vec_sub(a, b, params: FieldParams) -> np.ndarray:
+    """Elementwise a - b mod q of broadcastable limb arrays."""
+    if params.q == DEFAULT_MODULUS:
+        s = np.add(_sublimbs(a, "<u4"), _sublimbs(np.invert(b), "<u4"), dtype=np.uint64)
+        return _reduce32(s + _QM1_32)
+    return _from_objects(_as_objects(a) - _as_objects(b), params.q)
+
+
+def vec_sum(a, params: FieldParams, axis: int = 0) -> np.ndarray:
+    """Sum mod q over a leading (non-limb) axis; exact for up to 2^32 terms."""
+    if params.q == DEFAULT_MODULUS:
+        return _reduce32(_sublimbs(a, "<u4").sum(axis=axis, dtype=np.uint64))
+    return _from_objects(_as_objects(a).sum(axis=axis), params.q)
+
+
+def vec_mul(a, b, params: FieldParams) -> np.ndarray:
+    """Elementwise a * b mod q of broadcastable limb arrays; a (2,) operand
+    is a scalar."""
+    if params.q == DEFAULT_MODULUS:
+        return _mul_mersenne(a, b)
+    return _from_objects(_as_objects(a) * _as_objects(b), params.q)
+
+
+# ---------------------------------------------------------------------------
+# Wire encoding
+# ---------------------------------------------------------------------------
 
 
 def element_to_bytes(value: int) -> bytes:
@@ -192,13 +389,12 @@ def element_from_bytes(data: bytes) -> int:
 
 
 def vector_to_bytes(values) -> bytes:
-    return b"".join(int(v).to_bytes(ELEMENT_BYTES, "little") for v in values)
+    """Wire bytes of a limb vector (or of a sequence of ints)."""
+    return as_limbs(values).tobytes()
 
 
-def vector_from_bytes(data: bytes) -> list[int]:
+def vector_from_bytes(data: bytes) -> np.ndarray:
+    """Read-only (len/16, 2) limb vector over the payload's bytes."""
     if len(data) % ELEMENT_BYTES != 0:
         raise FieldError("payload length is not a multiple of the element size")
-    return [
-        int.from_bytes(data[i : i + ELEMENT_BYTES], "little")
-        for i in range(0, len(data), ELEMENT_BYTES)
-    ]
+    return np.frombuffer(data, dtype=LIMB_DTYPE).reshape(-1, 2)

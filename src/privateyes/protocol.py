@@ -32,12 +32,27 @@ from .fedcore import (
     init_weights,
     select_cohort,
 )
-from .field import FieldParams, FixedPointCodec, vector_from_bytes, vector_to_bytes
+from .field import (
+    ELEMENT_BYTES,
+    FieldError,
+    FieldParams,
+    FixedPointCodec,
+    as_limbs,
+    from_ints,
+    to_ints,
+    vec_add,
+    vec_mul,
+    vec_sub,
+    vec_sum,
+    vector_from_bytes,
+    vector_to_bytes,
+)
 from .sharing import (
     ABORT_EQUIVOCATION,
     ABORT_MAC_FAILURE,
     ABORT_TIMEOUT,
     Dealer,
+    KeyShareError,
     batch_coefficients,
     commit,
     mac_check_passes,
@@ -137,6 +152,18 @@ def _corrupted_servers(adversary: AdversarySpec, round_index: int):
     return frozenset(wid - 1 for wid in adversary.corrupted_servers)
 
 
+def _recv_vectors(net: Network, msg_type: MsgType, edges: list, length: int):
+    """Receive one frame per (receiver, sender) edge and stack the payloads
+    into a (len(edges), length, 2) limb array; None if a frame is missing.
+    The frames themselves are dropped on return."""
+    msgs = [net.recv(receiver, msg_type, sender=sender) for receiver, sender in edges]
+    if any(m is None for m in msgs):
+        return None
+    if any(len(m.payload) != length * ELEMENT_BYTES for m in msgs):
+        raise FieldError(f"payload is not a vector of {length} field elements")
+    return vector_from_bytes(b"".join(m.payload for m in msgs)).reshape(len(msgs), length, 2)
+
+
 def run_secure_aggregation_round(
     net: Network,
     dealer,
@@ -147,17 +174,16 @@ def run_secure_aggregation_round(
 ):
     """One dealer-assisted aggregation of the clients' field vectors.
 
-    ``inputs`` maps population client index -> encoded vector. Returns a
-    namespace with the opened sum (or None plus an abort reason), the
-    per-server aggregate value shares, and the per-client reconstructed
-    sums from the share return.
+    ``inputs`` maps population client index -> encoded vector (a limb vector
+    or a sequence of ints). Returns a namespace with the opened sum as ints
+    (or None plus an abort reason), the per-server aggregate value shares,
+    and the per-client reconstructed sums from the share return.
     """
     params = dealer.params
-    q = params.q
     n = dealer.n
     d = len(next(iter(inputs.values())))
     order = sorted(inputs)
-    kappa_shares = dealer.key.key_shares
+    kappa_shares = from_ints(dealer.key.key_shares)
 
     # Dealer: one r-vector frame per client, one share frame per server.
     for j in order:
@@ -165,55 +191,47 @@ def run_secure_aggregation_round(
         masks = dealer.issue_masks(cid, d)
         net.send(
             WireMessage(MsgType.MASK_DELIVERY, round_index, DEALER_ID, cid,
-                        vector_to_bytes([m.r for m in masks]))
+                        vector_to_bytes(masks.r))
         )
         for i in range(n):
-            payload = vector_to_bytes(
-                [m.server_shares[i].value_share for m in masks]
-                + [m.server_shares[i].mac_share for m in masks]
-            )
             net.send(
                 WireMessage(MsgType.MASK_DELIVERY, round_index, DEALER_ID,
+                            server_wire_id(i), vector_to_bytes(masks.server_shares[i]))
+            )
+
+    # Clients: publish epsilon = x - r to every server, the cohort at once.
+    r = _recv_vectors(net, MsgType.MASK_DELIVERY,
+                      [(client_wire_id(n, j), DEALER_ID) for j in order], d)
+    if r is None:
+        return _abort(net, round_index, n, order, ABORT_TIMEOUT, "mask delivery")
+    eps = vec_sub(np.stack([as_limbs(inputs[j]) for j in order]), r, params)
+    for j, eps_j in zip(order, eps):
+        payload = vector_to_bytes(eps_j)
+        for i in range(n):
+            net.send(
+                WireMessage(MsgType.INPUT_OFFSET, round_index, client_wire_id(n, j),
                             server_wire_id(i), payload)
             )
 
-    # Clients: publish epsilon = x - r to every server.
-    for j in order:
-        cid = client_wire_id(n, j)
-        msg = net.recv(cid, MsgType.MASK_DELIVERY, sender=DEALER_ID)
-        if msg is None:
-            return _abort(net, round_index, n, order, ABORT_TIMEOUT, "mask delivery")
-        r_vec = vector_from_bytes(msg.payload)
-        eps = [(x - r) % q for x, r in zip(inputs[j], r_vec)]
-        for i in range(n):
-            net.send(
-                WireMessage(MsgType.INPUT_OFFSET, round_index, cid,
-                            server_wire_id(i), vector_to_bytes(eps))
-            )
-
     # Servers: derive authenticated shares from the offsets, sum locally.
+    # Every dealer frame precedes every offset in a server's inbox, so taking
+    # all masks first keeps each receive at the head of the inbox.
     value_vecs, mac_vecs = [], []
     for i in range(n):
         sid = server_wire_id(i)
-        kappa_i = kappa_shares[i]
-        val_acc = [0] * d
-        mac_acc = [0] * d
-        for j in order:
-            mask_msg = net.recv(sid, MsgType.MASK_DELIVERY, sender=DEALER_ID)
-            eps_msg = net.recv(sid, MsgType.INPUT_OFFSET, sender=client_wire_id(n, j))
-            if mask_msg is None or eps_msg is None:
-                return _abort(net, round_index, n, order, ABORT_TIMEOUT, "input phase")
-            flat = vector_from_bytes(mask_msg.payload)
-            r_vals, r_macs = flat[:d], flat[d:]
-            eps = vector_from_bytes(eps_msg.payload)
-            for t in range(d):
-                val_acc[t] += r_vals[t] + (eps[t] if i == 0 else 0)
-                mac_acc[t] += r_macs[t] + kappa_i * eps[t]
-        value_vecs.append([v % q for v in val_acc])
-        mac_vecs.append([m % q for m in mac_acc])
+        masks = _recv_vectors(net, MsgType.MASK_DELIVERY, [(sid, DEALER_ID)] * len(order), 2 * d)
+        offsets = _recv_vectors(net, MsgType.INPUT_OFFSET,
+                                [(sid, client_wire_id(n, j)) for j in order], d)
+        if masks is None or offsets is None:
+            return _abort(net, round_index, n, order, ABORT_TIMEOUT, "input phase")
+        r_sum = vec_sum(masks, params)  # value shares, then MAC shares
+        eps_sum = vec_sum(offsets, params)
+        # sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j
+        value_vecs.append(vec_add(r_sum[:d], eps_sum, params) if i == 0 else r_sum[:d])
+        mac_vecs.append(vec_add(r_sum[d:], vec_mul(kappa_shares[i], eps_sum, params), params))
 
     opened, reason = _open_among_servers(
-        net, round_index, value_vecs, mac_vecs, kappa_shares, params, seed, adversary
+        net, round_index, value_vecs, mac_vecs, dealer.key.key_shares, params, seed, adversary
     )
     if opened is None:
         return _abort(net, round_index, n, order, reason, "opening")
@@ -226,23 +244,18 @@ def run_secure_aggregation_round(
                 WireMessage(MsgType.SHARE_UPLOAD, round_index, server_wire_id(i),
                             client_wire_id(n, j), payload)
             )
-    client_sums = {}
-    for j in order:
-        cid = client_wire_id(n, j)
-        total = [0] * d
-        for i in range(n):
-            msg = net.recv(cid, MsgType.SHARE_UPLOAD, sender=server_wire_id(i))
-            if msg is None:
-                return _abort(net, round_index, n, order, ABORT_TIMEOUT, "share return")
-            for t, v in enumerate(vector_from_bytes(msg.payload)):
-                total[t] += v
-        client_sums[j] = [v % q for v in total]
+    returned = _recv_vectors(net, MsgType.SHARE_UPLOAD,
+                             [(client_wire_id(n, j), server_wire_id(i))
+                              for j in order for i in range(n)], d)
+    if returned is None:
+        return _abort(net, round_index, n, order, ABORT_TIMEOUT, "share return")
+    sums = vec_sum(returned.reshape(len(order), n, d, 2), params, axis=1)
 
     return SimpleNamespace(
-        opened=opened,
+        opened=to_ints(opened),
         abort_reason=None,
-        per_server_value_shares=value_vecs,
-        client_sums=client_sums,
+        per_server_value_shares=[to_ints(v) for v in value_vecs],
+        client_sums={j: to_ints(s) for j, s in zip(order, sums)},
     )
 
 
@@ -290,29 +303,25 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
             if not verify_commit(cm.payload, rv.payload, _COIN_TAG):
                 return None, ABORT_EQUIVOCATION
     coin = public_coin(k, nonces)
-    coeffs = batch_coefficients(coin, d, params)
+    coeffs = from_ints(batch_coefficients(coin, d, params))
 
     # Open the aggregate value shares (tamper/withhold hooks live in simnet).
     for i in range(n):
         broadcast(i, MsgType.OPEN_SHARE, vector_to_bytes(value_vecs[i]))
     views = []  # per server: its own view of the opened vector
     for jj in range(n):
-        acc = list(value_vecs[jj])
-        for i in range(n):
-            if i == jj:
-                continue
-            msg = net.recv(server_wire_id(jj), MsgType.OPEN_SHARE, sender=server_wire_id(i))
-            if msg is None:
-                return None, ABORT_TIMEOUT
-            for t, v in enumerate(vector_from_bytes(msg.payload)):
-                acc[t] += v
-        views.append([v % q for v in acc])
+        others = _recv_vectors(net, MsgType.OPEN_SHARE,
+                               [(server_wire_id(jj), server_wire_id(i)) for i in range(n) if i != jj],
+                               d)
+        if others is None:
+            return None, ABORT_TIMEOUT
+        views.append(vec_sum(np.concatenate([value_vecs[jj][None], others]), params))
 
     # Sigma on the random linear combination of the opened coordinates.
     sigmas = []
     for i in range(n):
-        y_comb = sum(c * y for c, y in zip(coeffs, views[i])) % q
-        mac_comb = sum(c * m for c, m in zip(coeffs, mac_vecs[i])) % q
+        y_comb = _combine(coeffs, views[i], params)
+        mac_comb = _combine(coeffs, mac_vecs[i], params)
         sigma = mac_sigma(mac_comb, kappa_shares[i], y_comb, params)
         if i in corrupted and behavior == "forge-sigma":
             sigma = (sigma + Random(derive_seed(seed, "forge", k, i)).randrange(1, q)) % q
@@ -328,7 +337,6 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
             revealed = int((sigmas[i] + 1) % q).to_bytes(32, "little")
         broadcast(i, MsgType.REVEAL, sigma_nonces[i] + revealed)
 
-    revealed_sigmas = [None] * n
     for jj in range(n):
         if jj in corrupted:
             continue  # honest servers do the checking
@@ -346,11 +354,16 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
             seen.append(int.from_bytes(payload, "little") % q)
         if not mac_check_passes(seen, params):
             return None, ABORT_MAC_FAILURE
-        revealed_sigmas[jj] = seen
 
     # All honest servers accepted; honest views agree on the opened vector.
     honest = [i for i in range(n) if i not in corrupted]
     return views[honest[0]], None
+
+
+def _combine(coeffs, vec, params) -> int:
+    """sum_t c_t * v_t mod q."""
+    lo, hi = vec_sum(vec_mul(coeffs, vec, params), params).tolist()
+    return lo | (hi << 64)
 
 
 def run_secure_aggregation(
@@ -384,13 +397,12 @@ def _build_roles(n_servers, num_clients):
 
 def _distribute_key_shares(net, dealer):
     for i in range(dealer.n):
-        net.send(
-            WireMessage(MsgType.MASK_DELIVERY, 0, DEALER_ID, server_wire_id(i),
-                        vector_to_bytes([dealer.key.key_shares[i]]))
-        )
+        payload = vector_to_bytes([dealer.key.key_shares[i]])
+        net.send(WireMessage(MsgType.MASK_DELIVERY, 0, DEALER_ID, server_wire_id(i), payload))
         # Each server consumes its key share immediately at setup.
         msg = net.recv(server_wire_id(i), MsgType.MASK_DELIVERY, sender=DEALER_ID)
-        assert vector_from_bytes(msg.payload) == [dealer.key.key_shares[i]]
+        if msg is None or msg.payload != payload:
+            raise KeyShareError(f"server {i} did not receive its MAC key share intact")
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +459,10 @@ def run_training(
             _broadcast_model(net, n, k, range(population.num_clients), codec, om)
 
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
-        encoded = {j: codec.encode_vector(updates[j]) for j in cohort}
-        for j in cohort:
-            transcript.ground_truth_iu[(j, k)] = codec.decode_vector(encoded[j])
+        stacked = codec.encode_vector(np.stack([updates[j] for j in cohort]))
+        encoded = dict(zip(cohort, stacked))
+        for j, iu in zip(cohort, codec.decode_vector(stacked)):
+            transcript.ground_truth_iu[(j, k)] = iu
 
         if scheme == SCHEME_PRIVATEYES:
             result = run_secure_aggregation_round(net, dealer, k, encoded, seed, adversary)

@@ -14,10 +14,13 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 from random import Random
 
-from .field import FieldParams
+import numpy as np
+
+from .field import FieldParams, from_ints, random_vector, vec_mul, vec_sub, vec_sum
 
 COMMIT_NONCE_BYTES = 16
 COMMIT_DIGEST_BYTES = 32
+MASK_POOL_SIZE = 1 << 12  # largest bulk draw, in masks, rounded to whole requests
 
 ABORT_MAC_FAILURE = "mac-failure"
 ABORT_EQUIVOCATION = "equivocation"
@@ -30,6 +33,10 @@ class SharingError(ValueError):
 
 class IncompleteSharingError(SharingError):
     """A share is missing (a server withheld its output)."""
+
+
+class KeyShareError(SharingError):
+    """A server's MAC key share did not arrive intact at setup."""
 
 
 class MaskReuseError(SharingError):
@@ -109,6 +116,22 @@ class InputMask:
     consumed: bool = False
 
 
+@dataclass
+class MaskBatch:
+    """``count`` single-use masks for one client, as limb arrays.
+
+    ``r`` (count, 2) goes to the client; ``server_shares[i]`` (2 * count, 2)
+    goes to server i: its value shares of r, then its MAC shares of kappa*r.
+    """
+
+    client_id: int
+    r: np.ndarray
+    server_shares: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+
 class Dealer:
     """Trusted offline-phase stand-in issuing the key sharing and masks.
 
@@ -125,6 +148,9 @@ class Dealer:
         self.mac_key = rng.randrange(params.q)
         self.key = MacKeySharing(params, share(self.mac_key, n, rng, params).shares)
         self._next_id = 0
+        self._pool = None  # (r, shares) of masks drawn but not yet issued
+        self._pool_at = 0
+        self._pool_requests = 1  # requests the next draw covers; doubles per draw
 
     def issue_mask(self, client_id: int) -> InputMask:
         q = self.params.q
@@ -140,15 +166,41 @@ class Dealer:
         self._next_id += 1
         return mask
 
-    def issue_masks(self, client_id: int, count: int) -> list:
-        return [self.issue_mask(client_id) for _ in range(count)]
+    def issue_masks(self, client_id: int, count: int) -> MaskBatch:
+        """``count`` masks cut from a pool that is drawn in bulk."""
+        if self._pool is None or self._pool_at + count > len(self._pool[0]):
+            # Short runs draw little; long ones reach MASK_POOL_SIZE per draw.
+            requests = min(self._pool_requests, max(1, MASK_POOL_SIZE // count))
+            self._pool_requests *= 2
+            self._refill(count * requests)
+        r, shares = self._pool
+        start, self._pool_at = self._pool_at, self._pool_at + count
+        return MaskBatch(
+            client_id,
+            r[start : self._pool_at],
+            shares[:, :, start : self._pool_at].reshape(self.n, 2 * count, 2),
+        )
+
+    def _refill(self, size: int) -> None:
+        """Draw ``size`` masks: r and the first n-1 value and MAC shares
+        uniform, the last share of each the remainder. The generator is
+        seeded from the dealer's Random, so masks are deterministic per seed."""
+        gen = np.random.default_rng(self._rng.getrandbits(128))
+        params = self.params
+        r = random_vector(gen, (size,), params)
+        secrets = np.stack([r, vec_mul(r, from_ints([self.mac_key])[0], params)])
+        head = random_vector(gen, (2, self.n - 1, size), params)
+        last = vec_sub(secrets, vec_sum(head, params, axis=1), params)
+        shares = np.concatenate([head, last[:, None]], axis=1)  # (value/MAC, server, mask)
+        self._pool = (r, shares.transpose(1, 0, 2, 3))
+        self._pool_at = 0
 
 
 def dealer_setup(n: int, num_masks: int, rng: Random, params: FieldParams = None, client_id: int = 0):
     """Fresh key sharing plus num_masks single-use masks for one client."""
     params = params or FieldParams()
     dealer = Dealer(n, rng, params)
-    return dealer.key, dealer.issue_masks(client_id, num_masks)
+    return dealer.key, [dealer.issue_mask(client_id) for _ in range(num_masks)]
 
 
 def client_input(x: int, mask: InputMask, client_id: int, params: FieldParams) -> int:

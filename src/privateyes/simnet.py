@@ -35,6 +35,9 @@ class MsgType(IntEnum):
     MASK_DELIVERY = 7
 
 
+_MSG_TYPES = frozenset(int(t) for t in MsgType)
+
+
 class FrameError(ValueError):
     """Malformed wire frame."""
 
@@ -49,7 +52,7 @@ class WireMessage:
 
 
 def encode_message(msg: WireMessage) -> bytes:
-    if msg.msg_type not in iter(MsgType):
+    if msg.msg_type not in _MSG_TYPES:
         raise FrameError(f"unknown message type {msg.msg_type}")
     header = _HEADER.pack(
         MAGIC, VERSION, msg.msg_type, msg.round, msg.sender, msg.receiver
@@ -65,7 +68,7 @@ def decode_message(data: bytes) -> WireMessage:
         raise FrameError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FrameError(f"unsupported version {version}")
-    if msg_type not in iter(MsgType):
+    if msg_type not in _MSG_TYPES:
         raise FrameError(f"unknown message type {msg_type}")
     (length,) = _LENGTH.unpack_from(data, _HEADER.size)
     payload = data[FRAME_OVERHEAD:]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from random import Random
 
@@ -6,9 +7,11 @@ import pytest
 
 from privateyes.aggregation import plaintext_adaptive_fl_oracle
 from privateyes.fedcore import ModelSpec, TrainConfig, gen_synthetic_population
-from privateyes.field import FieldParams, FixedPointCodec
+from privateyes.field import FieldParams, FixedPointCodec, from_ints, vec_add, vec_mul
+from privateyes import protocol
 from privateyes.protocol import (
     DEALER_ID,
+    _distribute_key_shares,
     client_wire_id,
     run_secure_aggregation,
     run_training,
@@ -18,10 +21,10 @@ from privateyes.sharing import (
     ABORT_EQUIVOCATION,
     ABORT_MAC_FAILURE,
     ABORT_TIMEOUT,
-    AuthShare,
     Dealer,
+    KeyShareError,
 )
-from privateyes.simnet import AdversarySpec
+from privateyes.simnet import AdversarySpec, MsgType, Network, WireMessage
 from privateyes.util import derive_seed
 
 P23 = FieldParams(q=23, f_bits=0)
@@ -102,19 +105,19 @@ def test_view_swap_indistinguishability():
             super().__init__(n, rng, params)
             self.adjustments = adjustments
 
-        def issue_mask(self, client_id):
-            mask = super().issue_mask(client_id)
+        def issue_masks(self, client_id, count):
+            masks = super().issue_masks(client_id, count)
             d = self.adjustments.get(client_id, 0)
             if d:
-                q = self.params.q
-                honest = self.n - 1
-                mask.r = (mask.r + d) % q
-                hs = mask.server_shares[honest]
-                mask.server_shares[honest] = AuthShare(
-                    (hs.value_share + d) % q,
-                    (hs.mac_share + self.mac_key * d) % q,
+                p = self.params
+                shift = from_ints([d % p.q] * count)
+                mac_shift = vec_mul(from_ints([self.mac_key])[0], shift, p)
+                honest = masks.server_shares[self.n - 1]
+                masks.r = vec_add(masks.r, shift, p)
+                masks.server_shares[self.n - 1] = np.concatenate(
+                    [vec_add(honest[:count], shift, p), vec_add(honest[count:], mac_shift, p)]
                 )
-            return mask
+            return masks
 
     dealer_a = Dealer(3, Random(derive_seed(seed, "dealer")), BIG)
     adjustments = {client_wire_id(3, 0): shift, client_wire_id(3, 1): -shift}
@@ -214,3 +217,55 @@ def test_round_metrics_and_bytes():
         assert row["test_mae_deg"] > 0
         assert row["bytes"]["client_to_server"] > 0
         assert row["bytes"]["dealer"] > 0
+
+
+# Captured from the list-of-int protocol engine that preceded the limb-vector
+# one: sha256 of repr([(round, type, sender, receiver, bytes), ...]) over the
+# run's frame log, and sha256 of each om_history entry's bytes.
+PINNED_FRAMES = 147
+PINNED_LOG_SHA = "eb0535d6d4b0616b237ebe8844ad64e808087808c6c516543dab03fac20389fd"
+PINNED_OM_SHA = [
+    "9991c61fe4e81d4bf58c2f027a0e2e47d12502484f5cf8050ae428043ff2cbc8",
+    "691d4d3774c8cce5b2cdcf8c743e718386148592dd53051d3f49c48dabda176c",
+    "a15ec86fd05d7477ea48089d7bd586788df49a99c0585c58daeff5e00071f526",
+]
+
+
+def test_frame_log_and_models_pinned(monkeypatch):
+    nets = []
+
+    class RecordingNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self)
+
+    monkeypatch.setattr(protocol, "Network", RecordingNetwork)
+    pop = gen_synthetic_population(4, seed=21, rounds=2)
+    spec = ModelSpec(kind="linear", d_in=8)
+    res = run_training(pop, TrainConfig(rounds=2), spec, "privateyes", n_servers=3, seed=21,
+                       evaluate=False)
+    log = [(r["round"], r["type"], r["sender"], r["receiver"], r["bytes"]) for r in nets[0].log]
+    assert spec.dim == 18
+    assert len(log) == PINNED_FRAMES
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == PINNED_LOG_SHA
+    assert [om.dtype.str for om in res.transcript.om_history] == ["<f8"] * 3
+    assert [hashlib.sha256(om.tobytes()).hexdigest()
+            for om in res.transcript.om_history] == PINNED_OM_SHA
+
+
+@pytest.mark.parametrize("fault", ["drop", "flip"])
+def test_key_share_frame_missing_or_altered(fault):
+    class FaultyNetwork(Network):
+        def send(self, msg):
+            if msg.msg_type == MsgType.MASK_DELIVERY and msg.receiver == server_wire_id(1):
+                if fault == "drop":
+                    return
+                msg = WireMessage(msg.msg_type, msg.round, msg.sender, msg.receiver,
+                                  bytes([msg.payload[0] ^ 1]) + msg.payload[1:])
+            super().send(msg)
+
+    roles = {DEALER_ID: "dealer", 1: "server", 2: "server", 3: "server"}
+    net = FaultyNetwork(roles, BIG)
+    dealer = Dealer(3, Random(0), BIG)
+    with pytest.raises(KeyShareError):
+        _distribute_key_shares(net, dealer)

@@ -1,11 +1,13 @@
 from random import Random
 
+import numpy as np
 import pytest
 
-from privateyes.field import FieldParams
+from privateyes.field import FieldParams, to_ints
 from privateyes.sharing import (
     ABORT_MAC_FAILURE,
     ABORT_TIMEOUT,
+    MASK_POOL_SIZE,
     AdditiveSharing,
     AuthShare,
     Dealer,
@@ -107,6 +109,26 @@ def test_dealer_key_and_mask_relations():
     macs = [s.mac_share for s in mask.server_shares]
     assert sum(vals) % BIG.q == mask.r
     assert sum(macs) % BIG.q == dealer.mac_key * mask.r % BIG.q
+
+
+@pytest.mark.parametrize("params", [P23, BIG])
+def test_bulk_masks_relations_and_determinism(params):
+    q = params.q
+    dealer = Dealer(3, Random(7), params)
+    # The second request does not fit what is left of the first pool.
+    batches = [dealer.issue_masks(40, 5), dealer.issue_masks(41, MASK_POOL_SIZE)]
+    for batch, count in zip(batches, (5, MASK_POOL_SIZE)):
+        assert len(batch) == count
+        assert batch.server_shares.shape == (3, 2 * count, 2)
+        r = to_ints(batch.r)
+        assert all(0 <= v < q for v in r)
+        per_server = [to_ints(shares) for shares in batch.server_shares]
+        for t in range(0, count, 997):
+            assert sum(s[t] for s in per_server) % q == r[t]
+            assert sum(s[count + t] for s in per_server) % q == dealer.mac_key * r[t] % q
+    again = Dealer(3, Random(7), params).issue_masks(40, 5)
+    assert np.array_equal(again.r, batches[0].r)
+    assert np.array_equal(again.server_shares, batches[0].server_shares)
 
 
 def test_mask_ids_unique():
