@@ -93,8 +93,9 @@ def server_aggregate_shares(client_vectors: list, params: FieldParams) -> list:
     return out
 
 
-def client_average(opened: list, cohort_size: int, codec: FixedPointCodec) -> np.ndarray:
-    """Decode the opened sum and divide by the cohort size in the reals."""
+def client_average(opened, cohort_size: int, codec: FixedPointCodec) -> np.ndarray:
+    """Decode the opened sum (a limb vector or ints) and divide by the
+    cohort size in the reals."""
     if cohort_size < 1:
         raise ValueError("cohort size must be positive")
     return codec.decode_vector(opened) / cohort_size

@@ -309,6 +309,8 @@ _QM1_32 = np.array([2**32 - 2, 2**32 - 1, 2**32 - 1, 2**31 - 1], dtype=np.uint64
 
 
 def _mul_mersenne(a, b):
+    if np.size(a) < np.size(b):
+        a, b = b, a  # b is expanded 8-fold below, so make it the smaller operand
     A = _sublimbs(a, "<u2").astype(np.uint64)
     B = _sublimbs(b, "<u2").astype(np.uint64)
     digits = (A[..., None, :] @ (B[..., _ROT] * _ROT_WEIGHT))[..., 0, :]  # each < 2^36

@@ -175,9 +175,9 @@ def run_secure_aggregation_round(
     """One dealer-assisted aggregation of the clients' field vectors.
 
     ``inputs`` maps population client index -> encoded vector (a limb vector
-    or a sequence of ints). Returns a namespace with the opened sum as ints
-    (or None plus an abort reason), the per-server aggregate value shares,
-    and the per-client reconstructed sums from the share return.
+    or a sequence of ints). Returns a namespace with the opened sum (or None
+    plus an abort reason), the per-server aggregate value shares, and the
+    per-client reconstructed sums from the share return, all limb vectors.
     """
     params = dealer.params
     n = dealer.n
@@ -216,19 +216,20 @@ def run_secure_aggregation_round(
     # Servers: derive authenticated shares from the offsets, sum locally.
     # Every dealer frame precedes every offset in a server's inbox, so taking
     # all masks first keeps each receive at the head of the inbox.
-    value_vecs, mac_vecs = [], []
-    for i in range(n):
-        sid = server_wire_id(i)
-        masks = _recv_vectors(net, MsgType.MASK_DELIVERY, [(sid, DEALER_ID)] * len(order), 2 * d)
-        offsets = _recv_vectors(net, MsgType.INPUT_OFFSET,
-                                [(sid, client_wire_id(n, j)) for j in order], d)
-        if masks is None or offsets is None:
-            return _abort(net, round_index, n, order, ABORT_TIMEOUT, "input phase")
-        r_sum = vec_sum(masks, params)  # value shares, then MAC shares
-        eps_sum = vec_sum(offsets, params)
-        # sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j
-        value_vecs.append(vec_add(r_sum[:d], eps_sum, params) if i == 0 else r_sum[:d])
-        mac_vecs.append(vec_add(r_sum[d:], vec_mul(kappa_shares[i], eps_sum, params), params))
+    servers = [server_wire_id(i) for i in range(n)]
+    masks = _recv_vectors(net, MsgType.MASK_DELIVERY,
+                          [(sid, DEALER_ID) for sid in servers for _ in order], 2 * d)
+    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET,
+                            [(sid, client_wire_id(n, j)) for sid in servers for j in order], d)
+    if masks is None or offsets is None:
+        return _abort(net, round_index, n, order, ABORT_TIMEOUT, "input phase")
+    # Per server i: sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j,
+    # with server 0 also absorbing sum_j eps_j into its value share.
+    r_sums = vec_sum(masks.reshape(n, len(order), 2 * d, 2), params, axis=1)
+    eps_sums = vec_sum(offsets.reshape(n, len(order), d, 2), params, axis=1)
+    value_vecs = r_sums[:, :d].copy()
+    value_vecs[0] = vec_add(value_vecs[0], eps_sums[0], params)
+    mac_vecs = vec_add(r_sums[:, d:], vec_mul(kappa_shares[:, None], eps_sums, params), params)
 
     opened, reason = _open_among_servers(
         net, round_index, value_vecs, mac_vecs, dealer.key.key_shares, params, seed, adversary
@@ -252,10 +253,10 @@ def run_secure_aggregation_round(
     sums = vec_sum(returned.reshape(len(order), n, d, 2), params, axis=1)
 
     return SimpleNamespace(
-        opened=to_ints(opened),
+        opened=opened,
         abort_reason=None,
-        per_server_value_shares=[to_ints(v) for v in value_vecs],
-        client_sums={j: to_ints(s) for j, s in zip(order, sums)},
+        per_server_value_shares=list(value_vecs),
+        client_sums=dict(zip(order, sums)),
     )
 
 
@@ -308,21 +309,22 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     # Open the aggregate value shares (tamper/withhold hooks live in simnet).
     for i in range(n):
         broadcast(i, MsgType.OPEN_SHARE, vector_to_bytes(value_vecs[i]))
-    views = []  # per server: its own view of the opened vector
-    for jj in range(n):
-        others = _recv_vectors(net, MsgType.OPEN_SHARE,
-                               [(server_wire_id(jj), server_wire_id(i)) for i in range(n) if i != jj],
-                               d)
-        if others is None:
-            return None, ABORT_TIMEOUT
-        views.append(vec_sum(np.concatenate([value_vecs[jj][None], others]), params))
+    others = _recv_vectors(net, MsgType.OPEN_SHARE,
+                           [(server_wire_id(jj), server_wire_id(i))
+                            for jj in range(n) for i in range(n) if i != jj], d)
+    if others is None:
+        return None, ABORT_TIMEOUT
+    # Per server: its own share plus the n - 1 it received is its view of
+    # the opened vector.
+    others = others.reshape(n, n - 1, d, 2)
+    views = vec_sum(np.concatenate([value_vecs[:, None], others], axis=1), params, axis=1)
 
     # Sigma on the random linear combination of the opened coordinates.
+    combs = to_ints(vec_sum(vec_mul(coeffs, np.concatenate([views, mac_vecs]), params),
+                            params, axis=1))
     sigmas = []
     for i in range(n):
-        y_comb = _combine(coeffs, views[i], params)
-        mac_comb = _combine(coeffs, mac_vecs[i], params)
-        sigma = mac_sigma(mac_comb, kappa_shares[i], y_comb, params)
+        sigma = mac_sigma(combs[n + i], kappa_shares[i], combs[i], params)
         if i in corrupted and behavior == "forge-sigma":
             sigma = (sigma + Random(derive_seed(seed, "forge", k, i)).randrange(1, q)) % q
         sigmas.append(sigma)
@@ -358,12 +360,6 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     # All honest servers accepted; honest views agree on the opened vector.
     honest = [i for i in range(n) if i not in corrupted]
     return views[honest[0]], None
-
-
-def _combine(coeffs, vec, params) -> int:
-    """sum_t c_t * v_t mod q."""
-    lo, hi = vec_sum(vec_mul(coeffs, vec, params), params).tolist()
-    return lo | (hi << 64)
 
 
 def run_secure_aggregation(

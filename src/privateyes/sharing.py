@@ -20,7 +20,7 @@ from .field import FieldParams, from_ints, random_vector, vec_mul, vec_sub, vec_
 
 COMMIT_NONCE_BYTES = 16
 COMMIT_DIGEST_BYTES = 32
-MASK_POOL_SIZE = 1 << 12  # largest bulk draw, in masks, rounded to whole requests
+MASK_POOL_SIZE = 1 << 10  # masks per bulk draw; a draw's cost per mask flattens from here
 
 ABORT_MAC_FAILURE = "mac-failure"
 ABORT_EQUIVOCATION = "equivocation"
@@ -149,8 +149,6 @@ class Dealer:
         self.key = MacKeySharing(params, share(self.mac_key, n, rng, params).shares)
         self._next_id = 0
         self._pool = None  # (r, shares) of masks drawn but not yet issued
-        self._pool_at = 0
-        self._pool_requests = 1  # requests the next draw covers; doubles per draw
 
     def issue_mask(self, client_id: int) -> InputMask:
         q = self.params.q
@@ -167,19 +165,13 @@ class Dealer:
         return mask
 
     def issue_masks(self, client_id: int, count: int) -> MaskBatch:
-        """``count`` masks cut from a pool that is drawn in bulk."""
-        if self._pool is None or self._pool_at + count > len(self._pool[0]):
-            # Short runs draw little; long ones reach MASK_POOL_SIZE per draw.
-            requests = min(self._pool_requests, max(1, MASK_POOL_SIZE // count))
-            self._pool_requests *= 2
-            self._refill(count * requests)
+        """``count`` masks cut from a pool drawn MASK_POOL_SIZE (or ``count``,
+        if larger) at a time; what is left of a pool too small is dropped."""
+        if self._pool is None or len(self._pool[0]) < count:
+            self._refill(max(count, MASK_POOL_SIZE))
         r, shares = self._pool
-        start, self._pool_at = self._pool_at, self._pool_at + count
-        return MaskBatch(
-            client_id,
-            r[start : self._pool_at],
-            shares[:, :, start : self._pool_at].reshape(self.n, 2 * count, 2),
-        )
+        self._pool = (r[count:], shares[:, :, count:])
+        return MaskBatch(client_id, r[:count], shares[:, :, :count].reshape(self.n, 2 * count, 2))
 
     def _refill(self, size: int) -> None:
         """Draw ``size`` masks: r and the first n-1 value and MAC shares
@@ -193,7 +185,6 @@ class Dealer:
         last = vec_sub(secrets, vec_sum(head, params, axis=1), params)
         shares = np.concatenate([head, last[:, None]], axis=1)  # (value/MAC, server, mask)
         self._pool = (r, shares.transpose(1, 0, 2, 3))
-        self._pool_at = 0
 
 
 def dealer_setup(n: int, num_masks: int, rng: Random, params: FieldParams = None, client_id: int = 0):

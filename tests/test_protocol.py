@@ -7,7 +7,7 @@ import pytest
 
 from privateyes.aggregation import plaintext_adaptive_fl_oracle
 from privateyes.fedcore import ModelSpec, TrainConfig, gen_synthetic_population
-from privateyes.field import FieldParams, FixedPointCodec, from_ints, vec_add, vec_mul
+from privateyes.field import FieldParams, FixedPointCodec, from_ints, to_ints, vec_add, vec_mul
 from privateyes import protocol
 from privateyes.protocol import (
     DEALER_ID,
@@ -40,18 +40,21 @@ def test_wire_ids():
 def test_golden_vector_aggregation():
     # Inputs (3, 10, 8) in Z_23: opened sum 21, client average 7.
     res = run_secure_aggregation({0: [3], 1: [10], 2: [8]}, 3, P23, seed=0)
-    assert res.opened == [21]
+    opened = to_ints(res.opened)
+    assert opened == [21]
     codec = FixedPointCodec(P23, signed=False)
-    assert codec.decode(res.opened[0]) / 3 == 7.0
-    assert all(sums == [21] for sums in res.client_sums.values())
+    assert codec.decode(opened[0]) / 3 == 7.0
+    assert all(to_ints(sums) == [21] for sums in res.client_sums.values())
     # The per-server aggregate shares reconstruct the same sum.
-    assert sum(v[0] for v in res.per_server_value_shares) % 23 == 21
+    assert sum(to_ints(v)[0] for v in res.per_server_value_shares) % 23 == 21
 
 
 def test_aggregation_deterministic():
     a = run_secure_aggregation({0: [3], 1: [10], 2: [8]}, 3, P23, seed=4)
     b = run_secure_aggregation({0: [3], 1: [10], 2: [8]}, 3, P23, seed=4)
-    assert a.per_server_value_shares == b.per_server_value_shares
+    assert [to_ints(v) for v in a.per_server_value_shares] == [
+        to_ints(v) for v in b.per_server_value_shares
+    ]
     assert [r["bytes"] for r in a.net.log] == [r["bytes"] for r in b.net.log]
 
 
@@ -60,7 +63,7 @@ def test_vector_aggregation_big_field():
     inputs = {j: [rng.randrange(BIG.q) for _ in range(5)] for j in range(4)}
     res = run_secure_aggregation(inputs, 3, BIG, seed=1)
     expected = [sum(inputs[j][t] for j in inputs) % BIG.q for t in range(5)]
-    assert res.opened == expected
+    assert to_ints(res.opened) == expected
 
 
 @pytest.mark.parametrize(
@@ -125,7 +128,7 @@ def test_view_swap_indistinguishability():
 
     res_a = run_secure_aggregation(inputs_a, 3, BIG, seed=seed, adversary=adv, dealer=dealer_a)
     res_b = run_secure_aggregation(inputs_b, 3, BIG, seed=seed, adversary=adv, dealer=dealer_b)
-    assert res_a.opened == res_b.opened
+    assert to_ints(res_a.opened) == to_ints(res_b.opened)
     assert res_a.net.adversary_view == res_b.net.adversary_view
 
 
