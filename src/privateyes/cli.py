@@ -17,8 +17,8 @@ from pathlib import Path
 from random import Random
 
 from .aggregation import OptimizerState
-from .fedcore import ModelSpec, TrainConfig, gen_synthetic_population
-from .field import FieldParams, FixedPointCodec, vector_to_bytes
+from .fedcore import MODEL_KINDS, ModelSpec, TrainConfig, gen_synthetic_population
+from .field import FieldError, FieldParams, FixedPointCodec, vector_to_bytes
 from .leakprobe import (
     REFERENCE_GAZE_CNN,
     SCHEME_GENERIC_MPC,
@@ -26,7 +26,6 @@ from .leakprobe import (
     build_leak_set,
     dualview_lite_reconstruct,
     estimate_generic_mpc_cost,
-    leakage_table,
     write_leakage_csv,
 )
 from .protocol import (
@@ -41,6 +40,7 @@ from .simnet import (
     EDGE_DEALER,
     EDGE_SERVER_TO_CLIENT,
     EDGE_SERVER_TO_SERVER,
+    BEHAVIORS,
     AdversarySpec,
     CommMetrics,
     MsgType,
@@ -118,6 +118,24 @@ class ExperimentConfig:
             raise ConfigError("corrupted server count must be in [1, n-1]")
         if not 0 < self.cohort_fraction <= 1:
             raise ConfigError("cohort_fraction must be in (0, 1]")
+        if self.kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind {self.kind!r}")
+        if self.d_in < 1 or self.hidden < 1:
+            raise ConfigError("d_in and hidden must be >= 1")
+        try:
+            FixedPointCodec(FieldParams(f_bits=self.f_bits))
+        except FieldError as exc:
+            raise ConfigError(f"bad f_bits {self.f_bits}: {exc}") from exc
+        if self.epochs < 0 or self.lr <= 0 or self.batch < 1:
+            raise ConfigError("epochs must be >= 0, lr > 0 and batch >= 1")
+        if self.behavior not in BEHAVIORS:
+            raise ConfigError(f"unknown adversary behavior {self.behavior!r}")
+        if min(self.alpha, self.beta, self.gamma) < 0:
+            raise ConfigError("attack weights alpha, beta, gamma must be >= 0")
+        if self.steps < 1:
+            raise ConfigError("attack steps must be >= 1")
+        if self.samples_per_round < 1:
+            raise ConfigError("samples_per_round must be >= 1")
         return self
 
 
@@ -206,13 +224,12 @@ def _build(cfg: ExperimentConfig):
     return population, train, spec, codec, optimizer, adversary
 
 
-def _run_scheme(cfg, scheme, adversary=None):
-    population, train, spec, codec, optimizer, built_adv = _build(cfg)
+def _run_scheme(cfg, scheme):
+    population, train, spec, codec, optimizer, adversary = _build(cfg)
     return population, run_training(
         population, train, spec, scheme,
         n_servers=cfg.servers, seed=cfg.seed, codec=codec,
-        adversary=adversary if adversary is not None else built_adv,
-        optimizer=optimizer, optimizer_mode=cfg.mode,
+        adversary=adversary, optimizer=optimizer, optimizer_mode=cfg.mode,
     )
 
 
@@ -271,19 +288,35 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
     return 2 if result.aborted else 0
 
 
-def cmd_attack(cfg: ExperimentConfig, outdir: Path) -> int:
+LEAKAGE_SCHEMES = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES)
+
+
+def _train_leakage_schemes(cfg: ExperimentConfig):
+    """One run per scheme of the leakage table: {scheme: (population, result)},
+    or None if a run aborted."""
+    runs = {}
+    for scheme in LEAKAGE_SCHEMES:
+        runs[scheme] = _run_scheme(cfg, scheme)
+        if runs[scheme][1].aborted:
+            return None
+    return runs
+
+
+def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
+    """Leakage table; ``runs`` reuses trainings from ``_train_leakage_schemes``."""
     outdir.mkdir(parents=True, exist_ok=True)
+    if runs is None:
+        runs = _train_leakage_schemes(cfg)
+        if runs is None:
+            return 2
     attack = AttackConfig(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
                           steps=cfg.steps, seed=cfg.seed)
     reports = {}
-    for scheme in (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES):
-        population, result = _run_scheme(cfg, scheme, adversary=None)
-        if result.aborted:
-            return 2
+    for scheme, (population, result) in runs.items():
         leak = build_leak_set(scheme, result.transcript, population)
         reports[scheme] = dualview_lite_reconstruct(leak, attack, population)
     # Generic MPC leaks nothing; score the prior against the same population.
-    population, result = _run_scheme(cfg, SCHEME_PRIVATEYES, adversary=None)
+    population, result = runs[SCHEME_PRIVATEYES]
     leak = build_leak_set(SCHEME_GENERIC_MPC, result.transcript, population)
     reports[SCHEME_GENERIC_MPC] = dualview_lite_reconstruct(leak, attack, population)
     write_leakage_csv(reports, outdir / "leakage.csv")
@@ -335,18 +368,15 @@ def cmd_bench(cfg: ExperimentConfig, outdir: Path, d: int = 1000, ns=(2, 3, 5)) 
 def cmd_report(cfg: ExperimentConfig, outdir: Path) -> int:
     """Accuracy, leakage, and communication comparison tables."""
     outdir.mkdir(parents=True, exist_ok=True)
-    accuracy = {}
-    for scheme in (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES):
-        _, result = _run_scheme(cfg, scheme, adversary=None)
-        if result.aborted:
-            return 2
-        done = [r for r in result.round_metrics if not r["abort"]]
-        accuracy[scheme] = done[-1]["test_mae_deg"]
+    runs = _train_leakage_schemes(cfg)
+    if runs is None:
+        return 2
     with open(outdir / "accuracy.csv", "w") as fh:
         fh.write("scheme,test_mae_deg\n")
-        for scheme, mae in accuracy.items():
-            fh.write(f"{scheme},{mae:.6f}\n")
-    status = cmd_attack(cfg, outdir)
+        for scheme, (_, result) in runs.items():
+            done = [r for r in result.round_metrics if not r["abort"]]
+            fh.write(f"{scheme},{done[-1]['test_mae_deg']:.6f}\n")
+    status = cmd_attack(cfg, outdir, runs)
     if status:
         return status
     cmd_bench(cfg, outdir)

@@ -20,6 +20,8 @@ from .util import derive_seed
 GAZE_DIM = 2
 MIXING_SEED = 0x9AE3  # the mixing map is public knowledge
 
+MODEL_KINDS = ("linear", "mlp")
+
 MAX_PITCH = math.pi / 2
 MAX_YAW = math.pi
 
@@ -43,7 +45,7 @@ class ModelSpec:
     hidden: int = 16
 
     def __post_init__(self):
-        if self.kind not in ("linear", "mlp"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
     @property

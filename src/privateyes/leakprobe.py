@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from .fedcore import GAZE_DIM, Population, angular_error
 from .protocol import (
@@ -28,6 +27,8 @@ SCHEME_GENERIC_MPC = "mpc"
 
 DENSITY_FLOOR = 1e-9
 GRID_BINS = 64
+KDE_BLOCK = 512  # grid points per kernel evaluation block
+EXP_MIN = -700.0  # kernel exponents are floored here (e^-700 ~ 1e-304)
 
 
 class LeakprobeError(ValueError):
@@ -242,17 +243,36 @@ def _expected_gradient_system(w_prev, grad_obs, pub, cfg, prior_mean, prior_std,
 
 
 def _solve_gd(M, y, theta0, steps):
-    """Plain gradient descent on ||M theta - y||^2 with a safe fixed step."""
+    """Plain gradient descent on ||M theta - y||^2 with a safe fixed step,
+    evaluated in closed form.
+
+    With H = M^T M = V diag(lam) V^T and step s = 1/(2 lam_max), iterate k is
+    theta0 + V diag((1 - (1 - 2 s lam)^k) / lam) V^T (M^T y - H theta0); the
+    factor tends to 2 s k as lam -> 0. ``converged`` tests the gradient at
+    iterate k - 1, the last one the loop would have computed.
+    """
     H = M.T @ M
-    lam = float(np.linalg.eigvalsh(H)[-1])
-    step = 1.0 / (2.0 * lam) if lam > 0 else 0.0
-    theta = theta0.copy()
-    grad = np.zeros_like(theta)
-    for _ in range(steps):
-        grad = 2.0 * (H @ theta - M.T @ y)
-        theta = theta - step * grad
-    converged = bool(np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(M.T @ y)))
+    b = M.T @ y
+    lam, V = np.linalg.eigh(H)
+    step = 1.0 / (2.0 * lam[-1]) if lam[-1] > 0 else 0.0
+    w = V.T @ (b - H @ theta0)
+    theta = theta0 + V @ (_gd_gain(lam, step, steps) * w)
+    prev = theta0 + V @ (_gd_gain(lam, step, steps - 1) * w)
+    grad = 2.0 * (H @ prev - b)
+    converged = bool(np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(b)))
     return theta, converged
+
+
+def _gd_gain(lam, step, k):
+    """(1 - (1 - 2 step lam)^k) / lam per eigenvalue, 2 step k where lam <= 0."""
+    if k == 0:
+        return np.zeros_like(lam)
+    pos = lam > 0
+    x = np.minimum(2.0 * step * lam[pos], 1.0)  # 1 - x is the contraction factor
+    gain = np.full_like(lam, 2.0 * step * k)
+    with np.errstate(divide="ignore"):
+        gain[pos] = -np.expm1(k * np.log1p(-x)) / lam[pos]
+    return gain
 
 
 def _prior_std(pub, d_in):
@@ -283,8 +303,10 @@ def dualview_lite_reconstruct(
     """Run the attack on every attackable unit and score against truth.
 
     ``population`` supplies ground truth for scoring only; the solver sees
-    nothing beyond ``leak``. Round-k estimates seed round k+1's prior when
-    chaining is enabled.
+    nothing beyond ``leak``. Only rounds in ``cfg.rounds`` are attacked (all
+    when None). Round-k estimates seed round k+1's prior when chaining is
+    enabled. Each distinct unit sequence is solved once; clients sharing one
+    (every client in secure mode) share its estimate.
     """
     pub = leak.pub
     report = ReconstructionReport(scheme=leak.scheme)
@@ -306,14 +328,13 @@ def dualview_lite_reconstruct(
             report.per_client[client.client_id]["converged"] = True
         return report.finalize()
 
-    units = _attack_units(leak)
     d_in = pub["mixing_map"].shape[0]
     prior_std = _prior_std(pub, d_in)
-    for client in population.clients:
-        j = client.client_id
+    estimates = {}  # client -> (theta, converged)
+    for clients, units in _attack_units(leak, cfg.rounds):
         theta = np.zeros(GAZE_DIM + d_in)
         converged = True
-        for s, (k, w_prev, update) in enumerate(units.get(j, [])):
+        for s, (k, w_prev, update) in enumerate(units):
             # Chained prior: the round-s prior already summarizes s rounds
             # of evidence, so its weight grows like a Bayesian filter's.
             prior_mean = theta if cfg.chain else np.zeros(GAZE_DIM + d_in)
@@ -322,6 +343,11 @@ def dualview_lite_reconstruct(
                 w_prev, update, pub, cfg, prior_mean, prior_std, weight
             )
             converged = converged and ok
+        for j in clients:
+            estimates[j] = (theta, converged)
+    for client in population.clients:
+        j = client.client_id
+        theta, converged = estimates.get(j, (np.zeros(GAZE_DIM + d_in), True))
         est_mu = theta[:GAZE_DIM]
         samples = _draw_recon_samples(est_mu, pub, cfg, rng)
         entry = _score(est_mu, samples, client, pub, rng)
@@ -331,58 +357,24 @@ def dualview_lite_reconstruct(
     return report.finalize()
 
 
-def _attack_units(leak: LeakageTranscript) -> dict:
-    """Per client: ordered (round, w_prev, leaked update vector) triples."""
+def _attack_units(leak: LeakageTranscript, rounds=None) -> list:
+    """(clients, ordered (round, w_prev, leaked update) triples) pairs, one
+    per distinct unit sequence, restricted to ``rounds`` unless None."""
     pub = leak.pub
     oms = {0: pub["om0"], **leak.leak["om"]}
-    units = {}
+    keep = None if rounds is None else set(rounds)
     if leak.scheme == SCHEME_ADAPTIVE_FL:
+        units = {}
         for (j, k), iu in sorted(leak.leak["iu"].items(), key=lambda t: (t[0][1], t[0][0])):
-            units.setdefault(j, []).append((k, oms[k - 1], iu))
-        return units
+            if keep is None or k in keep:
+                units.setdefault(j, []).append((k, oms[k - 1], iu))
+        return [((j,), seq) for j, seq in units.items()]
     # Secure mode: only the round averages are recoverable, shared by all.
     history = [oms[k] for k in sorted(oms)]
     averages = invert_optimizer_history(history, pub["config"])
-    shared = [(k, oms[k - 1], averages[k]) for k in sorted(averages)]
-    for j in range(pub["config"]["num_clients"]):
-        units[j] = shared
-    return units
-
-
-def select_rounds(units: dict, rounds) -> dict:
-    """Restrict every client's attack units to the given round indices."""
-    if rounds is None:
-        return units
-    keep = set(rounds)
-    return {j: [u for u in seq if u[0] in keep] for j, seq in units.items()}
-
-
-def reconstruct_from_rounds(
-    leak: LeakageTranscript, cfg: AttackConfig, population: Population, rounds
-) -> ReconstructionReport:
-    """Attack using only the listed rounds (for round-information probes)."""
-    pub = leak.pub
-    rng = np.random.default_rng([cfg.seed, 0xA77AC4])
-    units = select_rounds(_attack_units(leak), rounds)
-    d_in = pub["mixing_map"].shape[0]
-    prior_std = _prior_std(pub, d_in)
-    report = ReconstructionReport(scheme=leak.scheme)
-    for client in population.clients:
-        j = client.client_id
-        theta = np.zeros(GAZE_DIM + d_in)
-        converged = True
-        for s, (k, w_prev, update) in enumerate(units.get(j, [])):
-            prior_mean = theta if cfg.chain else np.zeros(GAZE_DIM + d_in)
-            weight = float(1 + s) if cfg.chain else 1.0
-            theta, ok = _reconstruct_unit(
-                w_prev, update, pub, cfg, prior_mean, prior_std, weight
-            )
-            converged = converged and ok
-        samples = _draw_recon_samples(theta[:GAZE_DIM], pub, cfg, rng)
-        entry = _score(theta[:GAZE_DIM], samples, client, pub, rng)
-        entry["converged"] = converged
-        report.per_client[j] = entry
-    return report.finalize()
+    shared = [(k, oms[k - 1], averages[k]) for k in sorted(averages)
+              if keep is None or k in keep]
+    return [(range(pub["config"]["num_clients"]), shared)]
 
 
 def _draw_recon_samples(est_mu, pub, cfg, rng):
@@ -411,7 +403,7 @@ def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
 
     Both sample sets are densified with Scott's-rule kernels, evaluated on
     a fixed-resolution grid covering both supports, floored, normalized,
-    and summed discretely.
+    and summed discretely. Equal sample sets give exactly 0.
     """
     P = np.asarray(samples_p, dtype=float)
     Q = np.asarray(samples_q, dtype=float)
@@ -424,6 +416,8 @@ def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
     ndim = P.shape[1]
     if Q.shape[1] != ndim:
         raise LeakprobeError("sample dimensionality mismatch")
+    if np.array_equal(P, Q):
+        return 0.0
     if grid is None:
         both = np.vstack([P, Q])
         lo = both.min(axis=0)
@@ -433,14 +427,46 @@ def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
     else:
         axes = [np.linspace(g[0], g[1], GRID_BINS) for g in grid]
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.vstack([m.ravel() for m in mesh])
-    p = gaussian_kde(P.T)(points)
-    q = gaussian_kde(Q.T)(points)
-    p = np.maximum(p, DENSITY_FLOOR)
-    q = np.maximum(q, DENSITY_FLOOR)
+    points = np.column_stack([m.ravel() for m in mesh])
+    p = np.maximum(gaussian_kde_density(P, points), DENSITY_FLOOR)
+    q = np.maximum(gaussian_kde_density(Q, points), DENSITY_FLOOR)
     p /= p.sum()
     q /= q.sum()
     return float(np.sum(p * np.log(p / q)))
+
+
+def gaussian_kde_density(data, points) -> np.ndarray:
+    """Scott's-rule Gaussian KDE of ``data`` (n, d) evaluated at ``points`` (m, d).
+
+    The kernel covariance is the data covariance times n^(-2/(d+4)), as in
+    ``scipy.stats.gaussian_kde``. Both sets are centred on the data mean and
+    whitened by L, the upper Cholesky factor of the inverse kernel covariance
+    (the transposed inverse of the covariance's lower factor), so every
+    exponent -||(x - x_i) L||^2 / 2 comes out of one matmul of augmented rows
+    [z, -|z|^2/2, 1] . [z_i, 1, -|z_i|^2/2]. Points are evaluated KDE_BLOCK at
+    a time to bound the temporary.
+    """
+    n, d = data.shape
+    # Uniform weights round like scipy's covariance; the KDE differs from it by
+    # up to 2e-12 relative at rho = 0.99 without them.
+    data_cov = np.atleast_2d(np.cov(data, rowvar=False, aweights=np.full(n, 1.0 / n)))
+    L = np.linalg.inv(np.linalg.cholesky(data_cov) * float(n) ** (-1.0 / (d + 4))).T
+    norm = np.prod(np.diag(L)) / ((2.0 * np.pi) ** (d / 2.0) * n)
+    centre = data.mean(axis=0)
+    zd = (data - centre) @ L
+    right = np.vstack([zd.T, np.ones(n), -0.5 * np.sum(zd * zd, axis=1)])
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], KDE_BLOCK):
+        zp = (points[lo : lo + KDE_BLOCK] - centre) @ L
+        left = np.hstack([zp, -0.5 * np.sum(zp * zp, axis=1, keepdims=True),
+                          np.ones((zp.shape[0], 1))])
+        expo = left @ right
+        # Terms below e^EXP_MIN are far under DENSITY_FLOOR, and exp is slow
+        # where its result is subnormal.
+        np.maximum(expo, EXP_MIN, out=expo)
+        np.exp(expo, out=expo)
+        out[lo : lo + KDE_BLOCK] = expo.sum(axis=1)
+    return out * norm
 
 
 # ---------------------------------------------------------------------------

@@ -340,21 +340,23 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
         broadcast(i, MsgType.REVEAL, sigma_nonces[i] + revealed)
 
     for jj in range(n):
-        if jj in corrupted:
-            continue  # honest servers do the checking
         seen = list(sigmas[jj : jj + 1])
         for i in range(n):
             if i == jj:
                 continue
             cm = net.recv(server_wire_id(jj), MsgType.COMMIT, sender=server_wire_id(i))
             rv = net.recv(server_wire_id(jj), MsgType.REVEAL, sender=server_wire_id(i))
+            if jj in corrupted:
+                # Corrupted servers take their frames off the wire (so no later
+                # round reads them) but honest servers do the checking.
+                continue
             if cm is None or rv is None:
                 return None, ABORT_TIMEOUT
             nonce, payload = rv.payload[:16], rv.payload[16:]
             if not verify_commit(cm.payload, payload, nonce + _SIGMA_TAG):
                 return None, ABORT_EQUIVOCATION
             seen.append(int.from_bytes(payload, "little") % q)
-        if not mac_check_passes(seen, params):
+        if jj not in corrupted and not mac_check_passes(seen, params):
             return None, ABORT_MAC_FAILURE
 
     # All honest servers accepted; honest views agree on the opened vector.

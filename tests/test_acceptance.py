@@ -5,6 +5,7 @@ under default capture they appear in the captured output of failing tests.
 """
 
 import time
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -33,7 +34,6 @@ from privateyes.leakprobe import (
     conv_forward_count,
     dualview_lite_reconstruct,
     estimate_generic_mpc_cost,
-    reconstruct_from_rounds,
 )
 from privateyes.protocol import run_secure_aggregation, run_training
 from privateyes.sharing import Dealer, forgery_succeeds, open_with_mac_check, share
@@ -212,9 +212,9 @@ def leakage_stats():
         reports["mpc"] = dualview_lite_reconstruct(leak_mpc, atk, pop)
         leak_afl = build_leak_set("adaptive_fl", runs["adaptive_fl"].transcript, pop)
         nochain = AttackConfig(seed=seed, chain=False)
-        first = reconstruct_from_rounds(leak_afl, nochain, pop, [1])
-        final = reconstruct_from_rounds(leak_afl, nochain, pop, [10])
-        chained = reconstruct_from_rounds(leak_afl, atk, pop, list(range(1, 11)))
+        first = dualview_lite_reconstruct(leak_afl, replace(nochain, rounds=(1,)), pop)
+        final = dualview_lite_reconstruct(leak_afl, replace(nochain, rounds=(10,)), pop)
+        chained = dualview_lite_reconstruct(leak_afl, replace(atk, rounds=tuple(range(1, 11))), pop)
         rows.append(
             {
                 "afl_kl": reports["adaptive_fl"].mean_kl,

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from privateyes import cli
 from privateyes.cli import (
     ConfigError,
     ExperimentConfig,
+    cmd_attack,
     cmd_bench,
+    cmd_report,
     load_config,
     main,
     measure_communication,
@@ -163,3 +166,66 @@ def test_attack_subcommand(tmp_path):
     assert len(lines) == 5  # four schemes
     report = json.loads((out / "attack_report.json").read_text())
     assert report["datacentre"]["mean_kl"] == 0.0
+
+
+@pytest.mark.parametrize("section,line", [
+    ("model", "kind = cnn"),
+    ("adversary", "behavior = foo"),
+    ("train", "epochs = -1"),
+    ("train", "batch = 0"),
+    ("field", "f_bits = 200"),
+    ("attack", "steps = 0"),
+    ("attack", "alpha = -1"),
+    ("attack", "beta = -0.5"),
+    ("attack", "gamma = -2"),
+    ("data", "samples_per_round = 0"),
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, section, line):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[experiment]\nrounds = 2\nclients = 3\n[{section}]\n{line}\n")
+    status = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_passive_corrupted_server_run_exits_zero(tmp_path):
+    config = write_config(tmp_path / "exp.ini",
+                          extra="[adversary]\ncorrupted_servers = 1\n")
+    config.write_text(config.read_text().replace("rounds = 4", "rounds = 3"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted"] is False
+    assert report["rounds_completed"] == 3
+
+
+def _count_trainings(monkeypatch):
+    calls = []
+    original = cli.run_training
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_training", counted)
+    return calls
+
+
+SMALL = dict(clients=4, rounds=3, steps=40, seed=2)
+
+
+def test_report_trains_each_scheme_once(tmp_path, monkeypatch):
+    calls = _count_trainings(monkeypatch)
+    assert cmd_report(ExperimentConfig(**SMALL), tmp_path / "r") == 0
+    assert sorted(calls) == ["adaptive_fl", "datacentre", "privateyes"]
+
+
+def test_attack_trains_each_scheme_once(tmp_path, monkeypatch):
+    calls = _count_trainings(monkeypatch)
+    assert cmd_attack(ExperimentConfig(**SMALL), tmp_path / "a") == 0
+    assert sorted(calls) == ["adaptive_fl", "datacentre", "privateyes"]
+    lines = (tmp_path / "a" / "leakage.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "datacentre", "adaptive_fl", "privateyes", "mpc"]

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from scipy.stats import gaussian_kde
 
+from privateyes import leakprobe
 from privateyes.fedcore import ModelSpec, TrainConfig, gen_synthetic_population
 from privateyes.field import FixedPointCodec
 from privateyes.leakprobe import (
+    DENSITY_FLOOR,
     REFERENCE_GAZE_CNN,
     SCHEME_GENERIC_MPC,
     AttackConfig,
     LeakprobeError,
     _expected_gradient_system,
+    _solve_gd,
     build_leak_set,
     conv_forward_count,
     dualview_lite_reconstruct,
     estimate_generic_mpc_cost,
+    gaussian_kde_density,
     invert_optimizer_history,
     kde_kl_divergence,
     leakage_table,
@@ -200,3 +205,125 @@ def test_leakage_table_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "scheme,mae_deg,kl"
     assert lines[1].startswith("mpc,")
+
+
+def _gd_loop(M, y, theta0, steps):
+    """The literal gradient-descent loop that ``_solve_gd`` evaluates in closed form."""
+    H = M.T @ M
+    lam = float(np.linalg.eigvalsh(H)[-1])
+    step = 1.0 / (2.0 * lam) if lam > 0 else 0.0
+    theta = theta0.copy()
+    grad = np.zeros_like(theta)
+    for _ in range(steps):
+        grad = 2.0 * (H @ theta - M.T @ y)
+        theta = theta - step * grad
+    converged = bool(np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(M.T @ y)))
+    return theta, converged
+
+
+def _system(cond, seed, rows=28, dim=10):
+    """A least-squares system whose normal matrix has condition number ``cond``."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(rows, dim)))
+    V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    sv = np.logspace(0.0, -0.5 * np.log10(cond), dim) * rng.uniform(0.5, 20.0)
+    M = (U * sv) @ V.T
+    return M, rng.normal(size=rows) * 3.0, rng.normal(size=dim)
+
+
+@pytest.mark.parametrize("steps", [1, 400, 5000])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e10])
+def test_closed_form_solve_matches_gd_loop(steps, cond):
+    for seed in range(5):
+        M, y, theta0 = _system(cond, seed)
+        for start in (theta0, np.zeros_like(theta0)):
+            theta, converged = _solve_gd(M, y, start, steps)
+            ref, ref_converged = _gd_loop(M, y, start, steps)
+            assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert converged == ref_converged
+
+
+def test_closed_form_solve_on_attack_systems():
+    """Every unit system of a small adaptive_fl attack (zero prior mean, the
+    round-k prior weight): the closed form tracks the loop to 1e-12 relative."""
+    pop = gen_synthetic_population(4, seed=11, rounds=3)
+    res = _run(pop, "adaptive_fl", 11, rounds=3)
+    leak = build_leak_set("adaptive_fl", res.transcript, pop)
+    cfg = AttackConfig(seed=11)
+    pub = leak.pub
+    prior_std = np.concatenate([np.full(2, pub["priors"]["mu_std"]),
+                                np.full(8, pub["priors"]["b_std"])])
+    for (j, k), iu in leak.leak["iu"].items():
+        w_prev = pub["om0"] if k == 1 else leak.leak["om"][k - 1]
+        grad_obs = observed_gradient(w_prev, iu, pub["config"])
+        M, y = _expected_gradient_system(w_prev, grad_obs, pub, cfg, np.zeros(10), prior_std, k)
+        theta, converged = _solve_gd(M, y, np.zeros(10), cfg.steps)
+        ref, ref_converged = _gd_loop(M, y, np.zeros(10), cfg.steps)
+        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert converged == ref_converged
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "rho0.99"])
+def test_numpy_kde_matches_scipy(case):
+    rng = np.random.default_rng(21)
+    data = {
+        "1d": rng.normal(0.3, 1.2, (400, 1)),
+        "2d": rng.normal(0.0, 0.15, (200, 2)),
+        "rho0.99": rng.multivariate_normal([0.1, -0.2], [[1.0, 0.99], [0.99, 1.0]], 400),
+    }[case]
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    pad = 0.5 * (hi - lo)
+    axes = [np.linspace(lo[t] - pad[t], hi[t] + pad[t], 64) for t in range(data.shape[1])]
+    points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    ref = gaussian_kde(data.T)(points.T)
+    ours = gaussian_kde_density(data, points)
+    above = ref > DENSITY_FLOOR
+    assert above.sum() >= 40
+    assert np.max(np.abs(ours[above] - ref[above]) / ref[above]) <= 1e-12
+    assert np.all(ours[~above] <= 2 * DENSITY_FLOOR)
+
+
+def test_kl_equal_arrays_is_exactly_zero():
+    rng = np.random.default_rng(3)
+    x = rng.normal(0, 1, (50, 2))
+    assert kde_kl_divergence(x, x.copy()) == 0.0
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    original = leakprobe._solve_gd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(leakprobe, "_solve_gd", counted)
+    return calls
+
+
+def test_secure_mode_solves_each_round_once(monkeypatch):
+    pop = gen_synthetic_population(6, seed=12, rounds=4)
+    res = _run(pop, "privateyes", 12, rounds=4)
+    leak = build_leak_set("privateyes", res.transcript, pop)
+    calls = _count_solves(monkeypatch)
+    report = dualview_lite_reconstruct(leak, AttackConfig(seed=12), pop)
+    assert len(calls) == 4  # rounds, not clients x rounds
+    assert len(report.per_client) == 6
+    calls.clear()
+    dualview_lite_reconstruct(leak, AttackConfig(seed=12, rounds=(2, 4)), pop)
+    assert len(calls) == 2
+
+
+def test_rounds_restrict_adaptive_fl_units(monkeypatch):
+    pop = gen_synthetic_population(3, seed=13, rounds=3)
+    res = _run(pop, "adaptive_fl", 13, rounds=3)
+    leak = build_leak_set("adaptive_fl", res.transcript, pop)
+    calls = _count_solves(monkeypatch)
+    full = dualview_lite_reconstruct(leak, AttackConfig(seed=13), pop)
+    assert len(calls) == 9
+    calls.clear()
+    first = dualview_lite_reconstruct(leak, AttackConfig(seed=13, rounds=(1,)), pop)
+    assert len(calls) == 3
+    explicit = dualview_lite_reconstruct(leak, AttackConfig(seed=13, rounds=(1, 2, 3)), pop)
+    assert explicit.mean_kl == full.mean_kl
+    assert first.mean_kl != full.mean_kl

@@ -272,3 +272,19 @@ def test_key_share_frame_missing_or_altered(fault):
     dealer = Dealer(3, Random(0), BIG)
     with pytest.raises(KeyShareError):
         _distribute_key_shares(net, dealer)
+
+
+def test_passive_corrupted_server_multi_round_matches_honest():
+    """A passive corrupted server takes its sigma frames off the wire, so
+    later rounds never read stale COMMIT/REVEAL frames."""
+    pop = gen_synthetic_population(4, seed=9, rounds=3)
+    cfg = TrainConfig(rounds=3)
+    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=9, evaluate=False)
+    adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="passive-record")
+    passive = run_training(pop, cfg, ModelSpec(), "privateyes", seed=9, adversary=adv,
+                           evaluate=False)
+    assert not passive.aborted
+    assert len(passive.transcript.om_history) == 4
+    for a, b in zip(passive.transcript.om_history, honest.transcript.om_history, strict=True):
+        assert np.array_equal(a, b)
+    assert passive.transcript.comm.totals == honest.transcript.comm.totals
