@@ -26,6 +26,8 @@ from .fedcore import (
 from .sharing import AuthShare, SharingError
 from .util import derive_seed
 
+COHORT_BLOCK = 128  # clients trained per stacked local_train call
+
 
 @dataclass(frozen=True)
 class OptimizerState:
@@ -121,18 +123,25 @@ def train_cohort_updates(
     round_index: int,
     cohort: list,
     seed: int,
-) -> dict:
-    """Local training for one round's cohort with per-(round, client) seeds."""
-    updates = {}
-    for j in cohort:
-        client = population.clients[j]
-        updates[j] = local_train(
+) -> np.ndarray:
+    """Local training for one round's cohort with per-(round, client) seeds.
+
+    Returns the (len(cohort), dim) updates in cohort order. Clients train
+    stacked, COHORT_BLOCK at a time: one block's data and temporaries stay
+    small and in cache, where the whole cohort at once would not.
+    """
+    k = round_index - 1
+    updates = np.empty((len(cohort), spec.dim))
+    for lo in range(0, len(cohort), COHORT_BLOCK):
+        block = cohort[lo : lo + COHORT_BLOCK]
+        clients = [population.clients[j] for j in block]
+        updates[lo : lo + len(block)] = local_train(
             om_prev,
-            client.round_features[round_index - 1],
-            client.round_gaze[round_index - 1],
+            np.stack([client.round_features[k] for client in clients]),
+            np.stack([client.round_gaze[k] for client in clients]),
             cfg,
             spec,
-            derive_seed(seed, "train", round_index, j),
+            [derive_seed(seed, "train", round_index, j) for j in block],
         )
     return updates
 
@@ -164,7 +173,7 @@ def plaintext_adaptive_fl_oracle(
         cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
         cohorts[k] = cohort
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
-        encoded = codec.encode_vector(np.stack([updates[j] for j in cohort]))
+        encoded = codec.encode_vector(updates)
         for j, iu in zip(cohort, codec.decode_vector(encoded)):
             ius[(j, k)] = iu
         total = aggregate_encoded(encoded, codec.params)

@@ -2,7 +2,9 @@
 
 Subcommands: run (one scheme, metrics + transcript), attack (leakage
 probe across schemes), report (comparison tables), bench (communication
-scaling). Exit codes: 0 success, 2 protocol abort, 1 usage/config error.
+scaling). Exit codes: 0 success, 1 usage/config error, 2 protocol abort,
+3 numerical failure (diverged training, a value outside the codec's range,
+a degenerate leakage-probe sample set).
 """
 
 from __future__ import annotations
@@ -17,12 +19,26 @@ from pathlib import Path
 from random import Random
 
 from .aggregation import OptimizerState
-from .fedcore import MODEL_KINDS, ModelSpec, TrainConfig, gen_synthetic_population
-from .field import FieldError, FieldParams, FixedPointCodec, vector_to_bytes
+from .fedcore import (
+    MODEL_KINDS,
+    ModelSpec,
+    TrainConfig,
+    TrainingDivergence,
+    gen_synthetic_population,
+)
+from .field import (
+    DecodeOverflowError,
+    EncodingRangeError,
+    FieldError,
+    FieldParams,
+    FixedPointCodec,
+    vector_to_bytes,
+)
 from .leakprobe import (
     REFERENCE_GAZE_CNN,
     SCHEME_GENERIC_MPC,
     AttackConfig,
+    LeakprobeError,
     build_leak_set,
     dualview_lite_reconstruct,
     estimate_generic_mpc_cost,
@@ -64,6 +80,12 @@ CSV_HEADER = (
 
 class ConfigError(ValueError):
     """Invalid or unparseable experiment configuration."""
+
+
+# Valid configurations whose numbers break down during a run. Named one by one:
+# ConfigError is a ValueError too, so catching a base class would mix the two.
+NUMERICAL_FAILURES = (TrainingDivergence, EncodingRangeError, DecodeOverflowError,
+                      LeakprobeError)
 
 
 @dataclass
@@ -415,6 +437,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except NUMERICAL_FAILURES as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

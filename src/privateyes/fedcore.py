@@ -178,24 +178,27 @@ def init_weights(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _unpack_linear(spec, w):
-    W = w[: spec.d_in * GAZE_DIM].reshape(spec.d_in, GAZE_DIM)
-    c = w[spec.d_in * GAZE_DIM :]
+    lead = w.shape[:-1]
+    W = w[..., : spec.d_in * GAZE_DIM].reshape(*lead, spec.d_in, GAZE_DIM)
+    c = w[..., spec.d_in * GAZE_DIM :]
     return W, c
 
 
 def _unpack_mlp(spec, w):
+    lead = w.shape[:-1]
     i = 0
-    W1 = w[i : i + spec.d_in * spec.hidden].reshape(spec.d_in, spec.hidden)
+    W1 = w[..., i : i + spec.d_in * spec.hidden].reshape(*lead, spec.d_in, spec.hidden)
     i += spec.d_in * spec.hidden
-    b1 = w[i : i + spec.hidden]
+    b1 = w[..., i : i + spec.hidden]
     i += spec.hidden
-    W2 = w[i : i + spec.hidden * GAZE_DIM].reshape(spec.hidden, GAZE_DIM)
+    W2 = w[..., i : i + spec.hidden * GAZE_DIM].reshape(*lead, spec.hidden, GAZE_DIM)
     i += spec.hidden * GAZE_DIM
-    c = w[i:]
+    c = w[..., i:]
     return W1, b1, W2, c
 
 
 def predict(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Predicted (pitch, yaw) for rows X (..., m, d_in) under one model w (dim,)."""
     if spec.kind == "linear":
         W, c = _unpack_linear(spec, w)
         return X @ W + c
@@ -203,29 +206,44 @@ def predict(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.tanh(X @ W1 + b1) @ W2 + c
 
 
+def _t(A):
+    return A.swapaxes(-1, -2)
+
+
+def _flat(A):
+    return A.reshape(*A.shape[:-2], -1)
+
+
 def loss_and_grad(spec: ModelSpec, w: np.ndarray, X: np.ndarray, G: np.ndarray):
-    """Mean squared (pitch, yaw) error and its gradient in flat coordinates."""
-    m = X.shape[0]
+    """Mean squared (pitch, yaw) error and its gradient in flat coordinates.
+
+    Takes one client (w (dim,), X (m, d_in), G (m, 2)) or a stack of J
+    clients (w (J, dim), X (J, m, d_in), G (J, m, 2)); the loss and gradient
+    then carry the same leading client axis. Each client's slice goes through
+    the same operations in the same order, so it is bit-identical to a
+    one-client call.
+    """
+    m = X.shape[-2]
     if spec.kind == "linear":
         W, c = _unpack_linear(spec, w)
-        E = X @ W + c - G
-        loss = float(np.mean(np.sum(E**2, axis=1)))
-        grad_W = 2.0 / m * X.T @ E
-        grad_c = 2.0 / m * E.sum(axis=0)
-        return loss, np.concatenate([grad_W.ravel(), grad_c])
+        E = X @ W + c[..., None, :] - G
+        loss = np.mean(np.sum(E**2, axis=-1), axis=-1)
+        grad_W = 2.0 / m * _t(X) @ E
+        grad_c = 2.0 / m * E.sum(axis=-2)
+        return loss, np.concatenate([_flat(grad_W), grad_c], axis=-1)
     W1, b1, W2, c = _unpack_mlp(spec, w)
-    Z = X @ W1 + b1
+    Z = X @ W1 + b1[..., None, :]
     H = np.tanh(Z)
-    E = H @ W2 + c - G
-    loss = float(np.mean(np.sum(E**2, axis=1)))
+    E = H @ W2 + c[..., None, :] - G
+    loss = np.mean(np.sum(E**2, axis=-1), axis=-1)
     dE = 2.0 / m * E
-    grad_W2 = H.T @ dE
-    grad_c = dE.sum(axis=0)
-    dH = dE @ W2.T * (1.0 - H**2)
-    grad_W1 = X.T @ dH
-    grad_b1 = dH.sum(axis=0)
+    grad_W2 = _t(H) @ dE
+    grad_c = dE.sum(axis=-2)
+    dH = dE @ _t(W2) * (1.0 - H**2)
+    grad_W1 = _t(X) @ dH
+    grad_b1 = dH.sum(axis=-2)
     return loss, np.concatenate(
-        [grad_W1.ravel(), grad_b1, grad_W2.ravel(), grad_c]
+        [_flat(grad_W1), grad_b1, _flat(grad_W2), grad_c], axis=-1
     )
 
 
@@ -235,21 +253,33 @@ def local_train(
     G: np.ndarray,
     cfg: TrainConfig,
     spec: ModelSpec,
-    seed: int,
+    seed: int | list[int],
 ) -> np.ndarray:
-    """E epochs of mini-batch gradient descent; batch order is a seeded shuffle."""
-    w = w.astype(np.float64).copy()
-    rng = np.random.default_rng([seed, 0x10CA1])
-    m = X.shape[0]
+    """E epochs of mini-batch gradient descent; batch order is a seeded shuffle.
+
+    One client trains from w on X (m, d_in), G (m, 2) with an int seed and
+    gets a (dim,) model back. A block of J clients that start from the same w
+    passes X (J, m, d_in), G (J, m, 2) and J seeds and gets (J, dim) back,
+    each row bit-identical to that client's one-client call: every client
+    shuffles with its own generator and the steps run in lockstep.
+    """
+    stacked = X.ndim == 3
+    if not stacked:
+        X, G, seed = X[None], G[None], [seed]
+    w = np.array(np.broadcast_to(w, (X.shape[0], w.shape[-1])), dtype=np.float64)
+    rngs = [np.random.default_rng([s, 0x10CA1]) for s in seed]
+    rows = np.arange(X.shape[0])[:, None]
+    m = X.shape[1]
     for _ in range(cfg.epochs):
-        order = rng.permutation(m)
+        order = np.stack([rng.permutation(m) for rng in rngs])
         for start in range(0, m, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_grad(spec, w, X[idx], G[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergence(f"non-finite loss {loss}")
+            idx = order[:, start : start + cfg.batch_size]
+            loss, grad = loss_and_grad(spec, w, X[rows, idx], G[rows, idx])
+            finite = np.isfinite(loss)
+            if not finite.all():
+                raise TrainingDivergence(f"non-finite loss {loss[~finite][0]}")
             w -= cfg.lr * grad
-    return w
+    return w if stacked else w[0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +304,32 @@ def angular_error(pred, truth) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, d))))
 
 
-def mean_angular_error(pred_angles: np.ndarray, true_angles: np.ndarray) -> float:
+def angular_errors_deg(pred_angles: np.ndarray, true_angles: np.ndarray) -> np.ndarray:
+    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays."""
     dots = np.sum(gaze_to_vecs(pred_angles) * gaze_to_vecs(true_angles), axis=-1)
-    return float(np.degrees(np.arccos(np.clip(dots, -1.0, 1.0))).mean())
+    return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+
+
+def mean_angular_error(pred_angles: np.ndarray, true_angles: np.ndarray) -> float:
+    return float(angular_errors_deg(pred_angles, true_angles).mean())
 
 
 def evaluate_model(spec: ModelSpec, w: np.ndarray, population: Population):
-    """Mean test angular error in degrees plus the per-client breakdown."""
+    """Mean test angular error in degrees plus the per-client breakdown.
+
+    Predicts on the stacked (J, n, d_in) test sets in one call, so every
+    client's test set has the same size n (``gen_synthetic_population`` draws
+    ``test_samples`` for each). Per-client means and the weighted total
+    accumulate in client order, as a per-client loop would.
+    """
+    clients = population.clients
+    if any(client.test_features.shape[0] == 0 for client in clients):
+        raise ValueError("empty test set")
+    P = predict(spec, w, np.stack([client.test_features for client in clients]))
+    errs = angular_errors_deg(P, np.stack([client.test_gaze for client in clients]))
     per_client = {}
     total_err, total_count = 0.0, 0
-    for client in population.clients:
-        if client.test_features.shape[0] == 0:
-            raise ValueError("empty test set")
-        P = predict(spec, w, client.test_features)
-        err = mean_angular_error(P, client.test_gaze)
+    for client, err in zip(clients, errs.mean(axis=-1).tolist()):
         per_client[client.client_id] = err
         total_err += err * client.test_features.shape[0]
         total_count += client.test_features.shape[0]

@@ -403,7 +403,9 @@ def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
 
     Both sample sets are densified with Scott's-rule kernels, evaluated on
     a fixed-resolution grid covering both supports, floored, normalized,
-    and summed discretely. Equal sample sets give exactly 0.
+    and summed discretely. Equal sample sets give exactly 0. A sample set
+    with a singular covariance (e.g. all samples equal) has no KDE and
+    raises ``LeakprobeError``.
     """
     P = np.asarray(samples_p, dtype=float)
     Q = np.asarray(samples_q, dtype=float)
@@ -450,7 +452,11 @@ def gaussian_kde_density(data, points) -> np.ndarray:
     # Uniform weights round like scipy's covariance; the KDE differs from it by
     # up to 2e-12 relative at rho = 0.99 without them.
     data_cov = np.atleast_2d(np.cov(data, rowvar=False, aweights=np.full(n, 1.0 / n)))
-    L = np.linalg.inv(np.linalg.cholesky(data_cov) * float(n) ** (-1.0 / (d + 4))).T
+    try:
+        lower = np.linalg.cholesky(data_cov)
+    except np.linalg.LinAlgError as exc:
+        raise LeakprobeError("KDE sample covariance is singular") from exc
+    L = np.linalg.inv(lower * float(n) ** (-1.0 / (d + 4))).T
     norm = np.prod(np.diag(L)) / ((2.0 * np.pi) ** (d / 2.0) * n)
     centre = data.mean(axis=0)
     zd = (data - centre) @ L

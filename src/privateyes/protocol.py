@@ -457,7 +457,7 @@ def run_training(
             _broadcast_model(net, n, k, range(population.num_clients), codec, om)
 
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
-        stacked = codec.encode_vector(np.stack([updates[j] for j in cohort]))
+        stacked = codec.encode_vector(updates)
         encoded = dict(zip(cohort, stacked))
         for j, iu in zip(cohort, codec.decode_vector(stacked)):
             transcript.ground_truth_iu[(j, k)] = iu

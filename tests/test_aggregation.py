@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privateyes.aggregation import (
+    COHORT_BLOCK,
     OptimizerState,
     adaptive_step,
     aggregate_encoded,
@@ -11,9 +12,17 @@ from privateyes.aggregation import (
     plaintext_adaptive_fl_oracle,
     plaintext_datacentre_oracle,
     server_aggregate_shares,
+    train_cohort_updates,
     update_global_model,
 )
-from privateyes.fedcore import ModelSpec, TrainConfig, gen_synthetic_population, init_weights, local_train
+from privateyes.fedcore import (
+    ModelSpec,
+    TrainConfig,
+    gen_synthetic_population,
+    init_weights,
+    local_train,
+    select_cohort,
+)
 from privateyes.field import FieldParams, FixedPointCodec
 from privateyes.sharing import AuthShare, SharingError
 from privateyes.util import derive_seed
@@ -124,6 +133,24 @@ def test_oracle_om_on_codec_grid():
     run = plaintext_adaptive_fl_oracle(pop, TrainConfig(rounds=2), ModelSpec(), codec, seed=1)
     for om in run.om_history:
         assert np.array_equal(codec.quantize(om), om)
+
+
+def test_cohort_blocks_match_per_client_loop():
+    # A partial cohort that still spans more than one block.
+    num_clients = COHORT_BLOCK + 40
+    pop = gen_synthetic_population(num_clients, seed=8, rounds=2, samples_per_round=20)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8, rounds=2, cohort_fraction=0.8)
+    spec = ModelSpec()
+    om = init_weights(spec, 5)
+    cohort = select_cohort(num_clients, cfg.cohort_fraction, 2, 8)
+    assert COHORT_BLOCK < len(cohort) < num_clients
+    updates = train_cohort_updates(pop, cfg, spec, om, 2, cohort, 8)
+    assert updates.shape == (len(cohort), spec.dim)
+    for row, j in zip(updates, cohort):
+        client = pop.clients[j]
+        expected = local_train(om, client.round_features[1], client.round_gaze[1], cfg, spec,
+                               derive_seed(8, "train", 2, j))
+        assert np.array_equal(row, expected)
 
 
 def test_datacentre_single_client_equals_local_train():

@@ -190,6 +190,24 @@ def test_bad_values_are_config_errors(tmp_path, capsys, section, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,text,message", [
+    # Every reconstructed sample equals the estimate: the KDE has no covariance.
+    ("attack", "[experiment]\nclients = 3\nrounds = 2\n[data]\nsigma_gaze = 0\n",
+     "LeakprobeError"),
+    # The first round's updates overflow the fixed-point codec.
+    ("run", "[train]\nlr = 1e6\nepochs = 5\n", "EncodingRangeError"),
+])
+def test_numerical_failures_exit_3(tmp_path, capsys, command, text, message):
+    config = tmp_path / "exp.ini"
+    config.write_text(text)
+    status = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert status == 3
+    assert err.startswith(f"numerical failure: {message}:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_passive_corrupted_server_run_exits_zero(tmp_path):
     config = write_config(tmp_path / "exp.ini",
                           extra="[adversary]\ncorrupted_servers = 1\n")

@@ -5,6 +5,7 @@ from privateyes.fedcore import (
     GAZE_DIM,
     ModelSpec,
     TrainConfig,
+    TrainingDivergence,
     angular_error,
     evaluate_model,
     export_population_csv,
@@ -113,6 +114,84 @@ def test_zero_epochs_is_identity():
     cfg = TrainConfig(epochs=0)
     X, G = pop.clients[0].round_features[0], pop.clients[0].round_gaze[0]
     assert np.array_equal(local_train(w0, X, G, cfg, spec, 0), w0)
+
+
+def _reference_local_train(spec, w, X, G, cfg, seed):
+    """One client's mini-batch descent, written out without the client axis."""
+    w = w.astype(np.float64).copy()
+    rng = np.random.default_rng([seed, 0x10CA1])
+    m, d, h = X.shape[0], spec.d_in, spec.hidden
+    for _ in range(cfg.epochs):
+        order = rng.permutation(m)
+        for start in range(0, m, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            Xb, Gb, n = X[idx], G[idx], len(idx)
+            if spec.kind == "linear":
+                W, c = w[: 2 * d].reshape(d, 2), w[2 * d :]
+                E = Xb @ W + c - Gb
+                grad = np.concatenate([(2.0 / n * Xb.T @ E).ravel(), 2.0 / n * E.sum(axis=0)])
+            else:
+                W1 = w[: d * h].reshape(d, h)
+                b1 = w[d * h : d * h + h]
+                W2 = w[d * h + h : d * h + 3 * h].reshape(h, 2)
+                c = w[d * h + 3 * h :]
+                H = np.tanh(Xb @ W1 + b1)
+                dE = 2.0 / n * (H @ W2 + c - Gb)
+                dH = dE @ W2.T * (1.0 - H**2)
+                grad = np.concatenate(
+                    [(Xb.T @ dH).ravel(), dH.sum(axis=0), (H.T @ dE).ravel(), dE.sum(axis=0)])
+            w -= cfg.lr * grad
+    return w
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_stacked_local_train_matches_per_client_loop(kind, epochs):
+    # m = 20 with batch 8 leaves a ragged last batch of 4.
+    spec = ModelSpec(kind=kind, d_in=5, hidden=6)
+    pop = gen_synthetic_population(7, seed=11, samples_per_round=20, d_in=5)
+    cfg = TrainConfig(epochs=epochs, lr=0.1, batch_size=8)
+    w0 = init_weights(spec, 3)
+    X = np.stack([c.round_features[0] for c in pop.clients])
+    G = np.stack([c.round_gaze[0] for c in pop.clients])
+    seeds = [100 + j for j in range(7)]
+    stacked = local_train(w0, X, G, cfg, spec, seeds)
+    assert stacked.shape == (7, spec.dim) and stacked.dtype == np.float64
+    for j in range(7):
+        one = local_train(w0, X[j], G[j], cfg, spec, seeds[j])
+        assert np.array_equal(stacked[j], one)
+        assert np.array_equal(one, _reference_local_train(spec, w0, X[j], G[j], cfg, seeds[j]))
+
+
+def test_one_diverging_client_in_a_block_raises():
+    spec = ModelSpec()
+    pop = gen_synthetic_population(4, seed=12)
+    X = np.stack([c.round_features[0] for c in pop.clients])
+    G = np.stack([c.round_gaze[0] for c in pop.clients])
+    X[2] *= 1e200
+    cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8)
+    w0 = init_weights(spec, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergence):
+            local_train(w0, X, G, cfg, spec, [1, 2, 3, 4])
+        local_train(w0, X[[0, 1, 3]], G[[0, 1, 3]], cfg, spec, [1, 2, 4])
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_stacked_evaluate_matches_per_client_loop(kind):
+    spec = ModelSpec(kind=kind, d_in=8, hidden=5)
+    pop = gen_synthetic_population(9, seed=13)
+    w = init_weights(spec, 4)
+    expected, total_err, total_count = {}, 0.0, 0
+    for client in pop.clients:
+        err = mean_angular_error(predict(spec, w, client.test_features), client.test_gaze)
+        expected[client.client_id] = err
+        total_err += err * client.test_features.shape[0]
+        total_count += client.test_features.shape[0]
+    mean_err, per_client = evaluate_model(spec, w, pop)
+    assert per_client == expected
+    assert all(type(err) is float for err in per_client.values())
+    assert mean_err == total_err / total_count
 
 
 def test_angular_error_basics():
