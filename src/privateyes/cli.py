@@ -213,8 +213,8 @@ def _assign(cfg, key, raw):
 # ---------------------------------------------------------------------------
 
 
-def _build(cfg: ExperimentConfig):
-    population = gen_synthetic_population(
+def _population(cfg: ExperimentConfig):
+    return gen_synthetic_population(
         cfg.clients,
         cfg.seed,
         heterogeneity=cfg.heterogeneity,
@@ -224,6 +224,10 @@ def _build(cfg: ExperimentConfig):
         sigma_gaze=cfg.sigma_gaze,
         sigma_noise=cfg.sigma_noise,
     )
+
+
+def _run_scheme(cfg, scheme, population):
+    """One training of ``scheme`` on ``population``, which it only reads."""
     train = TrainConfig(
         epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch,
         rounds=cfg.rounds, cohort_fraction=cfg.cohort_fraction,
@@ -243,12 +247,7 @@ def _build(cfg: ExperimentConfig):
             behavior=cfg.behavior,
             target_round=cfg.target_round or None,
         )
-    return population, train, spec, codec, optimizer, adversary
-
-
-def _run_scheme(cfg, scheme):
-    population, train, spec, codec, optimizer, adversary = _build(cfg)
-    return population, run_training(
+    return run_training(
         population, train, spec, scheme,
         n_servers=cfg.servers, seed=cfg.seed, codec=codec,
         adversary=adversary, optimizer=optimizer, optimizer_mode=cfg.mode,
@@ -302,7 +301,7 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
         (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         write_round_metrics_csv([], outdir / "round_metrics.csv")
         return 0
-    _, result = _run_scheme(cfg, cfg.scheme)
+    result = _run_scheme(cfg, cfg.scheme, _population(cfg))
     write_round_metrics_csv(result.round_metrics, outdir / "round_metrics.csv")
     result.transcript.dump_ndjson(outdir / "transcript.ndjson")
     payload = _report_payload(cfg, result)
@@ -314,11 +313,12 @@ LEAKAGE_SCHEMES = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES)
 
 
 def _train_leakage_schemes(cfg: ExperimentConfig):
-    """One run per scheme of the leakage table: {scheme: (population, result)},
-    or None if a run aborted."""
+    """One run per scheme of the leakage table on one shared population:
+    {scheme: (population, result)}, or None if a run aborted."""
+    population = _population(cfg)
     runs = {}
     for scheme in LEAKAGE_SCHEMES:
-        runs[scheme] = _run_scheme(cfg, scheme)
+        runs[scheme] = (population, _run_scheme(cfg, scheme, population))
         if runs[scheme][1].aborted:
             return None
     return runs

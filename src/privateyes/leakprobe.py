@@ -214,31 +214,24 @@ def _expected_gradient_system(w_prev, grad_obs, pub, cfg, prior_mean, prior_std,
     e_obs = g_c / 2.0  # mean residual, read off the bias gradient
     K = sg2 * (A @ A.T @ W - A) + sn2 * W
 
-    rows, targets, weights = [], [], []
+    # Rows in the order: bias gradient (l), weight gradient (i, l), prior (t).
     # Bias-gradient residual: 2[(W^T A - I) mu + W^T b + c] - g_c
     M_c = np.hstack([2.0 * (W.T @ A - np.eye(GAZE_DIM)), 2.0 * W.T])
-    for l in range(GAZE_DIM):
-        rows.append(M_c[l])
-        targets.append(g_c[l] - 2.0 * c[l])
-        weights.append(np.sqrt(cfg.beta))
     # Weight-gradient residual: 2[(A mu + b) e_obs^T + K] - g_W
-    for i in range(d_in):
-        for l in range(GAZE_DIM):
-            row = np.zeros(dim)
-            row[:GAZE_DIM] = 2.0 * e_obs[l] * A[i]
-            row[GAZE_DIM + i] = 2.0 * e_obs[l]
-            rows.append(row)
-            targets.append(g_W[i, l] - 2.0 * K[i, l])
-            weights.append(np.sqrt(cfg.gamma))
+    two_e = 2.0 * e_obs
+    M_w = np.zeros((d_in, GAZE_DIM, dim))
+    M_w[:, :, :GAZE_DIM] = two_e[:, None] * A[:, None, :]
+    M_w[np.arange(d_in), :, GAZE_DIM + np.arange(d_in)] = two_e
     # Prior pull toward the current prior mean.
-    for t in range(dim):
-        row = np.zeros(dim)
-        row[t] = 1.0 / prior_std[t]
-        rows.append(row)
-        targets.append(prior_mean[t] / prior_std[t])
-        weights.append(np.sqrt(cfg.alpha * cfg.prior_strength * prior_weight))
-    M = np.array(rows) * np.array(weights)[:, None]
-    y = np.array(targets) * np.array(weights)
+    M_p = np.diag(1.0 / prior_std)
+    weights = np.repeat(
+        [np.sqrt(cfg.beta), np.sqrt(cfg.gamma),
+         np.sqrt(cfg.alpha * cfg.prior_strength * prior_weight)],
+        [GAZE_DIM, d_in * GAZE_DIM, dim],
+    )
+    M = np.vstack([M_c, M_w.reshape(-1, dim), M_p]) * weights[:, None]
+    y = np.concatenate([g_c - 2.0 * c, (g_W - 2.0 * K).ravel(),
+                        prior_mean / prior_std]) * weights
     return M, y
 
 
@@ -428,25 +421,21 @@ def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
         axes = [np.linspace(lo[t] - pad[t], hi[t] + pad[t], GRID_BINS) for t in range(ndim)]
     else:
         axes = [np.linspace(g[0], g[1], GRID_BINS) for g in grid]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
-    p = np.maximum(gaussian_kde_density(P, points), DENSITY_FLOOR)
-    q = np.maximum(gaussian_kde_density(Q, points), DENSITY_FLOOR)
+    p = np.maximum(grid_kde_density(P, axes), DENSITY_FLOOR)
+    q = np.maximum(grid_kde_density(Q, axes), DENSITY_FLOOR)
     p /= p.sum()
     q /= q.sum()
     return float(np.sum(p * np.log(p / q)))
 
 
-def gaussian_kde_density(data, points) -> np.ndarray:
-    """Scott's-rule Gaussian KDE of ``data`` (n, d) evaluated at ``points`` (m, d).
+def _kde_kernel(data):
+    """(centre, L, norm) of the Scott's-rule KDE of ``data`` (n, d).
 
     The kernel covariance is the data covariance times n^(-2/(d+4)), as in
-    ``scipy.stats.gaussian_kde``. Both sets are centred on the data mean and
-    whitened by L, the upper Cholesky factor of the inverse kernel covariance
-    (the transposed inverse of the covariance's lower factor), so every
-    exponent -||(x - x_i) L||^2 / 2 comes out of one matmul of augmented rows
-    [z, -|z|^2/2, 1] . [z_i, 1, -|z_i|^2/2]. Points are evaluated KDE_BLOCK at
-    a time to bound the temporary.
+    ``scipy.stats.gaussian_kde``. L is the upper Cholesky factor of the
+    inverse kernel covariance (the transposed inverse of the covariance's
+    lower factor), so the kernel exponent is -||(x - x_i) L||^2 / 2 around
+    the data mean ``centre``; ``norm`` is the kernel's normalizer over n.
     """
     n, d = data.shape
     # Uniform weights round like scipy's covariance; the KDE differs from it by
@@ -458,7 +447,19 @@ def gaussian_kde_density(data, points) -> np.ndarray:
         raise LeakprobeError("KDE sample covariance is singular") from exc
     L = np.linalg.inv(lower * float(n) ** (-1.0 / (d + 4))).T
     norm = np.prod(np.diag(L)) / ((2.0 * np.pi) ** (d / 2.0) * n)
-    centre = data.mean(axis=0)
+    return data.mean(axis=0), L, norm
+
+
+def gaussian_kde_density(data, points) -> np.ndarray:
+    """Scott's-rule Gaussian KDE of ``data`` (n, d) evaluated at ``points`` (m, d).
+
+    Both sets are centred on the data mean and whitened by the kernel's L
+    (see ``_kde_kernel``), so every exponent -||(x - x_i) L||^2 / 2 comes out
+    of one matmul of augmented rows [z, -|z|^2/2, 1] . [z_i, 1, -|z_i|^2/2].
+    Points are evaluated KDE_BLOCK at a time to bound the temporary.
+    """
+    n = data.shape[0]
+    centre, L, norm = _kde_kernel(data)
     zd = (data - centre) @ L
     right = np.vstack([zd.T, np.ones(n), -0.5 * np.sum(zd * zd, axis=1)])
     out = np.empty(points.shape[0])
@@ -473,6 +474,72 @@ def gaussian_kde_density(data, points) -> np.ndarray:
         np.exp(expo, out=expo)
         out[lo : lo + KDE_BLOCK] = expo.sum(axis=1)
     return out * norm
+
+
+def grid_kde_density(data, axes) -> np.ndarray:
+    """The KDE of ``data`` (n, d) on the tensor grid of ``axes`` (d 1-D arrays),
+    in ``np.meshgrid(*axes, indexing="ij")`` ravel order.
+
+    Every kernel shares one precision matrix S = L L^T, so for 2-D data the
+    exponent at grid point (a_u, b_v) and sample i (all centred on the data
+    mean) splits into per-axis pieces plus a sample-free cross term:
+
+        -(S00 da^2 + 2 S01 da db + S11 db^2) / 2 = A[u, i] + B[v, i] + C[u, v]
+        A = -S00 (a_u - x_i0)^2 / 2 + S01 x_i1 (a_u - x_i0)
+        B = -S11 (b_v - x_i1)^2 / 2 + S01 x_i0 b_v
+        C = -S01 a_u b_v
+
+    With mA, mB the row maxima of A and B and Phi = mA_u + mB_v + C_uv, the
+    density is norm exp(Phi) (exp(A - mA) @ exp(B - mB)^T): 2 G n exps and
+    one matmul for G grid points per axis, instead of G^2 n exps.
+
+    Two guards send a grid to ``gaussian_kde_density`` instead; neither is
+    tunable, both follow from float64:
+
+    * max Phi <= 600. Each exponent e = Phi + (A - mA) + (B - mB) is at most
+      0 and both brackets are at most 0, so a term lost to underflow (or
+      rounded as a subnormal) has e - Phi < -708. With Phi <= 600 such a
+      term is below e^-108 (~1e-47), and all of them together carry less
+      than e^-108 n norm, where n norm is the largest value the KDE can
+      take: far below DENSITY_FLOOR. And exp(Phi) <= e^600 cannot overflow.
+    * max |C| <= 1000. A, B and C cancel to e, so e carries the rounding of
+      its largest piece, a few ulps of |C|: 1000 * 2^-52 ~ 2e-13, relative,
+      in the density. That keeps the split within 1e-12 of scipy; strongly
+      correlated samples on a wide grid, where |C| grows like |S01 a b|,
+      reached 1.3e-12 without this bound.
+
+    Gaze reconstructions of a ``privateyes report`` stay far inside both
+    (max Phi ~ 18, max |C| ~ 120 over seeds 0-19 and 901-910). For d = 1 (a
+    grid of G points: G n exps either way) and d >= 3 the grid points go
+    through ``gaussian_kde_density`` directly.
+    """
+    if data.shape[1] != 2:
+        return gaussian_kde_density(data, _mesh_points(axes))
+    centre, L, norm = _kde_kernel(data)
+    S = L @ L.T
+    x0, x1 = (data - centre).T
+    a = (axes[0] - centre[0])[:, None]
+    b = (axes[1] - centre[1])[:, None]
+    da = a - x0
+    db = b - x1
+    A = -0.5 * S[0, 0] * da * da + S[0, 1] * x1 * da
+    B = -0.5 * S[1, 1] * db * db + S[0, 1] * x0 * b
+    mA = A.max(axis=1, keepdims=True)
+    mB = B.max(axis=1, keepdims=True)
+    C = -S[0, 1] * (a * b.T)
+    phi = mA + mB.T + C
+    if phi.max() > 600.0 or np.abs(C).max() > 1000.0:
+        return gaussian_kde_density(data, _mesh_points(axes))
+    np.subtract(A, mA, out=A)
+    np.subtract(B, mB, out=B)
+    dens = np.exp(A, out=A) @ np.exp(B, out=B).T
+    dens *= np.exp(phi)
+    return dens.ravel() * norm
+
+
+def _mesh_points(axes):
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -247,3 +248,27 @@ def test_attack_trains_each_scheme_once(tmp_path, monkeypatch):
     lines = (tmp_path / "a" / "leakage.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == [
         "datacentre", "adaptive_fl", "privateyes", "mpc"]
+
+
+# sha256 of the report tables for SMALL, captured when every scheme still
+# generated its own population.
+PINNED_REPORT_SHA = {
+    "accuracy.csv": "e314e59e8741176462b812174f0a52e0418fff630eda7f9317438a80508b4111",
+    "leakage.csv": "1dc54cbcfcfe6e28dbc83031d2fd5cee5008f4127bb71b09c20c0e6942628d5f",
+    "bench.csv": "99b22445fef9e7346d0e03f357d398fa24795b2ed7e5671be9ec9ca981ae5bc3",
+}
+
+
+def test_report_builds_the_population_once(tmp_path, monkeypatch):
+    builds = []
+    original = cli.gen_synthetic_population
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gen_synthetic_population", counted)
+    assert cmd_report(ExperimentConfig(**SMALL), tmp_path / "r") == 0
+    assert len(builds) == 1
+    for name, digest in PINNED_REPORT_SHA.items():
+        assert hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() == digest

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gaussian_kde
 
-from privateyes import leakprobe
+from privateyes import cli, leakprobe
 from privateyes.fedcore import ModelSpec, TrainConfig, gen_synthetic_population
 from privateyes.field import FixedPointCodec
 from privateyes.leakprobe import (
@@ -18,6 +20,7 @@ from privateyes.leakprobe import (
     dualview_lite_reconstruct,
     estimate_generic_mpc_cost,
     gaussian_kde_density,
+    grid_kde_density,
     invert_optimizer_history,
     kde_kl_divergence,
     leakage_table,
@@ -327,3 +330,171 @@ def test_rounds_restrict_adaptive_fl_units(monkeypatch):
     explicit = dualview_lite_reconstruct(leak, AttackConfig(seed=13, rounds=(1, 2, 3)), pop)
     assert explicit.mean_kl == full.mean_kl
     assert first.mean_kl != full.mean_kl
+
+
+def _expected_gradient_system_loop(w_prev, grad_obs, pub, cfg, prior_mean, prior_std,
+                                   prior_weight):
+    """The row-by-row construction that ``_expected_gradient_system`` vectorises."""
+    GAZE_DIM = 2
+    A = pub["mixing_map"]
+    priors = pub["priors"]
+    d_in = A.shape[0]
+    W = w_prev[: d_in * GAZE_DIM].reshape(d_in, GAZE_DIM)
+    c = w_prev[d_in * GAZE_DIM :]
+    g_c = grad_obs[d_in * GAZE_DIM :]
+    g_W = grad_obs[: d_in * GAZE_DIM].reshape(d_in, GAZE_DIM)
+    sg2 = priors["sigma_gaze"] ** 2
+    sn2 = priors["sigma_noise"] ** 2
+
+    dim = GAZE_DIM + d_in
+    e_obs = g_c / 2.0
+    K = sg2 * (A @ A.T @ W - A) + sn2 * W
+
+    rows, targets, weights = [], [], []
+    M_c = np.hstack([2.0 * (W.T @ A - np.eye(GAZE_DIM)), 2.0 * W.T])
+    for l in range(GAZE_DIM):
+        rows.append(M_c[l])
+        targets.append(g_c[l] - 2.0 * c[l])
+        weights.append(np.sqrt(cfg.beta))
+    for i in range(d_in):
+        for l in range(GAZE_DIM):
+            row = np.zeros(dim)
+            row[:GAZE_DIM] = 2.0 * e_obs[l] * A[i]
+            row[GAZE_DIM + i] = 2.0 * e_obs[l]
+            rows.append(row)
+            targets.append(g_W[i, l] - 2.0 * K[i, l])
+            weights.append(np.sqrt(cfg.gamma))
+    for t in range(dim):
+        row = np.zeros(dim)
+        row[t] = 1.0 / prior_std[t]
+        rows.append(row)
+        targets.append(prior_mean[t] / prior_std[t])
+        weights.append(np.sqrt(cfg.alpha * cfg.prior_strength * prior_weight))
+    M = np.array(rows) * np.array(weights)[:, None]
+    y = np.array(targets) * np.array(weights)
+    return M, y
+
+
+@pytest.mark.parametrize("d_in", [1, 3, 8])
+def test_vectorised_gradient_system_is_bit_identical(d_in):
+    pop = gen_synthetic_population(3, seed=14, rounds=3, d_in=d_in)
+    res = run_training(pop, TrainConfig(rounds=3), ModelSpec(d_in=d_in), "adaptive_fl",
+                       seed=14, codec=FixedPointCodec(), evaluate=False)
+    leak = build_leak_set("adaptive_fl", res.transcript, pop)
+    pub = leak.pub
+    rng = np.random.default_rng(d_in)
+    prior_std = np.maximum(rng.uniform(0.0, 0.6, 2 + d_in), 1e-6)
+    for cfg in (AttackConfig(), AttackConfig(alpha=0.3, beta=2.5, gamma=0.0, prior_strength=3.1),
+                AttackConfig(alpha=0.7, beta=0.0, gamma=1.3, prior_strength=0.3)):
+        for (j, k), iu in leak.leak["iu"].items():
+            w_prev = pub["om0"] if k == 1 else leak.leak["om"][k - 1]
+            grad_obs = observed_gradient(w_prev, iu, pub["config"])
+            prior_mean = rng.normal(0.0, 0.3, 2 + d_in)
+            for weight in (1.0, float(k), 7):
+                args = (w_prev, grad_obs, pub, cfg, prior_mean, prior_std, weight)
+                M, y = _expected_gradient_system(*args)
+                M_ref, y_ref = _expected_gradient_system_loop(*args)
+                assert M.shape == M_ref.shape and M.tobytes() == M_ref.tobytes()
+                assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
+
+
+def _grid_axes(data, other):
+    """The grid ``kde_kl_divergence`` lays over two sample sets."""
+    both = np.vstack([data, other])
+    lo, hi = both.min(axis=0), both.max(axis=0)
+    pad = 0.5 * (hi - lo) + 1e-6
+    return [np.linspace(lo[t] - pad[t], hi[t] + pad[t], 64) for t in range(data.shape[1])]
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    original = leakprobe.gaussian_kde_density
+
+    def counted(data, points):
+        calls.append(points.shape[0])
+        return original(data, points)
+
+    monkeypatch.setattr(leakprobe, "gaussian_kde_density", counted)
+    return calls
+
+
+def _assert_matches_scipy(data, axes, ours):
+    points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    ref = gaussian_kde(data.T)(points.T)
+    above = ref > DENSITY_FLOOR
+    assert np.max(np.abs(ours[above] - ref[above]) / ref[above]) <= 1e-12
+    assert np.all(ours[~above] <= 2 * DENSITY_FLOOR)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rho=st.one_of(st.sampled_from([-0.99, 0.99]), st.floats(-0.99, 0.99)),
+       n=st.one_of(st.integers(10, 40), st.integers(10, 2000)),
+       log_scales=st.tuples(st.floats(-4.0, 1.5), st.floats(-4.0, 1.5)),
+       shift=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_grid_kde_matches_scipy(rho, n, log_scales, shift, seed):
+    """The per-axis grid density (fast path or fallback) against scipy on the
+    meshgrid, on the grid a displaced partner set widens."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(log_scales)
+    cov = np.array([[1.0, rho], [rho, 1.0]]) * np.outer(scale, scale)
+    data = rng.multivariate_normal([0.1, -0.2], cov, n)
+    partner = data[: max(10, n // 4)] + np.array(shift) * scale
+    axes = _grid_axes(data, partner)
+    _assert_matches_scipy(data, axes, grid_kde_density(data, axes))
+
+
+def _guard_case(case):
+    """(sample set, grid axes) on either side of the split's guard."""
+    if case == "heavy-tail":
+        # Student-t samples (3 degrees of freedom): far outliers drive Phi
+        # over 600 while the cross term stays under 1000.
+        rng = np.random.default_rng(102)
+        z = rng.multivariate_normal([0.0, 0.0], [[1.0, 0.7], [0.7, 1.0]], 400)
+        data = z / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        return data, _grid_axes(data, data[:10] + np.array([1.0, -1.0]))
+    rho, shift, n, seed = case
+    rng = np.random.default_rng(seed)
+    data = rng.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]], n)
+    return data, _grid_axes(data, data + np.array([shift, -shift]))
+
+
+@pytest.mark.parametrize("case, fallback", [
+    pytest.param((0.0, 3.0, 400, 31), False, id="gaze-like"),   # max|C| ~ 50, max Phi ~ 4
+    pytest.param((0.5, 3.0, 400, 31), False, id="rho0.5"),      # ~ 680 and ~ 100
+    pytest.param((0.3, 30.0, 20, 31), True, id="wide-grid"),    # |C| ~ 2300, Phi ~ 5
+    pytest.param((0.9, 0.0, 400, 31), True, id="rho0.9"),       # |C| ~ 1600, Phi ~ 530
+    # The split alone would be 2.0e-12 off scipy here.
+    pytest.param((-0.99, 4.0, 12, 8), True, id="rho-0.99-n12"),
+    pytest.param((0.99, 0.0, 400, 31), True, id="rho0.99"),     # ~ 17000 and ~ 2900
+    pytest.param("heavy-tail", True, id="heavy-tail"),          # Phi ~ 800, |C| ~ 840
+])
+def test_grid_kde_guard_sides(monkeypatch, case, fallback):
+    calls = _count_fallbacks(monkeypatch)
+    data, axes = _guard_case(case)
+    ours = grid_kde_density(data, axes)
+    assert calls == ([4096] if fallback else [])
+    _assert_matches_scipy(data, axes, ours)
+
+
+def test_report_traffic_stays_on_the_fast_path(tmp_path, monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    grids = []
+    original = leakprobe.grid_kde_density
+
+    def counted(data, axes):
+        grids.append(data.shape)
+        return original(data, axes)
+
+    monkeypatch.setattr(leakprobe, "grid_kde_density", counted)
+    cfg = cli.ExperimentConfig(clients=4, rounds=3, steps=40, seed=4)
+    assert cli.cmd_report(cfg, tmp_path) == 0
+    assert len(grids) > 0 and all(d == 2 for _, d in grids)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [(20,), (20, 2)])
+def test_kl_singular_sample_set_raises(shape):
+    rng = np.random.default_rng(9)
+    with pytest.raises(LeakprobeError, match="singular"):
+        kde_kl_divergence(np.full(shape, 0.3), rng.normal(size=shape))
