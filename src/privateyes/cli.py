@@ -145,7 +145,7 @@ class ExperimentConfig:
         if self.d_in < 1 or self.hidden < 1:
             raise ConfigError("d_in and hidden must be >= 1")
         try:
-            FixedPointCodec(FieldParams(f_bits=self.f_bits))
+            FixedPointCodec(FieldParams(f_bits=self.f_bits)).check_headroom(self.clients)
         except FieldError as exc:
             raise ConfigError(f"bad f_bits {self.f_bits}: {exc}") from exc
         if self.epochs < 0 or self.lr <= 0 or self.batch < 1:

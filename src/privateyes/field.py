@@ -131,9 +131,15 @@ class FixedPointCodec:
     signed: bool = True
 
     def __post_init__(self):
-        # Headroom: sums of up to 2^24 encoded values must never wrap.
-        if self.signed and 2 ** (self.params.f_bits + MAGNITUDE_BITS) >= self.params.q // 2:
-            raise FieldError("modulus too small for the fixed-point headroom")
+        self.check_headroom(1)
+
+    def check_headroom(self, count: int) -> None:
+        """Sums of ``count`` encoded values must never wrap:
+        count * 2^(f_bits + 40) < q/2 in signed mode."""
+        bound = count * 2 ** (self.params.f_bits + MAGNITUDE_BITS)
+        if self.signed and bound >= self.params.q // 2:
+            raise FieldError(f"modulus too small for the fixed-point headroom of "
+                             f"sums of {count} values")
 
     @property
     def scale(self) -> int:

@@ -60,7 +60,7 @@ from .sharing import (
     public_coin,
     verify_commit,
 )
-from .simnet import AdversarySpec, CommMetrics, MsgType, Network, WireMessage
+from .simnet import AdversarySpec, CommMetrics, FrameError, MsgType, Network, WireMessage
 from .util import derive_seed
 
 DEALER_ID = 0
@@ -152,16 +152,25 @@ def _corrupted_servers(adversary: AdversarySpec, round_index: int):
     return frozenset(wid - 1 for wid in adversary.corrupted_servers)
 
 
-def _recv_vectors(net: Network, msg_type: MsgType, edges: list, length: int):
+def _payloads(vectors) -> list:
+    """Wire bytes of each row of a stacked (..., length, 2) limb array,
+    sliced from one buffer."""
+    buf = vectors.tobytes()
+    size = vectors.shape[-2] * ELEMENT_BYTES
+    return [buf[i : i + size] for i in range(0, len(buf), size)]
+
+
+def _recv_vectors(net: Network, msg_type: MsgType, round_index: int, edges: list, length: int):
     """Receive one frame per (receiver, sender) edge and stack the payloads
     into a (len(edges), length, 2) limb array; None if a frame is missing.
     The frames themselves are dropped on return."""
-    msgs = [net.recv(receiver, msg_type, sender=sender) for receiver, sender in edges]
-    if any(m is None for m in msgs):
+    msgs = net.recv_many(msg_type, round_index, edges)
+    if None in msgs:
         return None
-    if any(len(m.payload) != length * ELEMENT_BYTES for m in msgs):
+    payloads = [m.payload for m in msgs]
+    if set(map(len, payloads)) - {length * ELEMENT_BYTES}:
         raise FieldError(f"payload is not a vector of {length} field elements")
-    return vector_from_bytes(b"".join(m.payload for m in msgs)).reshape(len(msgs), length, 2)
+    return vector_from_bytes(b"".join(payloads)).reshape(len(msgs), length, 2)
 
 
 def run_secure_aggregation_round(
@@ -183,46 +192,38 @@ def run_secure_aggregation_round(
     n = dealer.n
     d = len(next(iter(inputs.values())))
     order = sorted(inputs)
+    clients = [client_wire_id(n, j) for j in order]
+    servers = [server_wire_id(i) for i in range(n)]
     kappa_shares = from_ints(dealer.key.key_shares)
 
     # Dealer: one r-vector frame per client, one share frame per server.
-    for j in order:
-        cid = client_wire_id(n, j)
+    frames = []
+    for cid in clients:
         masks = dealer.issue_masks(cid, d)
-        net.send(
-            WireMessage(MsgType.MASK_DELIVERY, round_index, DEALER_ID, cid,
-                        vector_to_bytes(masks.r))
-        )
-        for i in range(n):
-            net.send(
-                WireMessage(MsgType.MASK_DELIVERY, round_index, DEALER_ID,
-                            server_wire_id(i), vector_to_bytes(masks.server_shares[i]))
-            )
+        frames.append((DEALER_ID, cid, masks.r.tobytes()))
+        frames.extend((DEALER_ID, sid, payload)
+                      for sid, payload in zip(servers, _payloads(masks.server_shares)))
+    net.send_many(MsgType.MASK_DELIVERY, round_index, frames)
 
     # Clients: publish epsilon = x - r to every server, the cohort at once.
-    r = _recv_vectors(net, MsgType.MASK_DELIVERY,
-                      [(client_wire_id(n, j), DEALER_ID) for j in order], d)
+    r = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index,
+                      [(cid, DEALER_ID) for cid in clients], d)
     if r is None:
-        return _abort(net, round_index, n, order, ABORT_TIMEOUT, "mask delivery")
+        return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "mask delivery")
     eps = vec_sub(np.stack([as_limbs(inputs[j]) for j in order]), r, params)
-    for j, eps_j in zip(order, eps):
-        payload = vector_to_bytes(eps_j)
-        for i in range(n):
-            net.send(
-                WireMessage(MsgType.INPUT_OFFSET, round_index, client_wire_id(n, j),
-                            server_wire_id(i), payload)
-            )
+    net.send_many(MsgType.INPUT_OFFSET, round_index,
+                  [(cid, sid, payload) for cid, payload in zip(clients, _payloads(eps))
+                   for sid in servers])
 
     # Servers: derive authenticated shares from the offsets, sum locally.
     # Every dealer frame precedes every offset in a server's inbox, so taking
     # all masks first keeps each receive at the head of the inbox.
-    servers = [server_wire_id(i) for i in range(n)]
-    masks = _recv_vectors(net, MsgType.MASK_DELIVERY,
+    masks = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index,
                           [(sid, DEALER_ID) for sid in servers for _ in order], 2 * d)
-    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET,
-                            [(sid, client_wire_id(n, j)) for sid in servers for j in order], d)
+    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET, round_index,
+                            [(sid, cid) for sid in servers for cid in clients], d)
     if masks is None or offsets is None:
-        return _abort(net, round_index, n, order, ABORT_TIMEOUT, "input phase")
+        return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "input phase")
     # Per server i: sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j,
     # with server 0 also absorbing sum_j eps_j into its value share.
     r_sums = vec_sum(masks.reshape(n, len(order), 2 * d, 2), params, axis=1)
@@ -235,21 +236,16 @@ def run_secure_aggregation_round(
         net, round_index, value_vecs, mac_vecs, dealer.key.key_shares, params, seed, adversary
     )
     if opened is None:
-        return _abort(net, round_index, n, order, reason, "opening")
+        return _abort(net, round_index, n, clients, reason, "opening")
 
     # Share return: every server sends its aggregate share to every client.
-    for i in range(n):
-        payload = vector_to_bytes(value_vecs[i])
-        for j in order:
-            net.send(
-                WireMessage(MsgType.SHARE_UPLOAD, round_index, server_wire_id(i),
-                            client_wire_id(n, j), payload)
-            )
-    returned = _recv_vectors(net, MsgType.SHARE_UPLOAD,
-                             [(client_wire_id(n, j), server_wire_id(i))
-                              for j in order for i in range(n)], d)
+    net.send_many(MsgType.SHARE_UPLOAD, round_index,
+                  [(sid, cid, payload) for sid, payload in zip(servers, _payloads(value_vecs))
+                   for cid in clients])
+    returned = _recv_vectors(net, MsgType.SHARE_UPLOAD, round_index,
+                             [(cid, sid) for cid in clients for sid in servers], d)
     if returned is None:
-        return _abort(net, round_index, n, order, ABORT_TIMEOUT, "share return")
+        return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "share return")
     sums = vec_sum(returned.reshape(len(order), n, d, 2), params, axis=1)
 
     return SimpleNamespace(
@@ -260,14 +256,12 @@ def run_secure_aggregation_round(
     )
 
 
-def _abort(net, round_index, n, client_order, reason, where):
+def _abort(net, round_index, n, clients, reason, where):
     # Detecting party notifies everyone; the run is over.
     payload = reason.encode()
     sid = server_wire_id(0)
-    for i in range(1, n):
-        net.send(WireMessage(MsgType.ABORT, round_index, sid, server_wire_id(i), payload))
-    for j in client_order:
-        net.send(WireMessage(MsgType.ABORT, round_index, sid, client_wire_id(n, j), payload))
+    receivers = [server_wire_id(i) for i in range(1, n)] + clients
+    net.send_many(MsgType.ABORT, round_index, [(sid, rid, payload) for rid in receivers])
     return SimpleNamespace(
         opened=None, abort_reason=reason, per_server_value_shares=None, client_sums=None
     )
@@ -281,37 +275,34 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     rngs = [Random(derive_seed(seed, "open", k, i)) for i in range(n)]
     corrupted = _corrupted_servers(adversary, k)
     behavior = adversary.behavior if adversary else "passive-record"
+    # (receiver, sender) edges between distinct servers, by receiver.
+    edges = [(server_wire_id(jj), server_wire_id(i))
+             for jj in range(n) for i in range(n) if i != jj]
 
-    def broadcast(i, msg_type, payload):
-        for jj in range(n):
-            if jj != i:
-                net.send(WireMessage(msg_type, k, server_wire_id(i), server_wire_id(jj), payload))
+    def broadcast(msg_type, payloads):
+        # Server i sends payloads[i] to every other server, by sender.
+        net.send_many(msg_type, k, [(server_wire_id(i), server_wire_id(jj), payloads[i])
+                                    for i in range(n) for jj in range(n) if jj != i])
+
+    def receive_commits():
+        return zip(net.recv_many(MsgType.COMMIT, k, edges),
+                   net.recv_many(MsgType.REVEAL, k, edges))
 
     # Public coin: commit-then-reveal of per-server nonces.
     nonces = [rngs[i].randbytes(16) for i in range(n)]
-    for i in range(n):
-        broadcast(i, MsgType.COMMIT, commit(nonces[i], _COIN_TAG))
-    for i in range(n):
-        broadcast(i, MsgType.REVEAL, nonces[i])
-    for jj in range(n):
-        for i in range(n):
-            if i == jj:
-                continue
-            cm = net.recv(server_wire_id(jj), MsgType.COMMIT, sender=server_wire_id(i))
-            rv = net.recv(server_wire_id(jj), MsgType.REVEAL, sender=server_wire_id(i))
-            if cm is None or rv is None:
-                return None, ABORT_TIMEOUT
-            if not verify_commit(cm.payload, rv.payload, _COIN_TAG):
-                return None, ABORT_EQUIVOCATION
+    broadcast(MsgType.COMMIT, [commit(nonce, _COIN_TAG) for nonce in nonces])
+    broadcast(MsgType.REVEAL, nonces)
+    for cm, rv in receive_commits():
+        if cm is None or rv is None:
+            return None, ABORT_TIMEOUT
+        if not verify_commit(cm.payload, rv.payload, _COIN_TAG):
+            return None, ABORT_EQUIVOCATION
     coin = public_coin(k, nonces)
     coeffs = from_ints(batch_coefficients(coin, d, params))
 
     # Open the aggregate value shares (tamper/withhold hooks live in simnet).
-    for i in range(n):
-        broadcast(i, MsgType.OPEN_SHARE, vector_to_bytes(value_vecs[i]))
-    others = _recv_vectors(net, MsgType.OPEN_SHARE,
-                           [(server_wire_id(jj), server_wire_id(i))
-                            for jj in range(n) for i in range(n) if i != jj], d)
+    broadcast(MsgType.OPEN_SHARE, _payloads(value_vecs))
+    others = _recv_vectors(net, MsgType.OPEN_SHARE, k, edges, d)
     if others is None:
         return None, ABORT_TIMEOUT
     # Per server: its own share plus the n - 1 it received is its view of
@@ -331,32 +322,30 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
 
     sigma_nonces = [rngs[i].randbytes(16) for i in range(n)]
     payloads = [int(s).to_bytes(32, "little") for s in sigmas]
-    for i in range(n):
-        broadcast(i, MsgType.COMMIT, commit(payloads[i], sigma_nonces[i] + _SIGMA_TAG))
-    for i in range(n):
-        revealed = payloads[i]
-        if i in corrupted and behavior == "equivocate-commit":
-            revealed = int((sigmas[i] + 1) % q).to_bytes(32, "little")
-        broadcast(i, MsgType.REVEAL, sigma_nonces[i] + revealed)
+    broadcast(MsgType.COMMIT, [commit(payloads[i], sigma_nonces[i] + _SIGMA_TAG)
+                               for i in range(n)])
+    revealed = [
+        int((sigmas[i] + 1) % q).to_bytes(32, "little")
+        if i in corrupted and behavior == "equivocate-commit" else payloads[i]
+        for i in range(n)
+    ]
+    broadcast(MsgType.REVEAL, [sigma_nonces[i] + revealed[i] for i in range(n)])
 
+    # Corrupted servers take their frames off the wire (so no later round
+    # reads them) but honest servers do the checking.
+    received = list(receive_commits())
     for jj in range(n):
-        seen = list(sigmas[jj : jj + 1])
-        for i in range(n):
-            if i == jj:
-                continue
-            cm = net.recv(server_wire_id(jj), MsgType.COMMIT, sender=server_wire_id(i))
-            rv = net.recv(server_wire_id(jj), MsgType.REVEAL, sender=server_wire_id(i))
-            if jj in corrupted:
-                # Corrupted servers take their frames off the wire (so no later
-                # round reads them) but honest servers do the checking.
-                continue
+        if jj in corrupted:
+            continue
+        seen = [sigmas[jj]]
+        for cm, rv in received[jj * (n - 1) : (jj + 1) * (n - 1)]:
             if cm is None or rv is None:
                 return None, ABORT_TIMEOUT
             nonce, payload = rv.payload[:16], rv.payload[16:]
             if not verify_commit(cm.payload, payload, nonce + _SIGMA_TAG):
                 return None, ABORT_EQUIVOCATION
             seen.append(int.from_bytes(payload, "little") % q)
-        if jj not in corrupted and not mac_check_passes(seen, params):
+        if not mac_check_passes(seen, params):
             return None, ABORT_MAC_FAILURE
 
     # All honest servers accepted; honest views agree on the opened vector.
@@ -398,7 +387,7 @@ def _distribute_key_shares(net, dealer):
         payload = vector_to_bytes([dealer.key.key_shares[i]])
         net.send(WireMessage(MsgType.MASK_DELIVERY, 0, DEALER_ID, server_wire_id(i), payload))
         # Each server consumes its key share immediately at setup.
-        msg = net.recv(server_wire_id(i), MsgType.MASK_DELIVERY, sender=DEALER_ID)
+        msg = net.recv(server_wire_id(i), MsgType.MASK_DELIVERY, sender=DEALER_ID, round_index=0)
         if msg is None or msg.payload != payload:
             raise KeyShareError(f"server {i} did not receive its MAC key share intact")
 
@@ -425,6 +414,7 @@ def run_training(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     codec = codec or FixedPointCodec()
+    codec.check_headroom(population.num_clients)
     config = _config_snapshot(population, cfg, spec, scheme, n_servers, seed, codec,
                               optimizer, optimizer_mode)
 
@@ -469,20 +459,15 @@ def run_training(
             else:
                 average = client_average(result.opened, len(cohort), codec)
         else:
-            for j in cohort:
-                cid = client_wire_id(n, j)
-                net.send(
-                    WireMessage(MsgType.SHARE_UPLOAD, k, cid, server_wire_id(0),
-                                vector_to_bytes(encoded[j]))
-                )
-            received = []
-            for j in cohort:
-                msg = net.recv(server_wire_id(0), MsgType.SHARE_UPLOAD,
-                               sender=client_wire_id(n, j))
-                ints = vector_from_bytes(msg.payload)
-                transcript.server_view_iu[(j, k)] = codec.decode_vector(ints)
-                received.append(ints)
-            total = aggregate_encoded(received, codec.params)
+            sid = server_wire_id(0)
+            clients = [client_wire_id(n, j) for j in cohort]
+            uploads = zip(clients, _payloads(stacked))
+            net.send_many(MsgType.SHARE_UPLOAD, k, [(cid, sid, p) for cid, p in uploads])
+            received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k,
+                                     [(sid, cid) for cid in clients], spec.dim)
+            for j, iu in zip(cohort, codec.decode_vector(received)):
+                transcript.server_view_iu[(j, k)] = iu
+            total = aggregate_encoded(list(received), codec.params)
             average = client_average(total, len(cohort), codec)
 
         record = {"round": k, "cohort": list(cohort), "aborted": aborted,
@@ -519,12 +504,15 @@ def run_training(
 
 
 def _broadcast_model(net, n, k, client_indices, codec, om):
+    """Server 0 sends the encoded model to the clients, which take it off the
+    wire and check it arrived intact."""
     payload = vector_to_bytes(codec.encode_vector(om))
-    for j in client_indices:
-        net.send(
-            WireMessage(MsgType.BROADCAST_MODEL, k, server_wire_id(0),
-                        client_wire_id(n, j), payload)
-        )
+    sid = server_wire_id(0)
+    clients = [client_wire_id(n, j) for j in client_indices]
+    net.send_many(MsgType.BROADCAST_MODEL, k, [(sid, cid, payload) for cid in clients])
+    received = net.recv_many(MsgType.BROADCAST_MODEL, k, [(cid, sid) for cid in clients])
+    if any(msg is None or msg.payload != payload for msg in received):
+        raise FrameError(f"a client did not receive the round {k} model intact")
 
 
 def _run_datacentre(population, cfg, spec, seed, config, evaluate):

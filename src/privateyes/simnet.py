@@ -1,8 +1,10 @@
 """Deterministic simulated transport: bit-exact wire format, adversary
 injection, and per-edge-class communication accounting.
 
-All frames pass through a single Network instance; delivery order is the
-send order, so identical seeds give identical transcripts and byte counts.
+All frames pass through a single Network instance, a phase's frames of one
+type in one ``send_many`` call; delivery order is the send order, so
+identical seeds give identical transcripts and byte counts. A frame's
+metered size is its encoded length, ``FRAME_OVERHEAD + len(payload)``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
+from typing import NamedTuple
 
 from .field import ELEMENT_BYTES, FieldParams
 
@@ -42,8 +45,7 @@ class FrameError(ValueError):
     """Malformed wire frame."""
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     msg_type: int
     round: int
     sender: int
@@ -109,6 +111,17 @@ class AdversarySpec:
         return self.target_round is None or self.target_round == round_index
 
 
+# Wire-level behaviours: the message type each touches and whether the
+# corrupted server is the frame's sender (0) or receiver (1). forge-sigma and
+# equivocate-commit change values inside the protocol, not frames.
+_WIRE_HOOKS = {
+    "tamper-share": (MsgType.OPEN_SHARE, 0),
+    # A corrupted server substituting the client's public offset.
+    "tamper-epsilon": (MsgType.INPUT_OFFSET, 1),
+    "withhold": (MsgType.OPEN_SHARE, 0),
+}
+
+
 # ---------------------------------------------------------------------------
 # Accounting
 # ---------------------------------------------------------------------------
@@ -127,10 +140,10 @@ class CommMetrics:
     totals: dict = dc_field(default_factory=lambda: defaultdict(int))
     message_counts: dict = dc_field(default_factory=lambda: defaultdict(int))
 
-    def add(self, round_index: int, edge: str, nbytes: int) -> None:
+    def add(self, round_index: int, edge: str, nbytes: int, frames: int = 1) -> None:
         self.per_round[round_index][edge] += nbytes
         self.totals[edge] += nbytes
-        self.message_counts[edge] += 1
+        self.message_counts[edge] += frames
 
     def total_bytes(self, edges=None) -> int:
         if edges is None:
@@ -170,84 +183,83 @@ def edge_class(sender_role: str, receiver_role: str) -> str:
 
 
 class Network:
-    """Single-threaded scheduler: FIFO inboxes, live metering, adversary hooks."""
+    """Single-threaded scheduler: FIFO inboxes, live metering, adversary hooks.
 
-    def __init__(self, roles: dict, params: FieldParams, adversary: AdversarySpec = None):
+    With ``log_frames`` set, ``log`` keeps one summary per delivered frame.
+    """
+
+    def __init__(self, roles: dict, params: FieldParams, adversary: AdversarySpec = None,
+                 log_frames: bool = False):
         self.roles = dict(roles)
         self.params = params
         self.adversary = adversary
+        self.log_frames = log_frames
         self.inboxes = defaultdict(deque)
         self.metrics = CommMetrics()
         self.log = []  # frame summaries, in delivery order
         self.adversary_view = []  # full frames visible to corrupted parties
         self.dropped = []
+        self._watched = frozenset() if adversary is None else (
+            adversary.corrupted_servers | adversary.corrupted_clients)
 
-    def _corrupted(self, party: int) -> bool:
-        if self.adversary is None:
+    def _hooked(self, msg_type: MsgType, round_index: int, frames) -> bool:
+        """Whether the adversary's wire behaviour can touch a frame of a batch."""
+        spec = self.adversary
+        if spec is None or not spec.active_in(round_index):
             return False
-        return (
-            party in self.adversary.corrupted_servers
-            or party in self.adversary.corrupted_clients
-        )
+        hook = _WIRE_HOOKS.get(spec.behavior)
+        if hook is None or hook[0] != msg_type:
+            return False
+        return any(frame[hook[1]] in spec.corrupted_servers for frame in frames)
 
     def _mutate(self, msg: WireMessage):
-        """Wire-level adversary behaviors; returns the delivered message or None."""
+        """The wire hook point, called per frame of a batch ``_hooked``
+        accepted; returns the delivered message or None."""
         spec = self.adversary
-        if spec is None or not spec.active_in(msg.round):
+        if (msg.sender, msg.receiver)[_WIRE_HOOKS[spec.behavior][1]] not in spec.corrupted_servers:
             return msg
-        q = self.params.q
-        if (
-            spec.behavior == "tamper-share"
-            and msg.msg_type == MsgType.OPEN_SHARE
-            and msg.sender in spec.corrupted_servers
-        ):
-            return WireMessage(
-                msg.msg_type, msg.round, msg.sender, msg.receiver,
-                _bump_first_element(msg.payload, spec.delta, q),
-            )
-        if (
-            spec.behavior == "tamper-epsilon"
-            and msg.msg_type == MsgType.INPUT_OFFSET
-            and msg.receiver in spec.corrupted_servers
-        ):
-            # A corrupted server substituting the client's public offset.
-            return WireMessage(
-                msg.msg_type, msg.round, msg.sender, msg.receiver,
-                _bump_first_element(msg.payload, spec.delta, q),
-            )
-        if (
-            spec.behavior == "withhold"
-            and msg.msg_type == MsgType.OPEN_SHARE
-            and msg.sender in spec.corrupted_servers
-        ):
+        if spec.behavior == "withhold":
             return None
-        return msg
+        return msg._replace(payload=_bump_first_element(msg.payload, spec.delta, self.params.q))
 
     def send(self, msg: WireMessage) -> None:
-        delivered = self._mutate(msg)
-        if delivered is None:
-            self.dropped.append(
-                {"round": msg.round, "type": int(msg.msg_type), "sender": msg.sender,
-                 "receiver": msg.receiver}
-            )
-            return
-        frame = encode_message(delivered)
-        edge = edge_class(self.roles[msg.sender], self.roles[msg.receiver])
-        self.metrics.add(delivered.round, edge, len(frame))
-        record = {
-            "round": delivered.round,
-            "type": int(delivered.msg_type),
-            "sender": delivered.sender,
-            "receiver": delivered.receiver,
-            "bytes": len(frame),
-            "edge": edge,
-        }
-        self.log.append(record)
-        if self._corrupted(delivered.sender) or self._corrupted(delivered.receiver):
-            self.adversary_view.append({**record, "payload": delivered.payload})
-        self.inboxes[delivered.receiver].append(delivered)
+        self.send_many(msg.msg_type, msg.round, [(msg.sender, msg.receiver, msg.payload)])
 
-    def recv(self, receiver: int, msg_type: MsgType = None, sender: int = None):
+    def send_many(self, msg_type: MsgType, round_index: int, frames) -> None:
+        """Deliver a list of ``(sender, receiver, payload)`` frames of one
+        type and round in order, metering each edge class once for the batch."""
+        if msg_type not in _MSG_TYPES:
+            raise FrameError(f"unknown message type {msg_type}")
+        hooked = self._hooked(msg_type, round_index, frames)
+        roles, inboxes, watched, log = self.roles, self.inboxes, self._watched, self.log_frames
+        metered = defaultdict(lambda: [0, 0])  # (sender role, receiver role) -> [frames, bytes]
+        for sender, receiver, payload in frames:
+            msg = WireMessage(msg_type, round_index, sender, receiver, payload)
+            if hooked:
+                msg = self._mutate(msg)
+                if msg is None:
+                    self.dropped.append({"round": round_index, "type": int(msg_type),
+                                         "sender": sender, "receiver": receiver})
+                    continue
+            key = (roles[sender], roles[receiver])
+            tally = metered[key]
+            tally[0] += 1
+            tally[1] += len(msg.payload)
+            seen = sender in watched or receiver in watched
+            if log or seen:
+                record = {"round": round_index, "type": int(msg_type), "sender": sender,
+                          "receiver": receiver, "bytes": FRAME_OVERHEAD + len(msg.payload),
+                          "edge": edge_class(*key)}
+                if log:
+                    self.log.append(record)
+                if seen:
+                    self.adversary_view.append({**record, "payload": msg.payload})
+            inboxes[receiver].append(msg)
+        for key, (count, size) in metered.items():
+            self.metrics.add(round_index, edge_class(*key), count * FRAME_OVERHEAD + size, count)
+
+    def recv(self, receiver: int, msg_type: MsgType = None, sender: int = None,
+             round_index: int = None):
         """Next matching frame from the receiver's inbox, or None (timeout)."""
         inbox = self.inboxes[receiver]
         for i, msg in enumerate(inbox):
@@ -255,9 +267,28 @@ class Network:
                 continue
             if sender is not None and msg.sender != sender:
                 continue
+            if round_index is not None and msg.round != round_index:
+                continue
             del inbox[i]
             return msg
         return None
+
+    def recv_many(self, msg_type: MsgType, round_index: int, edges) -> list:
+        """One frame of this type and round per (receiver, sender) edge, or
+        None for a missing one: the frame ``recv`` would take, found at the
+        head of the inbox when the sends were in the same order."""
+        inboxes = self.inboxes
+        out = []
+        for receiver, sender in edges:
+            inbox = inboxes[receiver]
+            if inbox:
+                head = inbox[0]
+                if (head.sender == sender and head.msg_type == msg_type
+                        and head.round == round_index):
+                    out.append(inbox.popleft())
+                    continue
+            out.append(self.recv(receiver, msg_type, sender, round_index))
+        return out
 
 
 def _bump_first_element(payload: bytes, delta: int, q: int) -> bytes:

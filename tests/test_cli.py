@@ -75,6 +75,17 @@ def test_corrupted_server_bounds():
     ExperimentConfig(corrupted_servers=2, servers=3).validate()
 
 
+def test_codec_headroom_is_tied_to_client_count(tmp_path, capsys):
+    # 84 fraction bits leave headroom for a sum of one value, not of 15.
+    ExperimentConfig(f_bits=84, clients=1).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(f_bits=84, clients=15).validate()
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nrounds = 1\nclients = 15\n[field]\nf_bits = 84\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_run_writes_artifacts(tmp_path):
     config = write_config(tmp_path / "exp.ini")
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from random import Random
@@ -7,7 +8,15 @@ import pytest
 
 from privateyes.aggregation import plaintext_adaptive_fl_oracle
 from privateyes.fedcore import ModelSpec, TrainConfig, gen_synthetic_population
-from privateyes.field import FieldParams, FixedPointCodec, from_ints, to_ints, vec_add, vec_mul
+from privateyes.field import (
+    FieldError,
+    FieldParams,
+    FixedPointCodec,
+    from_ints,
+    to_ints,
+    vec_add,
+    vec_mul,
+)
 from privateyes import protocol
 from privateyes.protocol import (
     DEALER_ID,
@@ -49,7 +58,8 @@ def test_golden_vector_aggregation():
     assert sum(to_ints(v)[0] for v in res.per_server_value_shares) % 23 == 21
 
 
-def test_aggregation_deterministic():
+def test_aggregation_deterministic(monkeypatch):
+    monkeypatch.setattr(protocol, "Network", functools.partial(Network, log_frames=True))
     a = run_secure_aggregation({0: [3], 1: [10], 2: [8]}, 3, P23, seed=4)
     b = run_secure_aggregation({0: [3], 1: [10], 2: [8]}, 3, P23, seed=4)
     assert [to_ints(v) for v in a.per_server_value_shares] == [
@@ -239,7 +249,7 @@ def test_frame_log_and_models_pinned(monkeypatch):
 
     class RecordingNetwork(Network):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+            super().__init__(*args, log_frames=True, **kwargs)
             nets.append(self)
 
     monkeypatch.setattr(protocol, "Network", RecordingNetwork)
@@ -288,3 +298,140 @@ def test_passive_corrupted_server_multi_round_matches_honest():
     for a, b in zip(passive.transcript.om_history, honest.transcript.om_history, strict=True):
         assert np.array_equal(a, b)
     assert passive.transcript.comm.totals == honest.transcript.comm.totals
+
+
+def _capture_networks(monkeypatch, base=Network):
+    """Make the protocol build ``base`` networks and collect them."""
+    nets = []
+
+    def build(*args, **kwargs):
+        nets.append(base(*args, **kwargs))
+        return nets[-1]
+
+    monkeypatch.setattr(protocol, "Network", build)
+    return nets
+
+
+@pytest.mark.parametrize("behavior,reason,msg_type,count", [
+    ("tamper-share", ABORT_MAC_FAILURE, MsgType.OPEN_SHARE, 2),
+    ("tamper-epsilon", ABORT_MAC_FAILURE, MsgType.INPUT_OFFSET, 4),
+    ("withhold", ABORT_TIMEOUT, MsgType.OPEN_SHARE, 2),
+])
+def test_wire_hooks_fire_in_batched_phases(monkeypatch, behavior, reason, msg_type, count):
+    """The hook changes exactly the corrupted server's frames of its phase:
+    its n - 1 opening shares, or the offsets of all four clients to it."""
+
+    class WatchingNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.changed = []
+
+        def _mutate(self, msg):
+            out = super()._mutate(msg)
+            if out != msg:
+                self.changed.append(msg)
+            return out
+
+    nets = _capture_networks(monkeypatch, WatchingNetwork)
+    corrupted = server_wire_id(2)
+    adv = AdversarySpec(corrupted_servers=frozenset({corrupted}), behavior=behavior)
+    res = run_secure_aggregation({j: [j + 1, 2 * j] for j in range(4)}, 3, BIG, seed=2,
+                                 adversary=adv)
+    assert res.opened is None
+    assert res.abort_reason == reason
+    changed = nets[0].changed
+    assert len(changed) == count
+    assert all(m.msg_type == msg_type and corrupted in (m.sender, m.receiver) for m in changed)
+    assert len(nets[0].dropped) == (count if behavior == "withhold" else 0)
+
+
+def _dropping_network(msg_type, receiver_role, round_index):
+    class DroppingNetwork(Network):
+        """Drops the first frame of one type, round and receiver role."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.pending = True
+
+        def _hooked(self, t, k, frames):
+            return t == msg_type and k == round_index
+
+        def _mutate(self, msg):
+            if self.pending and self.roles[msg.receiver] == receiver_role:
+                self.pending = False
+                return None
+            return msg
+
+    return DroppingNetwork
+
+
+@pytest.mark.parametrize("msg_type,receiver_role", [
+    (MsgType.MASK_DELIVERY, "client"),
+    (MsgType.MASK_DELIVERY, "server"),
+    (MsgType.INPUT_OFFSET, "server"),
+    (MsgType.COMMIT, "server"),
+    (MsgType.REVEAL, "server"),
+    (MsgType.OPEN_SHARE, "server"),
+    (MsgType.SHARE_UPLOAD, "client"),
+], ids=["mask-to-client", "mask-to-server", "offset", "commit", "reveal", "open-share",
+        "share-return"])
+def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_role):
+    nets = _capture_networks(monkeypatch, _dropping_network(msg_type, receiver_role, 2))
+    pop = gen_synthetic_population(4, seed=12, rounds=2)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=12,
+                       evaluate=False)
+    assert len(nets[0].dropped) == 1
+    assert nets[0].dropped[0]["type"] == msg_type
+    assert res.aborted
+    assert res.abort_reason == ABORT_TIMEOUT
+    assert res.final_model is None
+    assert len(res.transcript.om_history) == 2  # om0 plus round 1
+
+
+def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
+    """A round-1 opening share re-injected into a server's inbox ahead of
+    round 2's opening is never taken as round 2's share."""
+
+    class ReplayingNetwork(Network):
+        stale = None
+
+        def _hooked(self, msg_type, round_index, frames):
+            return msg_type == MsgType.OPEN_SHARE
+
+        def _mutate(self, msg):
+            if self.stale is None:
+                self.stale = msg
+            elif msg.round == 2 and msg[2:4] == self.stale[2:4]:
+                self.inboxes[msg.receiver].append(self.stale)
+            return msg
+
+    pop = gen_synthetic_population(4, seed=13, rounds=3)
+    cfg = TrainConfig(rounds=3)
+    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13, evaluate=False)
+    nets = _capture_networks(monkeypatch, ReplayingNetwork)
+    replayed = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13, evaluate=False)
+    stale = nets[0].stale
+    assert stale.round == 1
+    assert list(nets[0].inboxes[stale.receiver]) == [stale]  # still there, never taken
+    assert not replayed.aborted
+    for a, b in zip(replayed.transcript.om_history, honest.transcript.om_history, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["privateyes", "adaptive_fl"])
+def test_honest_run_leaves_every_inbox_empty(monkeypatch, scheme):
+    nets = _capture_networks(monkeypatch)
+    pop = gen_synthetic_population(6, seed=14, rounds=3)
+    cfg = TrainConfig(rounds=3, cohort_fraction=0.5)
+    res = run_training(pop, cfg, ModelSpec(), scheme, seed=14, evaluate=False)
+    assert not res.aborted
+    assert nets[0].inboxes
+    assert all(not inbox for inbox in nets[0].inboxes.values())
+
+
+def test_codec_headroom_scales_with_cohort():
+    codec = FixedPointCodec(FieldParams(f_bits=84))  # headroom for one value
+    pop = gen_synthetic_population(15, seed=0, rounds=1)
+    with pytest.raises(FieldError):
+        run_training(pop, TrainConfig(rounds=1), ModelSpec(), "privateyes", codec=codec,
+                     evaluate=False)

@@ -66,7 +66,7 @@ def test_edge_classes():
 
 
 def test_metrics_accumulate_and_conserve():
-    net = Network(ROLES, P)
+    net = Network(ROLES, P, log_frames=True)
     payload = vector_to_bytes([1, 2, 3])
     net.send(WireMessage(MsgType.INPUT_OFFSET, 1, 3, 1, payload))
     net.send(WireMessage(MsgType.MASK_DELIVERY, 1, 0, 1, payload))
@@ -146,7 +146,7 @@ def test_unknown_behavior_rejected():
 
 def test_determinism_of_byte_counts():
     def run():
-        net = Network(ROLES, P)
+        net = Network(ROLES, P, log_frames=True)
         for i in range(10):
             net.send(WireMessage(MsgType.COMMIT, 1, 1, 2, bytes([i])))
         return net.metrics.totals[EDGE_SERVER_TO_SERVER], [r["bytes"] for r in net.log]
@@ -164,3 +164,88 @@ def test_overhead_ratio():
     baseline.add(1, EDGE_CLIENT_TO_SERVER, 50)
     baseline.add(1, EDGE_SERVER_TO_CLIENT, 50)
     assert overhead_ratio(secure, baseline) == 7.0
+
+
+ROLES5 = {0: "dealer", 1: "server", 2: "server", 3: "client", 4: "client"}
+# One message type over every edge class, in a deliberately mixed order.
+MIXED = [
+    (0, 1, vector_to_bytes([1, 2])),
+    (0, 3, vector_to_bytes([3])),
+    (3, 1, vector_to_bytes([4, 5, 6])),
+    (1, 2, vector_to_bytes([7])),
+    (2, 1, vector_to_bytes([8, 9])),
+    (2, 4, b""),
+    (4, 2, vector_to_bytes([10])),
+    (0, 2, vector_to_bytes([11])),
+]
+
+
+@pytest.mark.parametrize("adversary", [
+    None,
+    AdversarySpec(corrupted_servers=frozenset({2})),
+    AdversarySpec(corrupted_clients=frozenset({4})),
+    AdversarySpec(corrupted_servers=frozenset({2}), behavior="tamper-share"),
+    AdversarySpec(corrupted_servers=frozenset({2}), behavior="withhold"),
+], ids=["honest", "passive-server", "passive-client", "tamper-share", "withhold"])
+def test_send_many_bookkeeping_matches_single_sends(adversary):
+    batched = Network(ROLES5, P, adversary, log_frames=True)
+    single = Network(ROLES5, P, adversary, log_frames=True)
+    batched.send_many(MsgType.OPEN_SHARE, 3, MIXED)
+    for sender, receiver, payload in MIXED:
+        single.send(WireMessage(MsgType.OPEN_SHARE, 3, sender, receiver, payload))
+    for net in (batched, single):
+        # Arithmetic metering agrees with the encoded size of what was delivered.
+        delivered = [m for inbox in net.inboxes.values() for m in inbox]
+        assert net.metrics.total_bytes() == sum(len(encode_message(m)) for m in delivered)
+        assert sum(net.metrics.message_counts.values()) == len(delivered) == len(net.log)
+    assert batched.metrics.per_round == single.metrics.per_round
+    assert list(batched.metrics.per_round[3]) == list(single.metrics.per_round[3])
+    assert batched.metrics.totals == single.metrics.totals
+    assert batched.metrics.message_counts == single.metrics.message_counts
+    assert batched.log == single.log
+    assert batched.adversary_view == single.adversary_view
+    assert batched.dropped == single.dropped
+    assert {r: list(q) for r, q in batched.inboxes.items()} == {
+        r: list(q) for r, q in single.inboxes.items()}
+
+
+def test_frame_log_is_opt_in():
+    quiet = Network(ROLES5, P)
+    quiet.send_many(MsgType.OPEN_SHARE, 3, MIXED)
+    assert quiet.log == []
+    assert sum(quiet.metrics.message_counts.values()) == len(MIXED)
+
+
+def test_send_many_rejects_unknown_type():
+    net = Network(ROLES5, P)
+    with pytest.raises(FrameError):
+        net.send_many(99, 1, MIXED)
+    assert net.metrics.total_bytes() == 0
+
+
+def test_recv_many_takes_the_frames_recv_would():
+    edges = [(1, 0), (1, 3), (2, 1), (4, 2), (1, 2), (2, 0), (3, 0), (2, 4), (1, 4)]
+    batched = Network(ROLES5, P)
+    single = Network(ROLES5, P)
+    for net in (batched, single):
+        net.send_many(MsgType.OPEN_SHARE, 3, MIXED)
+    got = batched.recv_many(MsgType.OPEN_SHARE, 3, edges)
+    assert got == [single.recv(r, MsgType.OPEN_SHARE, s, 3) for r, s in edges]
+    assert got[-1] is None  # nothing from client 4 to server 1
+    assert {r: list(q) for r, q in batched.inboxes.items()} == {
+        r: list(q) for r, q in single.inboxes.items()}
+
+
+def test_recv_matches_the_round():
+    net = Network(ROLES, P)
+    net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, b"old"))
+    net.send(WireMessage(MsgType.OPEN_SHARE, 2, 1, 2, b"new"))
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, round_index=2).payload == b"new"
+    assert net.recv_many(MsgType.OPEN_SHARE, 2, [(2, 1)]) == [None]
+    assert net.recv_many(MsgType.OPEN_SHARE, 1, [(2, 1)])[0].payload == b"old"
+
+
+def test_wire_message_is_immutable():
+    msg = WireMessage(MsgType.COMMIT, 1, 0, 1, b"x")
+    with pytest.raises(AttributeError):
+        msg.payload = b"y"
