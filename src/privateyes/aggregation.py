@@ -23,7 +23,6 @@ from .fedcore import (
     local_train,
     select_cohort,
 )
-from .sharing import AuthShare, SharingError
 from .util import derive_seed
 
 COHORT_BLOCK = 128  # clients trained per stacked local_train call
@@ -74,25 +73,6 @@ def update_global_model(om_prev, average, state: OptimizerState, mode: str):
     if mode == "plain":
         return average, replace(state, round_index=state.round_index + 1)
     raise ValueError(f"unknown optimizer mode {mode!r}")
-
-
-def server_aggregate_shares(client_vectors: list, params: FieldParams) -> list:
-    """Component-wise sum of the clients' authenticated share vectors.
-
-    Purely local to one server: coefficients are all one, no communication.
-    """
-    if not client_vectors:
-        raise SharingError("empty cohort")
-    dim = len(client_vectors[0])
-    if any(len(vec) != dim for vec in client_vectors):
-        raise SharingError("dimension mismatch across client vectors")
-    q = params.q
-    out = []
-    for i in range(dim):
-        value = sum(vec[i].value_share for vec in client_vectors) % q
-        mac = sum(vec[i].mac_share for vec in client_vectors) % q
-        out.append(AuthShare(value, mac))
-    return out
 
 
 def client_average(opened, cohort_size: int, codec: FixedPointCodec) -> np.ndarray:

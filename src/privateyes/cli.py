@@ -58,7 +58,6 @@ from .simnet import (
     EDGE_SERVER_TO_SERVER,
     BEHAVIORS,
     AdversarySpec,
-    CommMetrics,
     MsgType,
     Network,
     WireMessage,
@@ -281,6 +280,8 @@ def _report_payload(cfg, result):
         "bytes": totals,
         "rounds_completed": len(result.transcript.om_history) - 1,
     }
+    if result.aborted:
+        payload["abort_phase"] = result.abort_phase
     if result.final_model is not None:
         payload["final_model"] = [round(v, 12) for v in result.final_model.tolist()]
         done = [r for r in result.round_metrics if not r["abort"]]

@@ -26,10 +26,6 @@ class FieldError(ValueError):
     """Base class for field and codec errors."""
 
 
-class ParameterMismatchError(FieldError):
-    """Operands belong to fields with different parameters."""
-
-
 class EncodingRangeError(FieldError):
     """Real value outside the encodable range."""
 
@@ -75,46 +71,6 @@ class FieldParams:
             raise FieldError("modulus does not fit the 16-byte wire encoding")
         if self.f_bits < 0:
             raise FieldError("f_bits must be non-negative")
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.q, self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A value in [0, q) with modular operators."""
-
-    value: int
-    params: FieldParams
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.params.q:
-            raise FieldError(f"value {self.value} outside [0, {self.params.q})")
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.params != self.params:
-            raise ParameterMismatchError("operands use different field parameters")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.params.q, self.params)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.params.q, self.params)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value * other.value) % self.params.q, self.params)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value % self.params.q, self.params)
-
-    def centered(self) -> int:
-        """Representative in (-q/2, q/2]."""
-        return self.value if self.value <= self.params.q // 2 else self.value - self.params.q
 
 
 @dataclass(frozen=True)
@@ -226,11 +182,10 @@ class FixedPointCodec:
 
 LIMB_DTYPE = np.dtype("<u8")
 _LOW64 = 2**64 - 1
-_M16 = np.uint64(2**16 - 1)
 _M32 = np.uint64(2**32 - 1)
 _M63 = np.uint64(2**63 - 1)
 _MAX = np.uint64(2**64 - 1)
-_ONE, _S16, _S32, _S48, _S63 = (np.uint64(k) for k in (1, 16, 32, 48, 63))
+_ONE, _S16, _S32, _S63 = (np.uint64(k) for k in (1, 16, 32, 63))
 
 
 def from_ints(values) -> np.ndarray:
@@ -320,15 +275,8 @@ def _mul_mersenne(a, b):
     A = _sublimbs(a, "<u2").astype(np.uint64)
     B = _sublimbs(b, "<u2").astype(np.uint64)
     digits = (A[..., None, :] @ (B[..., _ROT] * _ROT_WEIGHT))[..., 0, :]  # each < 2^36
-    carry = np.uint64(0)
-    r = []
-    for m in range(8):
-        t = digits[..., m] + carry
-        r.append(t & _M16)
-        carry = t >> _S16
-    lo = r[0] | (r[1] << _S16) | (r[2] << _S32) | (r[3] << _S48)
-    hi = r[4] | (r[5] << _S16) | (r[6] << _S32) | (r[7] << _S48)
-    return _fold(lo, hi, carry << _ONE)
+    # Pairs of 16-bit digits as 32-bit sublimbs, each < 2^53; _reduce32 carries.
+    return _reduce32(digits[..., 0::2] + (digits[..., 1::2] << _S16))
 
 
 def _as_objects(a) -> np.ndarray:
@@ -367,7 +315,10 @@ def vec_sub(a, b, params: FieldParams) -> np.ndarray:
 
 
 def vec_sum(a, params: FieldParams, axis: int = 0) -> np.ndarray:
-    """Sum mod q over a leading (non-limb) axis; exact for up to 2^32 terms."""
+    """Sum mod q over a leading (non-limb) axis; exact for up to 2^32 terms.
+    A negative axis counts from the end of ``a``, limb axis included, so -2
+    is the last vector axis."""
+    axis = range(np.ndim(a))[axis]  # the fallback below drops the limb axis
     if params.q == DEFAULT_MODULUS:
         return _reduce32(_sublimbs(a, "<u4").sum(axis=axis, dtype=np.uint64))
     return _from_objects(_as_objects(a).sum(axis=axis), params.q)
@@ -384,16 +335,6 @@ def vec_mul(a, b, params: FieldParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Wire encoding
 # ---------------------------------------------------------------------------
-
-
-def element_to_bytes(value: int) -> bytes:
-    return int(value).to_bytes(ELEMENT_BYTES, "little")
-
-
-def element_from_bytes(data: bytes) -> int:
-    if len(data) != ELEMENT_BYTES:
-        raise FieldError(f"expected {ELEMENT_BYTES} bytes, got {len(data)}")
-    return int.from_bytes(data, "little")
 
 
 def vector_to_bytes(values) -> bytes:

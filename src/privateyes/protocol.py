@@ -54,9 +54,8 @@ from .sharing import (
     Dealer,
     KeyShareError,
     batch_coefficients,
+    check_openings,
     commit,
-    mac_check_passes,
-    mac_sigma,
     public_coin,
     verify_commit,
 )
@@ -138,6 +137,7 @@ class RunResult:
     aborted: bool
     abort_reason: str
     round_metrics: list
+    abort_phase: str = None
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def run_secure_aggregation_round(
     mac_vecs = vec_add(r_sums[:, d:], vec_mul(kappa_shares[:, None], eps_sums, params), params)
 
     opened, reason = _open_among_servers(
-        net, round_index, value_vecs, mac_vecs, dealer.key.key_shares, params, seed, adversary
+        net, round_index, value_vecs, mac_vecs, kappa_shares, params, seed, adversary
     )
     if opened is None:
         return _abort(net, round_index, n, clients, reason, "opening")
@@ -251,20 +251,20 @@ def run_secure_aggregation_round(
     return SimpleNamespace(
         opened=opened,
         abort_reason=None,
+        abort_phase=None,
         per_server_value_shares=list(value_vecs),
         client_sums=dict(zip(order, sums)),
     )
 
 
-def _abort(net, round_index, n, clients, reason, where):
+def _abort(net, round_index, n, clients, reason, phase):
     # Detecting party notifies everyone; the run is over.
     payload = reason.encode()
     sid = server_wire_id(0)
     receivers = [server_wire_id(i) for i in range(1, n)] + clients
     net.send_many(MsgType.ABORT, round_index, [(sid, rid, payload) for rid in receivers])
-    return SimpleNamespace(
-        opened=None, abort_reason=reason, per_server_value_shares=None, client_sums=None
-    )
+    return SimpleNamespace(opened=None, abort_reason=reason, abort_phase=phase,
+                           per_server_value_shares=None, client_sums=None)
 
 
 def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed, adversary):
@@ -305,20 +305,15 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     others = _recv_vectors(net, MsgType.OPEN_SHARE, k, edges, d)
     if others is None:
         return None, ABORT_TIMEOUT
-    # Per server: its own share plus the n - 1 it received is its view of
-    # the opened vector.
+    # Per server: its own share plus the n - 1 it received open its view of
+    # the vector, and its sigma is checked against that view.
     others = others.reshape(n, n - 1, d, 2)
-    views = vec_sum(np.concatenate([value_vecs[:, None], others], axis=1), params, axis=1)
-
-    # Sigma on the random linear combination of the opened coordinates.
-    combs = to_ints(vec_sum(vec_mul(coeffs, np.concatenate([views, mac_vecs]), params),
-                            params, axis=1))
-    sigmas = []
-    for i in range(n):
-        sigma = mac_sigma(combs[n + i], kappa_shares[i], combs[i], params)
-        if i in corrupted and behavior == "forge-sigma":
-            sigma = (sigma + Random(derive_seed(seed, "forge", k, i)).randrange(1, q)) % q
-        sigmas.append(sigma)
+    views, sigmas = check_openings(np.concatenate([value_vecs[:, None], others], axis=1),
+                                   mac_vecs, kappa_shares, coeffs, params)
+    sigmas = to_ints(sigmas[np.arange(n), np.arange(n)])
+    if behavior == "forge-sigma":
+        for i in corrupted:
+            sigmas[i] = (sigmas[i] + Random(derive_seed(seed, "forge", k, i)).randrange(1, q)) % q
 
     sigma_nonces = [rngs[i].randbytes(16) for i in range(n)]
     payloads = [int(s).to_bytes(32, "little") for s in sigmas]
@@ -344,8 +339,8 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
             nonce, payload = rv.payload[:16], rv.payload[16:]
             if not verify_commit(cm.payload, payload, nonce + _SIGMA_TAG):
                 return None, ABORT_EQUIVOCATION
-            seen.append(int.from_bytes(payload, "little") % q)
-        if not mac_check_passes(seen, params):
+            seen.append(int.from_bytes(payload, "little"))
+        if sum(seen) % q:
             return None, ABORT_MAC_FAILURE
 
     # All honest servers accepted; honest views agree on the opened vector.
@@ -434,7 +429,7 @@ def run_training(
     om = codec.quantize(init_weights(spec, derive_seed(seed, "init")))
     transcript.om_history.append(om)
     round_metrics = []
-    aborted, reason = False, None
+    aborted, reason, phase = False, None, None
 
     for k in range(1, cfg.rounds + 1):
         cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
@@ -455,7 +450,7 @@ def run_training(
         if scheme == SCHEME_PRIVATEYES:
             result = run_secure_aggregation_round(net, dealer, k, encoded, seed, adversary)
             if result.opened is None:
-                aborted, reason = True, result.abort_reason
+                aborted, reason, phase = True, result.abort_reason, result.abort_phase
             else:
                 average = client_average(result.opened, len(cohort), codec)
         else:
@@ -476,7 +471,8 @@ def run_training(
         transcript.round_records.append(record)
         if aborted:
             round_metrics.append({"round": k, "abort": 1})
-            transcript.events.append({"event": "abort", "round": k, "reason": reason})
+            transcript.events.append({"event": "abort", "round": k, "reason": reason,
+                                      "phase": phase})
             break
 
         raw, state = update_global_model(om, average, state, optimizer_mode)
@@ -500,6 +496,7 @@ def run_training(
         aborted=aborted,
         abort_reason=reason,
         round_metrics=round_metrics,
+        abort_phase=phase,
     )
 
 

@@ -11,15 +11,13 @@ probability 1/q.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
 
 from .field import FieldParams, from_ints, random_vector, vec_mul, vec_sub, vec_sum
 
-COMMIT_NONCE_BYTES = 16
-COMMIT_DIGEST_BYTES = 32
 MASK_POOL_SIZE = 1 << 10  # masks per bulk draw; a draw's cost per mask flattens from here
 
 ABORT_MAC_FAILURE = "mac-failure"
@@ -39,33 +37,12 @@ class KeyShareError(SharingError):
     """A server's MAC key share did not arrive intact at setup."""
 
 
-class MaskReuseError(SharingError):
-    """A single-use input mask was presented twice."""
-
-
-class MaskOwnershipError(SharingError):
-    """A client tried to consume a mask addressed to someone else."""
-
-
-class ProtocolAbort(RuntimeError):
-    """Terminal abort of the whole training run."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
-        self.detail = detail
-
-
 @dataclass
 class AdditiveSharing:
     """One share per server; entries may be None to model withholding."""
 
     params: FieldParams
     shares: list
-
-    @property
-    def n(self) -> int:
-        return len(self.shares)
 
 
 def share(x: int, n: int, rng: Random, params: FieldParams) -> AdditiveSharing:
@@ -91,29 +68,6 @@ class MacKeySharing:
 
     params: FieldParams
     key_shares: list
-
-    @property
-    def n(self) -> int:
-        return len(self.key_shares)
-
-
-@dataclass
-class AuthShare:
-    """One server's share of a value together with its tag share."""
-
-    value_share: int
-    mac_share: int
-
-
-@dataclass
-class InputMask:
-    """Single-use authenticated mask; r goes to one client, shares to servers."""
-
-    mask_id: int
-    client_id: int
-    r: int
-    server_shares: list  # list[AuthShare], index = server
-    consumed: bool = False
 
 
 @dataclass
@@ -147,22 +101,7 @@ class Dealer:
         self._rng = rng
         self.mac_key = rng.randrange(params.q)
         self.key = MacKeySharing(params, share(self.mac_key, n, rng, params).shares)
-        self._next_id = 0
         self._pool = None  # (r, shares) of masks drawn but not yet issued
-
-    def issue_mask(self, client_id: int) -> InputMask:
-        q = self.params.q
-        r = self._rng.randrange(q)
-        value_shares = share(r, self.n, self._rng, self.params).shares
-        mac_shares = share(self.mac_key * r % q, self.n, self._rng, self.params).shares
-        mask = InputMask(
-            mask_id=self._next_id,
-            client_id=client_id,
-            r=r,
-            server_shares=[AuthShare(v, m) for v, m in zip(value_shares, mac_shares)],
-        )
-        self._next_id += 1
-        return mask
 
     def issue_masks(self, client_id: int, count: int) -> MaskBatch:
         """``count`` masks cut from a pool drawn MASK_POOL_SIZE (or ``count``,
@@ -185,47 +124,6 @@ class Dealer:
         last = vec_sub(secrets, vec_sum(head, params, axis=1), params)
         shares = np.concatenate([head, last[:, None]], axis=1)  # (value/MAC, server, mask)
         self._pool = (r, shares.transpose(1, 0, 2, 3))
-
-
-def dealer_setup(n: int, num_masks: int, rng: Random, params: FieldParams = None, client_id: int = 0):
-    """Fresh key sharing plus num_masks single-use masks for one client."""
-    params = params or FieldParams()
-    dealer = Dealer(n, rng, params)
-    return dealer.key, [dealer.issue_mask(client_id) for _ in range(num_masks)]
-
-
-def client_input(x: int, mask: InputMask, client_id: int, params: FieldParams) -> int:
-    """Consume a mask and publish the offset epsilon = x - r."""
-    if mask.client_id != client_id:
-        raise MaskOwnershipError(f"mask {mask.mask_id} belongs to client {mask.client_id}")
-    if mask.consumed:
-        raise MaskReuseError(f"mask {mask.mask_id} already consumed")
-    mask.consumed = True
-    return (x - mask.r) % params.q
-
-
-def derive_input_share(
-    mask_share: AuthShare, epsilon: int, server_index: int, kappa_share: int, params: FieldParams
-) -> AuthShare:
-    """Server-local authenticated share of x from the public offset.
-
-    Server 0 absorbs epsilon into the value share; every server folds
-    kappa_i * epsilon into its tag share.
-    """
-    q = params.q
-    value = (mask_share.value_share + (epsilon if server_index == 0 else 0)) % q
-    mac = (mask_share.mac_share + kappa_share * epsilon) % q
-    return AuthShare(value, mac)
-
-
-def linear_combine_local(inputs: list, coeffs: list, params: FieldParams) -> AuthShare:
-    """Public linear combination of one server's authenticated shares."""
-    if len(inputs) != len(coeffs):
-        raise SharingError("inputs and coefficients differ in length")
-    q = params.q
-    value = sum(c * s.value_share for c, s in zip(coeffs, inputs)) % q
-    mac = sum(c * s.mac_share for c, s in zip(coeffs, inputs)) % q
-    return AuthShare(value, mac)
 
 
 # ---------------------------------------------------------------------------
@@ -259,93 +157,19 @@ def batch_coefficients(coin: bytes, count: int, params: FieldParams) -> list:
     return coeffs
 
 
-def mac_sigma(mac_share: int, kappa_share: int, opened: int, params: FieldParams) -> int:
-    return (mac_share - kappa_share * opened) % params.q
+def check_openings(value_shares, mac_shares, kappa_shares, coeffs, params: FieldParams):
+    """The MAC check of stacked openings, on limb arrays.
 
-
-def mac_check_passes(sigmas: list, params: FieldParams) -> bool:
-    return sum(sigmas) % params.q == 0
-
-
-def open_with_mac_check(
-    value_shares: list,
-    mac_shares: list,
-    key: MacKeySharing,
-    rng: Random,
-    round_index: int = 0,
-) -> int:
-    """Honest local execution of the scalar opening with commit-then-reveal.
-
-    Raises ProtocolAbort on a missing share or failed sigma check. The
-    networked, adversary-exposed version of the same steps lives in the
-    protocol engine.
+    ``value_shares`` (..., n, d, 2) are n value shares of one opened vector
+    and ``mac_shares`` (..., n, d, 2), broadcast against them, the n tag
+    shares of kappa times it; leading axes stack independent openings.
+    Returns the opened vectors (..., d, 2) and each server's sigma
+    (..., n, 2) on the ``coeffs`` (d, 2) combination:
+    sigma_i = <coeffs, mac_i> - kappa_i * <coeffs, opened>. The opening
+    passes iff its sigmas sum to 0; a tampered value passes with
+    probability 1/q.
     """
-    params = key.params
-    if any(v is None for v in value_shares) or any(m is None for m in mac_shares):
-        raise ProtocolAbort(ABORT_TIMEOUT, "missing share at opening")
-    y = sum(value_shares) % params.q
-    sigmas = [
-        mac_sigma(m, k, y, params) for m, k in zip(mac_shares, key.key_shares)
-    ]
-    # Commit-then-reveal so no server can choose sigma after seeing the others.
-    nonces = [rng.randbytes(COMMIT_NONCE_BYTES) for _ in sigmas]
-    payloads = [int(s).to_bytes(32, "little") for s in sigmas]
-    digests = [commit(p, nc) for p, nc in zip(payloads, nonces)]
-    for digest, payload, nonce in zip(digests, payloads, nonces):
-        if not verify_commit(digest, payload, nonce):
-            raise ProtocolAbort(ABORT_EQUIVOCATION, "sigma commitment mismatch")
-    if not mac_check_passes(sigmas, params):
-        raise ProtocolAbort(ABORT_MAC_FAILURE, f"round {round_index}")
-    return y
-
-
-def open_vector_with_mac_check(
-    value_share_vectors: list,
-    mac_share_vectors: list,
-    key: MacKeySharing,
-    rng: Random,
-    round_index: int = 0,
-) -> list:
-    """Vector opening: one sigma check on a random public linear combination."""
-    params = key.params
-    q = params.q
-    if any(v is None for v in value_share_vectors) or any(m is None for m in mac_share_vectors):
-        raise ProtocolAbort(ABORT_TIMEOUT, "missing share vector at opening")
-    dim = len(value_share_vectors[0])
-    opened = [sum(vec[i] for vec in value_share_vectors) % q for i in range(dim)]
-    nonces = [rng.randbytes(COMMIT_NONCE_BYTES) for _ in value_share_vectors]
-    coin = public_coin(round_index, nonces)
-    coeffs = batch_coefficients(coin, dim, params)
-    y_comb = sum(c * y for c, y in zip(coeffs, opened)) % q
-    sigmas = []
-    for mac_vec, kappa_share in zip(mac_share_vectors, key.key_shares):
-        mac_comb = sum(c * m for c, m in zip(coeffs, mac_vec)) % q
-        sigmas.append(mac_sigma(mac_comb, kappa_share, y_comb, params))
-    if not mac_check_passes(sigmas, params):
-        raise ProtocolAbort(ABORT_MAC_FAILURE, f"round {round_index}")
-    return opened
-
-
-def forgery_succeeds(
-    value_shares: list,
-    mac_shares: list,
-    key: MacKeySharing,
-    delta: int,
-    adjustment: int,
-) -> bool:
-    """Does tampering the opened value by delta plus a sigma adjustment pass?
-
-    Models a corrupted first server that shifts its broadcast share by delta
-    and its sigma contribution by the guess `adjustment`; succeeds iff the
-    guess equals kappa * delta.
-    """
-    params = key.params
-    q = params.q
-    tampered = list(value_shares)
-    tampered[0] = (tampered[0] + delta) % q
-    y = sum(tampered) % q
-    sigmas = [
-        mac_sigma(m, k, y, params) for m, k in zip(mac_shares, key.key_shares)
-    ]
-    sigmas[0] = (sigmas[0] + adjustment) % q
-    return mac_check_passes(sigmas, params)
+    opened = vec_sum(value_shares, params, axis=-3)
+    combined = vec_sum(vec_mul(coeffs, opened, params), params, axis=-2)
+    tags = vec_sum(vec_mul(coeffs, mac_shares, params), params, axis=-2)
+    return opened, vec_sub(tags, vec_mul(kappa_shares, combined[..., None, :], params), params)

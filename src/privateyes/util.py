@@ -15,13 +15,3 @@ def derive_seed(*parts) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
-
-def derive_bytes(n: int, *parts) -> bytes:
-    """Stable byte string (counter-mode SHA-256 expansion)."""
-    text = "/".join(str(p) for p in parts).encode("utf-8")
-    out = b""
-    counter = 0
-    while len(out) < n:
-        out += hashlib.sha256(counter.to_bytes(4, "little") + text).digest()
-        counter += 1
-    return out[:n]

@@ -25,7 +25,7 @@ from privateyes.fedcore import (
     gen_synthetic_population,
     loss_and_grad,
 )
-from privateyes.field import FieldParams, FixedPointCodec, to_ints
+from privateyes.field import FieldParams, FixedPointCodec, from_ints, to_ints, vec_add, vec_sum
 from privateyes.leakprobe import (
     REFERENCE_GAZE_CNN,
     SCHEME_GENERIC_MPC,
@@ -36,7 +36,7 @@ from privateyes.leakprobe import (
     estimate_generic_mpc_cost,
 )
 from privateyes.protocol import run_secure_aggregation, run_training
-from privateyes.sharing import Dealer, forgery_succeeds, open_with_mac_check, share
+from privateyes.sharing import Dealer, check_openings, share
 from privateyes.simnet import AdversarySpec, overhead_ratio
 
 P23 = FieldParams(q=23, f_bits=0)
@@ -133,17 +133,20 @@ def test_criterion_04_deviations_abort_no_false_aborts():
             )
             trials += 1
             aborts += res.opened is None
-    false_aborts = 0
+    # 10,000 honest scalar openings, stacked into one call of the protocol's
+    # MAC check: each must open to its x with sigmas summing to 0.
     rng = Random(0)
     dealer = Dealer(3, rng, BIG)
+    xs, vs, ms = [], [], []
     for _ in range(10_000):
-        x = rng.randrange(BIG.q)
-        vs = share(x, 3, rng, BIG).shares
-        ms = share(dealer.mac_key * x % BIG.q, 3, rng, BIG).shares
-        try:
-            assert open_with_mac_check(vs, ms, dealer.key, rng) == x
-        except Exception:
-            false_aborts += 1
+        xs.append(rng.randrange(BIG.q))
+        vs.extend(share(xs[-1], 3, rng, BIG).shares)
+        ms.extend(share(dealer.mac_key * xs[-1] % BIG.q, 3, rng, BIG).shares)
+    opened, sigmas = check_openings(
+        from_ints(vs).reshape(10_000, 3, 1, 2), from_ints(ms).reshape(10_000, 3, 1, 2),
+        from_ints(dealer.key.key_shares), from_ints([1]), BIG)
+    totals = to_ints(vec_sum(sigmas, BIG, axis=-2))
+    false_aborts = sum(y != x or t != 0 for y, x, t in zip(to_ints(opened[:, 0]), xs, totals))
     ok = aborts == trials == 1000 and false_aborts == 0
     _check(
         4,
@@ -154,16 +157,25 @@ def test_criterion_04_deviations_abort_no_false_aborts():
 
 
 def _forge_rate(params, trials, seed):
+    """A corrupted first server shifts its opening share by delta and its
+    sigma by a guess adj; the forgery passes iff the sigmas still sum to 0.
+    All trials run stacked through the protocol's MAC check."""
+    q = params.q
     rng = Random(seed)
     dealer = Dealer(3, rng, params)
-    x = rng.randrange(params.q)
+    x = rng.randrange(q)
     vs = share(x, 3, rng, params).shares
-    ms = share(dealer.mac_key * x % params.q, 3, rng, params).shares
-    hits = 0
+    ms = share(dealer.mac_key * x % q, 3, rng, params).shares
+    deltas, adjs = [], []
     for _ in range(trials):
-        delta = rng.randrange(1, params.q)
-        adj = rng.randrange(params.q)
-        hits += forgery_succeeds(vs, ms, dealer.key, delta, adj)
+        deltas.append(rng.randrange(1, q))
+        adjs.append(rng.randrange(q))
+    value_shares = np.broadcast_to(from_ints(vs)[:, None], (trials, 3, 1, 2)).copy()
+    value_shares[:, 0, 0] = vec_add(value_shares[:, 0, 0], from_ints(deltas), params)
+    _, sigmas = check_openings(value_shares, from_ints(ms)[:, None],
+                               from_ints(dealer.key.key_shares), from_ints([1]), params)
+    sigmas[:, 0] = vec_add(sigmas[:, 0], from_ints(adjs), params)
+    hits = to_ints(vec_sum(sigmas, params, axis=-2)).count(0)
     return hits / trials
 
 

@@ -1,4 +1,3 @@
-from random import Random
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from privateyes.aggregation import (
     client_average,
     plaintext_adaptive_fl_oracle,
     plaintext_datacentre_oracle,
-    server_aggregate_shares,
     train_cohort_updates,
     update_global_model,
 )
@@ -23,8 +21,7 @@ from privateyes.fedcore import (
     local_train,
     select_cohort,
 )
-from privateyes.field import FieldParams, FixedPointCodec
-from privateyes.sharing import AuthShare, SharingError
+from privateyes.field import FixedPointCodec
 from privateyes.util import derive_seed
 
 
@@ -70,32 +67,6 @@ def test_update_modes():
     assert w_fedavg[0] == pytest.approx(1.0 + 0.1 * 1.0)
     with pytest.raises(ValueError):
         update_global_model(om, avg, state, "sgd")
-
-
-def test_server_aggregate_shares_identity_and_permutation():
-    params = FieldParams()
-    rng = Random(0)
-    vecs = [
-        [AuthShare(rng.randrange(params.q), rng.randrange(params.q)) for _ in range(4)]
-        for _ in range(3)
-    ]
-    single = server_aggregate_shares([vecs[0]], params)
-    assert [(s.value_share, s.mac_share) for s in single] == [
-        (s.value_share, s.mac_share) for s in vecs[0]
-    ]
-    fwd = server_aggregate_shares(vecs, params)
-    rev = server_aggregate_shares(vecs[::-1], params)
-    assert [(s.value_share, s.mac_share) for s in fwd] == [
-        (s.value_share, s.mac_share) for s in rev
-    ]
-
-
-def test_server_aggregate_shares_errors():
-    params = FieldParams()
-    with pytest.raises(SharingError):
-        server_aggregate_shares([], params)
-    with pytest.raises(SharingError):
-        server_aggregate_shares([[AuthShare(1, 1)], [AuthShare(1, 1), AuthShare(2, 2)]], params)
 
 
 def test_client_average_divides_in_reals():

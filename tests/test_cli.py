@@ -115,6 +115,7 @@ def test_run_abort_exit_code_and_truncated_csv(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["aborted"] is True
     assert report["abort_reason"] == "mac-failure"
+    assert report["abort_phase"] == "opening"
 
 
 def test_zero_rounds_header_only(tmp_path):

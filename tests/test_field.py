@@ -8,15 +8,16 @@ from privateyes.field import (
     ELEMENT_BYTES,
     DecodeOverflowError,
     EncodingRangeError,
-    FieldElement,
     FieldError,
     FieldParams,
     FixedPointCodec,
-    ParameterMismatchError,
-    element_from_bytes,
-    element_to_bytes,
+    from_ints,
     is_prime,
     to_ints,
+    vec_add,
+    vec_mul,
+    vec_neg,
+    vec_sub,
     vector_from_bytes,
     vector_to_bytes,
 )
@@ -45,27 +46,11 @@ def test_params_reject_composite():
 
 
 def test_element_arithmetic_mod_23():
-    a = P23.element(20)
-    b = P23.element(5)
-    assert (a + b).value == 2
-    assert (a - b).value == 15
-    assert (a * b).value == 100 % 23
-    assert (-b).value == 18
-    assert P23.element(12).centered() == -11
-    assert P23.element(11).centered() == 11
-
-
-def test_element_mismatched_params():
-    other = FieldParams(q=29, f_bits=0)
-    with pytest.raises(ParameterMismatchError):
-        P23.element(1) + other.element(1)
-    with pytest.raises(TypeError):
-        P23.element(1) + 1
-
-
-def test_element_range_check():
-    with pytest.raises(FieldError):
-        FieldElement(23, P23)
+    a, b = from_ints([20]), from_ints([5])
+    assert to_ints(vec_add(a, b, P23)) == [2]
+    assert to_ints(vec_sub(a, b, P23)) == [15]
+    assert to_ints(vec_mul(a, b, P23)) == [100 % 23]
+    assert to_ints(vec_neg(b, P23)) == [18]
 
 
 def test_unsigned_codec_integer_mode():
@@ -128,11 +113,11 @@ def test_quantize_is_idempotent():
 
 def test_element_serialization_roundtrip():
     v = 2**126 + 12345
-    data = element_to_bytes(v)
+    data = vector_to_bytes([v])
     assert len(data) == ELEMENT_BYTES
-    assert element_from_bytes(data) == v
+    assert to_ints(vector_from_bytes(data)) == [v]
     with pytest.raises(FieldError):
-        element_from_bytes(b"\x00" * 7)
+        vector_from_bytes(b"\x00" * 7)
 
 
 def test_vector_serialization_roundtrip():

@@ -80,16 +80,20 @@ def test_scalar_multiply_matches_python_ints(kappa, b):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 1000), st.integers(1, 6), st.integers(0, 2**32))
-def test_cohort_sum_near_q_matches_python_ints(J, d, seed):
+@given(st.integers(1, 1000), st.integers(1, 6), st.integers(0, 2**32),
+       st.sampled_from([BIG, P23]), st.booleans())
+def test_cohort_sum_near_q_matches_python_ints(J, d, seed, params, negative_axis):
     rng = Random(seed)
     rows = [[Q - 1 - rng.randrange(2 ** rng.choice([1, 8, 64, 126])) for _ in range(d)]
             for _ in range(J)]
     stacked = np.stack([from_ints(row) for row in rows])
-    expected = [sum(row[t] for row in rows) % Q for t in range(d)]
-    assert to_ints(vec_sum(stacked, BIG)) == expected
+    expected = [sum(row[t] for row in rows) % params.q for t in range(d)]
+    # A negative axis counts from the end of the limb array, on both the limb
+    # kernels (q = 2^127 - 1) and the Python-int fallback.
+    first, second = (-3, -3) if negative_axis else (0, 1)
+    assert to_ints(vec_sum(stacked, params, axis=first)) == expected
     # Summing over a later axis gives the same vector.
-    assert to_ints(vec_sum(stacked[None], BIG, axis=1)[0]) == expected
+    assert to_ints(vec_sum(stacked[None], params, axis=second)[0]) == expected
 
 
 def test_sum_of_1000_maximal_words():

@@ -266,6 +266,31 @@ def test_frame_log_and_models_pinned(monkeypatch):
             for om in res.transcript.om_history] == PINNED_OM_SHA
 
 
+# sha256 over every frame a passive corrupted server sees in the run above:
+# (round, type, sender, receiver) and payload, in delivery order. Unlike the
+# frame log, this covers the payload bytes: mask shares, offsets, opening
+# shares, and the committed and revealed sigmas.
+PINNED_VIEW_FRAMES = 65
+PINNED_VIEW_SHA = "b36d8305258efa813d27bc215d311376a404694ef9712aae6b1ce49ac275c7fb"
+
+
+def test_adversary_view_payloads_pinned():
+    pop = gen_synthetic_population(4, seed=21, rounds=2)
+    adv = AdversarySpec(corrupted_servers=frozenset({server_wire_id(2)}),
+                        behavior="passive-record")
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(kind="linear", d_in=8),
+                       "privateyes", n_servers=3, seed=21, adversary=adv, evaluate=False)
+    assert not res.aborted
+    view = res.transcript.adversary_view
+    assert {MsgType.COMMIT, MsgType.REVEAL, MsgType.OPEN_SHARE} <= {f["type"] for f in view}
+    h = hashlib.sha256()
+    for f in view:
+        h.update(repr((f["round"], f["type"], f["sender"], f["receiver"])).encode())
+        h.update(f["payload"])
+    assert len(view) == PINNED_VIEW_FRAMES
+    assert h.hexdigest() == PINNED_VIEW_SHA
+
+
 @pytest.mark.parametrize("fault", ["drop", "flip"])
 def test_key_share_frame_missing_or_altered(fault):
     class FaultyNetwork(Network):
@@ -365,17 +390,17 @@ def _dropping_network(msg_type, receiver_role, round_index):
     return DroppingNetwork
 
 
-@pytest.mark.parametrize("msg_type,receiver_role", [
-    (MsgType.MASK_DELIVERY, "client"),
-    (MsgType.MASK_DELIVERY, "server"),
-    (MsgType.INPUT_OFFSET, "server"),
-    (MsgType.COMMIT, "server"),
-    (MsgType.REVEAL, "server"),
-    (MsgType.OPEN_SHARE, "server"),
-    (MsgType.SHARE_UPLOAD, "client"),
+@pytest.mark.parametrize("msg_type,receiver_role,phase", [
+    (MsgType.MASK_DELIVERY, "client", "mask delivery"),
+    (MsgType.MASK_DELIVERY, "server", "input phase"),
+    (MsgType.INPUT_OFFSET, "server", "input phase"),
+    (MsgType.COMMIT, "server", "opening"),
+    (MsgType.REVEAL, "server", "opening"),
+    (MsgType.OPEN_SHARE, "server", "opening"),
+    (MsgType.SHARE_UPLOAD, "client", "share return"),
 ], ids=["mask-to-client", "mask-to-server", "offset", "commit", "reveal", "open-share",
         "share-return"])
-def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_role):
+def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_role, phase):
     nets = _capture_networks(monkeypatch, _dropping_network(msg_type, receiver_role, 2))
     pop = gen_synthetic_population(4, seed=12, rounds=2)
     res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=12,
@@ -384,6 +409,9 @@ def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_
     assert nets[0].dropped[0]["type"] == msg_type
     assert res.aborted
     assert res.abort_reason == ABORT_TIMEOUT
+    assert res.abort_phase == phase
+    assert res.transcript.events == [{"event": "abort", "round": 2, "reason": ABORT_TIMEOUT,
+                                      "phase": phase}]
     assert res.final_model is None
     assert len(res.transcript.om_history) == 2  # om0 plus round 1
 

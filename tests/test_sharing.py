@@ -2,31 +2,19 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privateyes.field import FieldParams, to_ints
+from privateyes.field import FieldParams, from_ints, to_ints, vec_add, vec_sum
 from privateyes.sharing import (
-    ABORT_MAC_FAILURE,
-    ABORT_TIMEOUT,
     MASK_POOL_SIZE,
     AdditiveSharing,
-    AuthShare,
     Dealer,
     IncompleteSharingError,
     MacKeySharing,
-    MaskOwnershipError,
-    MaskReuseError,
-    ProtocolAbort,
     batch_coefficients,
-    client_input,
+    check_openings,
     commit,
-    dealer_setup,
-    derive_input_share,
-    forgery_succeeds,
-    linear_combine_local,
-    mac_check_passes,
-    mac_sigma,
-    open_vector_with_mac_check,
-    open_with_mac_check,
     public_coin,
     reconstruct,
     share,
@@ -65,50 +53,96 @@ def test_share_sum_example():
     assert reconstruct(s) / 3 == 7.0
 
 
+def _check(value_shares, mac_shares, kappa_shares, coeffs, params):
+    """check_openings of one opening given as int lists: the opened ints,
+    the sigma ints and [sum of the sigmas]."""
+    opened, sigmas = check_openings(
+        *(np.stack([from_ints(v) for v in vs]) for vs in (value_shares, mac_shares)),
+        from_ints(kappa_shares), from_ints(coeffs), params)
+    return to_ints(opened), to_ints(sigmas), to_ints(vec_sum(sigmas, params)[None])
+
+
 def test_mac_sigma_worked_example():
     # kappa = 5, y = 3 with value shares (5, 17, 4), mac shares (10, 2, 3),
     # key shares (2, 2, 1): sigma = (4, 19, 0), summing to 0 mod 23.
     key = MacKeySharing(P23, [2, 2, 1])
-    y = 3
-    sigmas = [mac_sigma(m, k, y, P23) for m, k in zip([10, 2, 3], key.key_shares)]
+    opened, sigmas, total = _check([[5], [17], [4]], [[10], [2], [3]], key.key_shares, [1], P23)
+    assert opened == [3]
     assert sigmas == [4, 19, 0]
-    assert mac_check_passes(sigmas, P23)
+    assert total == [0]
 
 
 def test_mac_sigma_detects_tamper():
     key = MacKeySharing(P23, [2, 2, 1])
     # Opened value shifted from 3 to 4: sigma = (2, 17, 22), sum 18 != 0.
-    sigmas = [mac_sigma(m, k, 4, P23) for m, k in zip([10, 2, 3], key.key_shares)]
+    opened, sigmas, total = _check([[6], [17], [4]], [[10], [2], [3]], key.key_shares, [1], P23)
+    assert opened == [4]
     assert sigmas == [2, 17, 22]
-    assert not mac_check_passes(sigmas, P23)
+    assert total == [18]
 
 
-def test_open_with_mac_check_honest_and_tampered():
-    key = MacKeySharing(P23, [2, 2, 1])
-    rng = Random(1)
-    assert open_with_mac_check([5, 17, 4], [10, 2, 3], key, rng) == 3
-    with pytest.raises(ProtocolAbort) as exc:
-        open_with_mac_check([6, 17, 4], [10, 2, 3], key, rng)
-    assert exc.value.reason == ABORT_MAC_FAILURE
+def _reference_check(value_shares, mac_shares, kappa_shares, coeffs, q):
+    """check_openings of one opening in Python ints."""
+    opened = [sum(col) % q for col in zip(*value_shares)]
+    combined = sum(c * y for c, y in zip(coeffs, opened))
+    sigmas = [(sum(c * m for c, m in zip(coeffs, macs)) - k * combined) % q
+              for macs, k in zip(mac_shares, kappa_shares)]
+    return opened, sigmas
 
 
-def test_open_with_missing_share_times_out():
-    key = MacKeySharing(P23, [2, 2, 1])
-    with pytest.raises(ProtocolAbort) as exc:
-        open_with_mac_check([5, None, 4], [10, 2, 3], key, Random(0))
-    assert exc.value.reason == ABORT_TIMEOUT
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([P23, BIG]), st.sampled_from([(), (1,), (2,), (2, 3)]),
+       st.sampled_from([1, 3, 5]), st.sampled_from([1, 18]), st.integers(0, 2**32))
+def test_check_openings_matches_python_ints(params, lead, n, d, seed):
+    q = params.q
+    rng = Random(seed)
+    # A nonzero key and nonzero coefficients, so any one-element shift shows.
+    kappa_shares = share(rng.randrange(1, q), n, rng, params).shares
+    mac_key = sum(kappa_shares) % q
+    coeffs = [rng.randrange(1, q) for _ in range(d)]
+    count = int(np.prod(lead))
+    value_shares, mac_shares = [], []
+    for _ in range(count):
+        xs = [rng.randrange(q) for _ in range(d)]
+        per_t = [(share(x, n, rng, params).shares, share(mac_key * x, n, rng, params).shares)
+                 for x in xs]
+        value_shares.append([[v[i] for v, _ in per_t] for i in range(n)])
+        mac_shares.append([[m[i] for _, m in per_t] for i in range(n)])
+
+    def run(vs, ms):
+        shape = lead + (n, d, 2)
+        opened, sigmas = check_openings(
+            np.stack([from_ints(v) for o in vs for v in o]).reshape(shape),
+            np.stack([from_ints(m) for o in ms for m in o]).reshape(shape),
+            from_ints(kappa_shares), from_ints(coeffs), params)
+        assert opened.shape == lead + (d, 2) and sigmas.shape == lead + (n, 2)
+        for o, (got_opened, got_sigmas) in enumerate(zip(opened.reshape(count, d, 2),
+                                                         sigmas.reshape(count, n, 2))):
+            assert (to_ints(got_opened), to_ints(got_sigmas)) == _reference_check(
+                vs[o], ms[o], kappa_shares, coeffs, q)
+        return to_ints(vec_sum(sigmas, params, axis=-2).reshape(count, 2))
+
+    assert run(value_shares, mac_shares) == [0] * count
+    # Shift one value share or one MAC share element of one opening.
+    o, i, t = rng.randrange(count), rng.randrange(n), rng.randrange(d)
+    for shifted in (value_shares, mac_shares):
+        original = shifted[o][i][t]
+        shifted[o][i][t] = (original + rng.randrange(1, q)) % q
+        totals = run(value_shares, mac_shares)
+        assert totals[o] != 0
+        assert totals[:o] + totals[o + 1:] == [0] * (count - 1)
+        shifted[o][i][t] = original
 
 
 def test_dealer_key_and_mask_relations():
     rng = Random(7)
     dealer = Dealer(3, rng, BIG)
     assert sum(dealer.key.key_shares) % BIG.q == dealer.mac_key
-    mask = dealer.issue_mask(client_id=42)
-    assert mask.client_id == 42
-    vals = [s.value_share for s in mask.server_shares]
-    macs = [s.mac_share for s in mask.server_shares]
-    assert sum(vals) % BIG.q == mask.r
-    assert sum(macs) % BIG.q == dealer.mac_key * mask.r % BIG.q
+    batch = dealer.issue_masks(42, 1)
+    assert batch.client_id == 42
+    vals, macs = zip(*(to_ints(shares) for shares in batch.server_shares))
+    assert sum(vals) % BIG.q == to_ints(batch.r)[0]
+    assert sum(macs) % BIG.q == dealer.mac_key * to_ints(batch.r)[0] % BIG.q
 
 
 @pytest.mark.parametrize("params", [P23, BIG])
@@ -131,58 +165,32 @@ def test_bulk_masks_relations_and_determinism(params):
     assert np.array_equal(again.server_shares, batches[0].server_shares)
 
 
-def test_mask_ids_unique():
-    key, masks = dealer_setup(3, 10, Random(0), BIG)
-    assert len({m.mask_id for m in masks}) == 10
-
-
-def test_client_input_and_derive():
-    rng = Random(3)
-    dealer = Dealer(3, rng, BIG)
-    mask = dealer.issue_mask(client_id=0)
-    x = 123456789
-    eps = client_input(x, mask, client_id=0, params=BIG)
-    assert eps == (x - mask.r) % BIG.q
-    shares = [
-        derive_input_share(mask.server_shares[i], eps, i, dealer.key.key_shares[i], BIG)
-        for i in range(3)
-    ]
-    assert sum(s.value_share for s in shares) % BIG.q == x
-    assert sum(s.mac_share for s in shares) % BIG.q == dealer.mac_key * x % BIG.q
-
-
-def test_mask_single_use():
-    dealer = Dealer(3, Random(5), BIG)
-    mask = dealer.issue_mask(client_id=0)
-    client_input(1, mask, 0, BIG)
-    with pytest.raises(MaskReuseError):
-        client_input(2, mask, 0, BIG)
-
-
-def test_mask_ownership():
-    dealer = Dealer(3, Random(5), BIG)
-    mask = dealer.issue_mask(client_id=0)
-    with pytest.raises(MaskOwnershipError):
-        client_input(1, mask, 1, BIG)
-
-
-def test_linear_combine_local_preserves_mac():
-    rng = Random(11)
-    dealer = Dealer(3, rng, BIG)
-    xs = [rng.randrange(BIG.q) for _ in range(4)]
-    coeffs = [rng.randrange(BIG.q) for _ in range(4)]
-    per_server = [[] for _ in range(3)]
-    for x in xs:
-        mask = dealer.issue_mask(0)
-        eps = client_input(x, mask, 0, BIG)
-        for i in range(3):
-            per_server[i].append(
-                derive_input_share(mask.server_shares[i], eps, i, dealer.key.key_shares[i], BIG)
-            )
-    combined = [linear_combine_local(per_server[i], coeffs, BIG) for i in range(3)]
-    y = sum(s.value_share for s in combined) % BIG.q
-    assert y == sum(c * x for c, x in zip(coeffs, xs)) % BIG.q
-    assert sum(s.mac_share for s in combined) % BIG.q == dealer.mac_key * y % BIG.q
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3 * MASK_POOL_SIZE // 2)),
+                min_size=1, max_size=8))
+def test_mask_single_use(calls):
+    """No r value and no server's share column is handed out twice, and
+    every batch is the front of the pool it is cut from. This is what makes
+    mask reuse unreachable: the dealer keeps no consumed-mask state."""
+    dealer = Dealer(3, Random(0), BIG)
+    rs, columns = [], []
+    for cid, count in calls:
+        before = dealer._pool
+        batch = dealer.issue_masks(cid, count)
+        after = dealer._pool[0]
+        assert batch.client_id == cid and len(batch) == count
+        if before is not None and len(before[0]) >= count:
+            assert np.array_equal(batch.r, before[0][:count])
+            assert np.array_equal(after, before[0][count:])
+        else:  # refilled: the batch is the front of a fresh pool
+            assert len(batch) + len(after) == max(count, MASK_POOL_SIZE)
+        rs.append(batch.r)
+        # One row per value-share column and per MAC-share column: (2 * count, 3 * 2).
+        columns.append(batch.server_shares.transpose(1, 0, 2).reshape(2 * count, 6))
+    # A reissued r or column would repeat its first limb; the fresh ones are
+    # uniform on [0, q), so their first limbs all differ.
+    for issued in (np.concatenate(rs), np.concatenate(columns)):
+        assert len(np.unique(issued[:, 0])) == len(issued)
 
 
 def test_commitment_binding_and_hiding_shape():
@@ -220,24 +228,27 @@ def test_open_vector_with_mac_check():
         for i in range(3):
             value_vecs[i][t] = vs[i]
             mac_vecs[i][t] = ms[i]
-    assert open_vector_with_mac_check(value_vecs, mac_vecs, dealer.key, rng) == xs
+    coeffs = batch_coefficients(public_coin(0, [rng.randbytes(16)]), 5, BIG)
+    opened, _, total = _check(value_vecs, mac_vecs, dealer.key.key_shares, coeffs, BIG)
+    assert (opened, total) == (xs, [0])
     value_vecs[0][2] = (value_vecs[0][2] + 1) % BIG.q
-    with pytest.raises(ProtocolAbort):
-        open_vector_with_mac_check(value_vecs, mac_vecs, dealer.key, rng)
+    assert _check(value_vecs, mac_vecs, dealer.key.key_shares, coeffs, BIG)[2] != [0]
 
 
 def test_forgery_succeeds_iff_adjustment_matches():
+    """A corrupted first server shifts its opening share by delta and its
+    sigma by a guess adj; the opening passes iff adj = kappa * delta."""
     rng = Random(17)
     dealer = Dealer(3, rng, P23)
     x = 7
     vs = share(x, 3, rng, P23).shares
     ms = share(dealer.mac_key * x % 23, 3, rng, P23).shares
     delta = 4
-    for adj in range(23):
-        expected = adj == dealer.mac_key * delta % 23
-        assert forgery_succeeds(vs, ms, dealer.key, delta, adj) == expected
-
-
-def test_authshare_is_plain_pair():
-    s = AuthShare(3, 5)
-    assert (s.value_share, s.mac_share) == (3, 5)
+    opened, sigmas = check_openings(from_ints([(vs[0] + delta) % 23] + vs[1:])[:, None],
+                                    from_ints(ms)[:, None], from_ints(dealer.key.key_shares),
+                                    from_ints([1]), P23)
+    assert to_ints(opened) == [(x + delta) % 23]
+    forged = np.broadcast_to(sigmas, (23, 3, 2)).copy()
+    forged[:, 0] = vec_add(forged[:, 0], from_ints(range(23)), P23)  # one guess per row
+    passes = [total == 0 for total in to_ints(vec_sum(forged, P23, axis=-2))]
+    assert passes == [adj == dealer.mac_key * delta % 23 for adj in range(23)]
