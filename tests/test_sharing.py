@@ -81,6 +81,17 @@ def test_mac_sigma_detects_tamper():
     assert total == [18]
 
 
+def test_open_with_mac_check_honest_and_tampered():
+    # The honest opening (5, 17, 4) and the tampered one (6, 17, 4), stacked
+    # in one call: the first passes (sigmas sum to 0), the second aborts.
+    key = MacKeySharing(P23, [2, 2, 1])
+    opened, sigmas = check_openings(from_ints([5, 17, 4, 6, 17, 4]).reshape(2, 3, 1, 2),
+                                    from_ints([10, 2, 3])[:, None], from_ints(key.key_shares),
+                                    from_ints([1]), P23)
+    assert to_ints(opened.reshape(2, 2)) == [3, 4]
+    assert to_ints(vec_sum(sigmas, P23, axis=-2)) == [0, 18]
+
+
 def _reference_check(value_shares, mac_shares, kappa_shares, coeffs, q):
     """check_openings of one opening in Python ints."""
     opened = [sum(col) % q for col in zip(*value_shares)]
@@ -191,6 +202,23 @@ def test_mask_single_use(calls):
     # uniform on [0, q), so their first limbs all differ.
     for issued in (np.concatenate(rs), np.concatenate(columns)):
         assert len(np.unique(issued[:, 0])) == len(issued)
+
+
+def test_mask_ids_unique():
+    # Ten single masks from one dealer are ten distinct masks.
+    dealer = Dealer(3, Random(0), BIG)
+    batches = [dealer.issue_masks(0, 1) for _ in range(10)]
+    assert len({tuple(b.r[0]) for b in batches}) == 10
+    assert len({b.server_shares.tobytes() for b in batches}) == 10
+
+
+def test_mask_ownership():
+    # A batch carries the client it was issued for, and two clients'
+    # batches share no mask.
+    dealer = Dealer(3, Random(5), BIG)
+    a, b = dealer.issue_masks(0, 4), dealer.issue_masks(1, 4)
+    assert (a.client_id, b.client_id) == (0, 1)
+    assert not {tuple(r) for r in a.r} & {tuple(r) for r in b.r}
 
 
 def test_commitment_binding_and_hiding_shape():
