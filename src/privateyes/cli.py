@@ -149,6 +149,10 @@ class ExperimentConfig:
             raise ConfigError(f"bad f_bits {self.f_bits}: {exc}") from exc
         if self.epochs < 0 or self.lr <= 0 or self.batch < 1:
             raise ConfigError("epochs must be >= 0, lr > 0 and batch >= 1")
+        try:
+            OptimizerState.zeros(1, eta=self.eta, beta1=self.beta1, beta2=self.beta2, tau=self.tau)
+        except ValueError as exc:
+            raise ConfigError(f"bad [optimizer] values: {exc}") from exc
         if self.behavior not in BEHAVIORS:
             raise ConfigError(f"unknown adversary behavior {self.behavior!r}")
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -157,6 +161,8 @@ class ExperimentConfig:
             raise ConfigError("attack steps must be >= 1")
         if self.samples_per_round < 1:
             raise ConfigError("samples_per_round must be >= 1")
+        if min(self.heterogeneity, self.sigma_gaze, self.sigma_noise) < 0:
+            raise ConfigError("heterogeneity, sigma_gaze and sigma_noise must be >= 0")
         return self
 
 
@@ -397,8 +403,8 @@ def cmd_report(cfg: ExperimentConfig, outdir: Path) -> int:
     with open(outdir / "accuracy.csv", "w") as fh:
         fh.write("scheme,test_mae_deg\n")
         for scheme, (_, result) in runs.items():
-            done = [r for r in result.round_metrics if not r["abort"]]
-            fh.write(f"{scheme},{done[-1]['test_mae_deg']:.6f}\n")
+            done = [f"{r['test_mae_deg']:.6f}" for r in result.round_metrics if not r["abort"]]
+            fh.write(f"{scheme},{done[-1] if done else ''}\n")
     status = cmd_attack(cfg, outdir, runs)
     if status:
         return status

@@ -59,7 +59,8 @@ from .sharing import (
     public_coin,
     verify_commit,
 )
-from .simnet import AdversarySpec, CommMetrics, FrameError, MsgType, Network, WireMessage
+from .simnet import (SIGMA_COMMITTED, SIGMA_REVEALED, AdversarySpec, CommMetrics, FrameError,
+                     MsgType, Network, WireMessage)
 from .util import derive_seed
 
 DEALER_ID = 0
@@ -145,13 +146,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _corrupted_servers(adversary: AdversarySpec, round_index: int):
-    """Corrupted server indices (AdversarySpec stores wire ids)."""
-    if adversary is None or not adversary.active_in(round_index):
-        return frozenset()
-    return frozenset(wid - 1 for wid in adversary.corrupted_servers)
-
-
 def _payloads(vectors) -> list:
     """Wire bytes of each row of a stacked (..., length, 2) limb array,
     sliced from one buffer."""
@@ -179,7 +173,6 @@ def run_secure_aggregation_round(
     round_index: int,
     inputs: dict,
     seed: int,
-    adversary: AdversarySpec = None,
 ):
     """One dealer-assisted aggregation of the clients' field vectors.
 
@@ -232,9 +225,8 @@ def run_secure_aggregation_round(
     value_vecs[0] = vec_add(value_vecs[0], eps_sums[0], params)
     mac_vecs = vec_add(r_sums[:, d:], vec_mul(kappa_shares[:, None], eps_sums, params), params)
 
-    opened, reason = _open_among_servers(
-        net, round_index, value_vecs, mac_vecs, kappa_shares, params, seed, adversary
-    )
+    opened, reason = _open_among_servers(net, round_index, value_vecs, mac_vecs, kappa_shares,
+                                         params, seed)
     if opened is None:
         return _abort(net, round_index, n, clients, reason, "opening")
 
@@ -267,22 +259,21 @@ def _abort(net, round_index, n, clients, reason, phase):
                            per_server_value_shares=None, client_sums=None)
 
 
-def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed, adversary):
+def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed):
     """Broadcast shares, derive the public coin, commit-then-reveal sigmas."""
     q = params.q
     n = len(value_vecs)
     d = len(value_vecs[0])
     rngs = [Random(derive_seed(seed, "open", k, i)) for i in range(n)]
-    corrupted = _corrupted_servers(adversary, k)
-    behavior = adversary.behavior if adversary else "passive-record"
+    servers = [server_wire_id(i) for i in range(n)]
+    corrupted = net.corrupted_servers(k)
     # (receiver, sender) edges between distinct servers, by receiver.
-    edges = [(server_wire_id(jj), server_wire_id(i))
-             for jj in range(n) for i in range(n) if i != jj]
+    edges = [(rid, sid) for rid in servers for sid in servers if sid != rid]
 
     def broadcast(msg_type, payloads):
         # Server i sends payloads[i] to every other server, by sender.
-        net.send_many(msg_type, k, [(server_wire_id(i), server_wire_id(jj), payloads[i])
-                                    for i in range(n) for jj in range(n) if jj != i])
+        net.send_many(msg_type, k, [(sid, rid, payload) for sid, payload in zip(servers, payloads)
+                                    for rid in servers if rid != sid])
 
     def receive_commits():
         return zip(net.recv_many(MsgType.COMMIT, k, edges),
@@ -300,7 +291,7 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     coin = public_coin(k, nonces)
     coeffs = from_ints(batch_coefficients(coin, d, params))
 
-    # Open the aggregate value shares (tamper/withhold hooks live in simnet).
+    # Open the aggregate value shares.
     broadcast(MsgType.OPEN_SHARE, _payloads(value_vecs))
     others = _recv_vectors(net, MsgType.OPEN_SHARE, k, edges, d)
     if others is None:
@@ -311,26 +302,20 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     views, sigmas = check_openings(np.concatenate([value_vecs[:, None], others], axis=1),
                                    mac_vecs, kappa_shares, coeffs, params)
     sigmas = to_ints(sigmas[np.arange(n), np.arange(n)])
-    if behavior == "forge-sigma":
-        for i in corrupted:
-            sigmas[i] = (sigmas[i] + Random(derive_seed(seed, "forge", k, i)).randrange(1, q)) % q
 
     sigma_nonces = [rngs[i].randbytes(16) for i in range(n)]
-    payloads = [int(s).to_bytes(32, "little") for s in sigmas]
+    payloads = [net.value(SIGMA_COMMITTED, k, sid, int(s).to_bytes(32, "little"))
+                for sid, s in zip(servers, sigmas)]
     broadcast(MsgType.COMMIT, [commit(payloads[i], sigma_nonces[i] + _SIGMA_TAG)
                                for i in range(n)])
-    revealed = [
-        int((sigmas[i] + 1) % q).to_bytes(32, "little")
-        if i in corrupted and behavior == "equivocate-commit" else payloads[i]
-        for i in range(n)
-    ]
-    broadcast(MsgType.REVEAL, [sigma_nonces[i] + revealed[i] for i in range(n)])
+    broadcast(MsgType.REVEAL, [sigma_nonces[i] + net.value(SIGMA_REVEALED, k, sid, payloads[i])
+                               for i, sid in enumerate(servers)])
 
     # Corrupted servers take their frames off the wire (so no later round
     # reads them) but honest servers do the checking.
     received = list(receive_commits())
     for jj in range(n):
-        if jj in corrupted:
+        if servers[jj] in corrupted:
             continue
         seen = [sigmas[jj]]
         for cm, rv in received[jj * (n - 1) : (jj + 1) * (n - 1)]:
@@ -344,7 +329,7 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
             return None, ABORT_MAC_FAILURE
 
     # All honest servers accepted; honest views agree on the opened vector.
-    honest = [i for i in range(n) if i not in corrupted]
+    honest = [i for i in range(n) if servers[i] not in corrupted]
     return views[honest[0]], None
 
 
@@ -363,7 +348,7 @@ def run_secure_aggregation(
     if dealer is None:
         dealer = Dealer(n_servers, Random(derive_seed(seed, "dealer")), params)
     _distribute_key_shares(net, dealer)
-    result = run_secure_aggregation_round(net, dealer, 1, inputs, seed, adversary)
+    result = run_secure_aggregation_round(net, dealer, 1, inputs, seed)
     result.net = net
     return result
 
@@ -448,7 +433,7 @@ def run_training(
             transcript.ground_truth_iu[(j, k)] = iu
 
         if scheme == SCHEME_PRIVATEYES:
-            result = run_secure_aggregation_round(net, dealer, k, encoded, seed, adversary)
+            result = run_secure_aggregation_round(net, dealer, k, encoded, seed)
             if result.opened is None:
                 aborted, reason, phase = True, result.abort_reason, result.abort_phase
             else:

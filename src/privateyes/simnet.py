@@ -83,14 +83,23 @@ def decode_message(data: bytes) -> WireMessage:
 # Adversary
 # ---------------------------------------------------------------------------
 
-BEHAVIORS = (
-    "passive-record",
-    "tamper-share",
-    "tamper-epsilon",
-    "equivocate-commit",
-    "withhold",
-    "forge-sigma",
-)
+# The adversary hook table: each behaviour's point and whether the corrupted
+# server is the frame's sender (0) or receiver (1) there. A point is a message
+# type, or a value point: a value a server computes and then sends, which the
+# hook sees as a frame from that server. Every hook shifts the first field
+# element by one, except withhold, which drops the frame.
+SIGMA_COMMITTED = "sigma-committed"
+SIGMA_REVEALED = "sigma-revealed"
+_HOOKS = {
+    "passive-record": None,
+    "tamper-share": (MsgType.OPEN_SHARE, 0),
+    # A corrupted server substituting the client's public offset.
+    "tamper-epsilon": (MsgType.INPUT_OFFSET, 1),
+    "equivocate-commit": (SIGMA_REVEALED, 0),
+    "withhold": (MsgType.OPEN_SHARE, 0),
+    "forge-sigma": (SIGMA_COMMITTED, 0),
+}
+BEHAVIORS = tuple(_HOOKS)
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,6 @@ class AdversarySpec:
     corrupted_servers: frozenset = frozenset()
     corrupted_clients: frozenset = frozenset()
     behavior: str = "passive-record"
-    delta: int = 1
     target_round: int = None  # None = every round
 
     def __post_init__(self):
@@ -109,17 +117,6 @@ class AdversarySpec:
 
     def active_in(self, round_index: int) -> bool:
         return self.target_round is None or self.target_round == round_index
-
-
-# Wire-level behaviours: the message type each touches and whether the
-# corrupted server is the frame's sender (0) or receiver (1). forge-sigma and
-# equivocate-commit change values inside the protocol, not frames.
-_WIRE_HOOKS = {
-    "tamper-share": (MsgType.OPEN_SHARE, 0),
-    # A corrupted server substituting the client's public offset.
-    "tamper-epsilon": (MsgType.INPUT_OFFSET, 1),
-    "withhold": (MsgType.OPEN_SHARE, 0),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +199,36 @@ class Network:
         self._watched = frozenset() if adversary is None else (
             adversary.corrupted_servers | adversary.corrupted_clients)
 
-    def _hooked(self, msg_type: MsgType, round_index: int, frames) -> bool:
-        """Whether the adversary's wire behaviour can touch a frame of a batch."""
+    def corrupted_servers(self, round_index: int) -> frozenset:
+        """Wire ids of the servers the adversary controls in this round."""
         spec = self.adversary
         if spec is None or not spec.active_in(round_index):
+            return frozenset()
+        return spec.corrupted_servers
+
+    def _hooked(self, point, round_index: int, frames) -> bool:
+        """Whether the adversary's behaviour can touch a frame of a batch."""
+        corrupted = self.corrupted_servers(round_index)
+        hook = _HOOKS[self.adversary.behavior] if corrupted else None
+        if hook is None or hook[0] != point:
             return False
-        hook = _WIRE_HOOKS.get(spec.behavior)
-        if hook is None or hook[0] != msg_type:
-            return False
-        return any(frame[hook[1]] in spec.corrupted_servers for frame in frames)
+        return any(frame[hook[1]] in corrupted for frame in frames)
 
     def _mutate(self, msg: WireMessage):
-        """The wire hook point, called per frame of a batch ``_hooked``
-        accepted; returns the delivered message or None."""
+        """The hook point, called per frame of a batch ``_hooked`` accepted;
+        returns the delivered message or None."""
         spec = self.adversary
-        if (msg.sender, msg.receiver)[_WIRE_HOOKS[spec.behavior][1]] not in spec.corrupted_servers:
+        if (msg.sender, msg.receiver)[_HOOKS[spec.behavior][1]] not in spec.corrupted_servers:
             return msg
         if spec.behavior == "withhold":
             return None
-        return msg._replace(payload=_bump_first_element(msg.payload, spec.delta, self.params.q))
+        return msg._replace(payload=_bump_first_element(msg.payload, self.params.q))
+
+    def value(self, point: str, round_index: int, server: int, payload: bytes) -> bytes:
+        """The encoded value ``server`` goes on to use at a value point."""
+        if not self._hooked(point, round_index, [(server, None)]):
+            return payload
+        return self._mutate(WireMessage(point, round_index, server, None, payload)).payload
 
     def send(self, msg: WireMessage) -> None:
         self.send_many(msg.msg_type, msg.round, [(msg.sender, msg.receiver, msg.payload)])
@@ -291,9 +299,8 @@ class Network:
         return out
 
 
-def _bump_first_element(payload: bytes, delta: int, q: int) -> bytes:
+def _bump_first_element(payload: bytes, q: int) -> bytes:
     if len(payload) < ELEMENT_BYTES:
         return payload
-    head = int.from_bytes(payload[:ELEMENT_BYTES], "little")
-    head = (head + delta) % q
+    head = (int.from_bytes(payload[:ELEMENT_BYTES], "little") + 1) % q
     return head.to_bytes(ELEMENT_BYTES, "little") + payload[ELEMENT_BYTES:]

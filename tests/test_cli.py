@@ -130,6 +130,16 @@ def test_zero_rounds_header_only(tmp_path):
     assert len(report["final_model"]) == 18
 
 
+def test_zero_rounds_report_leaves_accuracy_empty(tmp_path):
+    out = tmp_path / "r"
+    assert cmd_report(ExperimentConfig(**{**SMALL, "rounds": 0}), out) == 0
+    rows = (out / "accuracy.csv").read_text().splitlines()
+    assert rows[0] == "scheme,test_mae_deg"
+    assert rows[2:] == ["adaptive_fl,", "privateyes,"]
+    scheme, mae = rows[1].split(",")
+    assert scheme == "datacentre" and float(mae) > 0
+
+
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nscheme = espresso\n")
@@ -192,6 +202,13 @@ def test_attack_subcommand(tmp_path):
     ("attack", "beta = -0.5"),
     ("attack", "gamma = -2"),
     ("data", "samples_per_round = 0"),
+    ("data", "heterogeneity = -1"),
+    ("data", "sigma_gaze = -0.1"),
+    ("data", "sigma_noise = -0.05"),
+    ("optimizer", "eta = 0"),
+    ("optimizer", "tau = -1"),
+    ("optimizer", "beta1 = 1.5"),
+    ("optimizer", "beta2 = -0.1"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, line):
     config = tmp_path / "exp.ini"

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+from collections import defaultdict
 from random import Random
 
 import numpy as np
@@ -33,7 +34,14 @@ from privateyes.sharing import (
     Dealer,
     KeyShareError,
 )
-from privateyes.simnet import AdversarySpec, MsgType, Network, WireMessage
+from privateyes.simnet import (
+    SIGMA_COMMITTED,
+    SIGMA_REVEALED,
+    AdversarySpec,
+    MsgType,
+    Network,
+    WireMessage,
+)
 from privateyes.util import derive_seed
 
 P23 = FieldParams(q=23, f_bits=0)
@@ -341,10 +349,13 @@ def _capture_networks(monkeypatch, base=Network):
     ("tamper-share", ABORT_MAC_FAILURE, MsgType.OPEN_SHARE, 2),
     ("tamper-epsilon", ABORT_MAC_FAILURE, MsgType.INPUT_OFFSET, 4),
     ("withhold", ABORT_TIMEOUT, MsgType.OPEN_SHARE, 2),
+    ("forge-sigma", ABORT_MAC_FAILURE, SIGMA_COMMITTED, 1),
+    ("equivocate-commit", ABORT_EQUIVOCATION, SIGMA_REVEALED, 1),
 ])
 def test_wire_hooks_fire_in_batched_phases(monkeypatch, behavior, reason, msg_type, count):
     """The hook changes exactly the corrupted server's frames of its phase:
-    its n - 1 opening shares, or the offsets of all four clients to it."""
+    its n - 1 opening shares, the offsets of all four clients to it, or its
+    one committed or revealed sigma."""
 
     class WatchingNetwork(Network):
         def __init__(self, *args, **kwargs):
@@ -463,3 +474,80 @@ def test_codec_headroom_scales_with_cohort():
     with pytest.raises(FieldError):
         run_training(pop, TrainConfig(rounds=1), ModelSpec(), "privateyes", codec=codec,
                      evaluate=False)
+
+
+# The deviation sweep. Each action replaces one frame; a replay keeps the
+# round-2 header and carries the payload of the same edge's round-1 frame: a
+# frame that keeps its old round is never taken
+# (test_replayed_earlier_round_frame_is_ignored).
+SWEEP_ACTIONS = {
+    "flip-byte-0": lambda msg, old: msg._replace(
+        payload=bytes([msg.payload[0] ^ 0xFF]) + msg.payload[1:]),
+    "flip-last-bit": lambda msg, old: msg._replace(
+        payload=msg.payload[:-1] + bytes([msg.payload[-1] ^ 0x01])),
+    "drop": lambda msg, old: None,
+    "replay": lambda msg, old: msg._replace(payload=old.payload),
+}
+SWEEP_FRAMES = 66  # round-2 frames with a server at one end, J=4, n=3
+
+
+def _sweep_network(target, action):
+    """Applies ``action`` to the ``target``-th round-2 frame that a server
+    sends or receives; with ``target`` None it only counts those frames.
+
+    The dealer's r frames to clients are left out: a client's r fixes its
+    offset x - r, so a changed r is a changed input, which no MAC can see.
+    """
+
+    class SweepNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.round1 = defaultdict(list)  # (type, sender, receiver) -> frames
+            self.round2 = defaultdict(int)  # (type, sender, receiver) -> frames seen
+            self.count = 0
+
+        def _hooked(self, point, round_index, frames):
+            return round_index in (1, 2) and isinstance(point, MsgType)  # frames, not values
+
+        def _mutate(self, msg):
+            edge = msg[0:1] + msg[2:4]
+            if msg.round == 1:
+                self.round1[edge].append(msg)
+                return msg
+            occurrence = self.round2[edge]
+            self.round2[edge] += 1
+            if "server" not in (self.roles[msg.sender], self.roles[msg.receiver]):
+                return msg
+            self.count += 1
+            if self.count - 1 != target:
+                return msg
+            return SWEEP_ACTIONS[action](msg, self.round1[edge][occurrence])
+
+    return SweepNetwork
+
+
+def _sweep_run(monkeypatch, target=None, action=None):
+    nets = _capture_networks(monkeypatch, _sweep_network(target, action))
+    pop = gen_synthetic_population(4, seed=21, rounds=2)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(kind="linear", d_in=8),
+                       "privateyes", n_servers=3, seed=21, evaluate=False)
+    return nets[0], res
+
+
+@pytest.mark.parametrize("action", list(SWEEP_ACTIONS))
+def test_every_round_two_server_frame_deviation_aborts_or_changes_nothing(monkeypatch, action):
+    """Disrupt but never falsify: a run with one round-2 frame flipped,
+    dropped or replayed aborts with no final model, or its output models and
+    per-round bytes are byte-identical to the honest run's."""
+    net, honest = _sweep_run(monkeypatch)
+    assert net.count == SWEEP_FRAMES
+    honest_bytes = [r["bytes"] for r in honest.transcript.round_records]
+    for target in range(SWEEP_FRAMES):
+        net, res = _sweep_run(monkeypatch, target, action)
+        assert net.count > target
+        if res.aborted:
+            assert res.final_model is None, (action, target)
+            continue
+        assert [r["bytes"] for r in res.transcript.round_records] == honest_bytes, (action, target)
+        assert [om.tobytes() for om in res.transcript.om_history] == [
+            om.tobytes() for om in honest.transcript.om_history], (action, target)

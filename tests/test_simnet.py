@@ -100,7 +100,7 @@ def test_honest_frames_never_mutated():
 
 
 def test_tamper_share_mutates_first_element():
-    adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="tamper-share", delta=1)
+    adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="tamper-share")
     net = Network(ROLES, P, adv)
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, vector_to_bytes([5, 7])))
     got = net.recv(2, MsgType.OPEN_SHARE)
