@@ -16,6 +16,7 @@ import numpy as np
 
 from .field import FieldParams, FixedPointCodec, as_limbs, to_ints
 from .fedcore import (
+    GAZE_DIM,
     ModelSpec,
     Population,
     TrainConfig,
@@ -114,13 +115,8 @@ def train_cohort_updates(
     updates = np.empty((len(cohort), spec.dim))
     for lo in range(0, len(cohort), COHORT_BLOCK):
         block = cohort[lo : lo + COHORT_BLOCK]
-        clients = [population.clients[j] for j in block]
         updates[lo : lo + len(block)] = local_train(
-            om_prev,
-            np.stack([client.round_features[k] for client in clients]),
-            np.stack([client.round_gaze[k] for client in clients]),
-            cfg,
-            spec,
+            om_prev, population.features[block, k], population.gaze[block, k], cfg, spec,
             [derive_seed(seed, "train", round_index, j) for j in block],
         )
     return updates
@@ -172,12 +168,8 @@ def plaintext_datacentre_oracle(
     epochs: int = None,
 ) -> np.ndarray:
     """Pooled-data training run; the accuracy upper-line baseline."""
-    X = np.concatenate(
-        [x for client in population.clients for x in client.round_features]
-    )
-    G = np.concatenate(
-        [g for client in population.clients for g in client.round_gaze]
-    )
+    X = population.features.reshape(-1, population.d_in)
+    G = population.gaze.reshape(-1, GAZE_DIM)
     pooled_cfg = TrainConfig(
         epochs=epochs if epochs is not None else cfg.epochs * cfg.rounds,
         lr=cfg.lr,

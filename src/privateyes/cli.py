@@ -17,10 +17,10 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 from .aggregation import OptimizerState
 from .fedcore import (
-    MODEL_KINDS,
     ModelSpec,
     TrainConfig,
     TrainingDivergence,
@@ -29,7 +29,6 @@ from .fedcore import (
 from .field import (
     DecodeOverflowError,
     EncodingRangeError,
-    FieldError,
     FieldParams,
     FixedPointCodec,
     vector_to_bytes,
@@ -48,15 +47,17 @@ from .protocol import (
     SCHEME_ADAPTIVE_FL,
     SCHEME_DATACENTRE,
     SCHEME_PRIVATEYES,
+    client_wire_id,
     run_secure_aggregation,
     run_training,
+    scheme_servers,
+    server_wire_id,
 )
 from .simnet import (
     EDGE_CLIENT_TO_SERVER,
     EDGE_DEALER,
     EDGE_SERVER_TO_CLIENT,
     EDGE_SERVER_TO_SERVER,
-    BEHAVIORS,
     AdversarySpec,
     MsgType,
     Network,
@@ -133,37 +134,49 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.mode not in ("adaptive", "fedavg"):
             raise ConfigError(f"unknown optimizer mode {self.mode!r}")
-        if self.clients < 1 or self.servers < 1 or self.rounds < 0:
-            raise ConfigError("clients/servers/rounds out of range")
+        if self.clients < 1 or self.servers < 1:
+            raise ConfigError("clients/servers out of range")
         if self.corrupted_servers and not 1 <= self.corrupted_servers <= self.servers - 1:
             raise ConfigError("corrupted server count must be in [1, n-1]")
-        if not 0 < self.cohort_fraction <= 1:
-            raise ConfigError("cohort_fraction must be in (0, 1]")
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.d_in < 1 or self.hidden < 1:
-            raise ConfigError("d_in and hidden must be >= 1")
-        try:
-            FixedPointCodec(FieldParams(f_bits=self.f_bits)).check_headroom(self.clients)
-        except FieldError as exc:
-            raise ConfigError(f"bad f_bits {self.f_bits}: {exc}") from exc
-        if self.epochs < 0 or self.lr <= 0 or self.batch < 1:
-            raise ConfigError("epochs must be >= 0, lr > 0 and batch >= 1")
-        try:
-            OptimizerState.zeros(1, eta=self.eta, beta1=self.beta1, beta2=self.beta2, tau=self.tau)
-        except ValueError as exc:
-            raise ConfigError(f"bad [optimizer] values: {exc}") from exc
-        if self.behavior not in BEHAVIORS:
-            raise ConfigError(f"unknown adversary behavior {self.behavior!r}")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ConfigError("attack weights alpha, beta, gamma must be >= 0")
-        if self.steps < 1:
-            raise ConfigError("attack steps must be >= 1")
+        if not 0 <= self.corrupted_clients <= self.clients:
+            raise ConfigError("corrupted client count must be in [0, clients]")
         if self.samples_per_round < 1:
             raise ConfigError("samples_per_round must be >= 1")
         if min(self.heterogeneity, self.sigma_gaze, self.sigma_noise) < 0:
             raise ConfigError("heterogeneity, sigma_gaze and sigma_noise must be >= 0")
+        self.build(self.servers)
         return self
+
+    def build(self, n_servers: int) -> SimpleNamespace:
+        """The objects a run with ``n_servers`` servers is made of: ``spec``,
+        ``train``, ``codec``, ``optimizer``, ``adversary`` (None when no party
+        is corrupted) and ``attack``. A value one of them rejects is a
+        ConfigError."""
+        try:
+            spec = ModelSpec(kind=self.kind, d_in=self.d_in, hidden=self.hidden)
+            codec = FixedPointCodec(FieldParams(f_bits=self.f_bits))
+            codec.check_headroom(self.clients)
+            adversary = AdversarySpec(
+                corrupted_servers=frozenset(
+                    map(server_wire_id, range(min(self.corrupted_servers, n_servers)))),
+                corrupted_clients=frozenset(
+                    client_wire_id(n_servers, j) for j in range(self.corrupted_clients)),
+                behavior=self.behavior,
+                target_round=self.target_round or None,
+            )
+            return SimpleNamespace(
+                spec=spec,
+                train=TrainConfig(epochs=self.epochs, lr=self.lr, batch_size=self.batch,
+                                  rounds=self.rounds, cohort_fraction=self.cohort_fraction),
+                codec=codec,
+                optimizer=OptimizerState.zeros(spec.dim, eta=self.eta, beta1=self.beta1,
+                                               beta2=self.beta2, tau=self.tau),
+                adversary=adversary if self.corrupted_servers or self.corrupted_clients else None,
+                attack=AttackConfig(alpha=self.alpha, beta=self.beta, gamma=self.gamma,
+                                    steps=self.steps, seed=self.seed),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _SECTION_FIELDS = {
@@ -233,29 +246,11 @@ def _population(cfg: ExperimentConfig):
 
 def _run_scheme(cfg, scheme, population):
     """One training of ``scheme`` on ``population``, which it only reads."""
-    train = TrainConfig(
-        epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch,
-        rounds=cfg.rounds, cohort_fraction=cfg.cohort_fraction,
-    )
-    spec = ModelSpec(kind=cfg.kind, d_in=cfg.d_in, hidden=cfg.hidden)
-    codec = FixedPointCodec(FieldParams(f_bits=cfg.f_bits))
-    optimizer = OptimizerState.zeros(
-        spec.dim, eta=cfg.eta, beta1=cfg.beta1, beta2=cfg.beta2, tau=cfg.tau
-    )
-    adversary = None
-    if cfg.corrupted_servers or cfg.corrupted_clients:
-        adversary = AdversarySpec(
-            corrupted_servers=frozenset(1 + i for i in range(cfg.corrupted_servers)),
-            corrupted_clients=frozenset(
-                1 + cfg.servers + j for j in range(cfg.corrupted_clients)
-            ),
-            behavior=cfg.behavior,
-            target_round=cfg.target_round or None,
-        )
+    run = cfg.build(scheme_servers(scheme, cfg.servers))
     return run_training(
-        population, train, spec, scheme,
-        n_servers=cfg.servers, seed=cfg.seed, codec=codec,
-        adversary=adversary, optimizer=optimizer, optimizer_mode=cfg.mode,
+        population, run.train, run.spec, scheme,
+        n_servers=cfg.servers, seed=cfg.seed, codec=run.codec,
+        adversary=run.adversary, optimizer=run.optimizer, optimizer_mode=cfg.mode,
     )
 
 
@@ -338,8 +333,7 @@ def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
         runs = _train_leakage_schemes(cfg)
         if runs is None:
             return 2
-    attack = AttackConfig(alpha=cfg.alpha, beta=cfg.beta, gamma=cfg.gamma,
-                          steps=cfg.steps, seed=cfg.seed)
+    attack = cfg.build(cfg.servers).attack
     reports = {}
     for scheme, (population, result) in runs.items():
         leak = build_leak_set(scheme, result.transcript, population)

@@ -22,6 +22,7 @@ MIXING_SEED = 0x9AE3  # the mixing map is public knowledge
 
 MODEL_KINDS = ("linear", "mlp")
 
+TEST_SAMPLES = 30  # held-out test samples per client
 MAX_PITCH = math.pi / 2
 MAX_YAW = math.pi
 
@@ -47,6 +48,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.d_in < 1 or self.hidden < 1:
+            raise ValueError("d_in and hidden must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -70,29 +73,21 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0 or self.lr <= 0 or self.batch_size <= 0 or self.rounds < 0:
-            raise ValueError("training hyperparameters must be positive")
+            raise ValueError("training needs epochs >= 0, lr > 0, batch_size >= 1 and rounds >= 0")
         if not 0 < self.cohort_fraction <= 1:
             raise ValueError("cohort fraction must be in (0, 1]")
 
 
 @dataclass
-class ClientData:
-    """Per-client generating parameters and per-round disjoint datasets."""
-
-    client_id: int
-    mu: np.ndarray
-    b: np.ndarray
-    round_features: list  # index k-1 -> (m, d_in)
-    round_gaze: list  # index k-1 -> (m, 2)
-    test_features: np.ndarray
-    test_gaze: np.ndarray
-
-    def all_gaze(self) -> np.ndarray:
-        return np.concatenate(self.round_gaze, axis=0)
-
-
-@dataclass
 class Population:
+    """The population as client-indexed arrays: row j of each is client j.
+
+    ``features`` (J, R, m, d_in) and ``gaze`` (J, R, m, 2) hold every
+    client's per-round disjoint training sets, ``test_features`` (J, T, d_in)
+    and ``test_gaze`` (J, T, 2) its held-out test set, and ``mu`` (J, 2) and
+    ``b`` (J, d_in) its generating parameters.
+    """
+
     seed: int
     heterogeneity: float
     samples_per_round: int
@@ -101,11 +96,16 @@ class Population:
     sigma_gaze: float
     sigma_noise: float
     A: np.ndarray
-    clients: list
+    mu: np.ndarray
+    b: np.ndarray
+    features: np.ndarray
+    gaze: np.ndarray
+    test_features: np.ndarray
+    test_gaze: np.ndarray
 
     @property
     def num_clients(self) -> int:
-        return len(self.clients)
+        return len(self.mu)
 
     def priors(self) -> dict:
         """Population-level generating priors; public attacker knowledge."""
@@ -126,45 +126,38 @@ def gen_synthetic_population(
     d_in: int = 8,
     sigma_gaze: float = 0.15,
     sigma_noise: float = 0.05,
-    test_samples: int = 30,
 ) -> Population:
     if num_clients < 1:
         raise ValueError("need at least one client")
+    J, m, T = num_clients, samples_per_round, TEST_SAMPLES
     A = mixing_map(d_in)
-    clients = []
-    for j in range(num_clients):
+    mu, b = np.empty((J, GAZE_DIM)), np.empty((J, d_in))
+    features, gaze = np.empty((J, rounds, m, d_in)), np.empty((J, rounds, m, GAZE_DIM))
+    test_features, test_gaze = np.empty((J, T, d_in)), np.empty((J, T, GAZE_DIM))
+    for j in range(J):
         rng = np.random.default_rng([seed, 0xC11E27, j])
-        mu = np.clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), -0.6, 0.6)
-        b = rng.normal(0.0, 0.5 * heterogeneity, d_in)
-        round_features, round_gaze = [], []
+        mu[j] = np.clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), -0.6, 0.6)
+        b[j] = rng.normal(0.0, 0.5 * heterogeneity, d_in)
         for k in range(rounds):
             rr = np.random.default_rng([seed, 0xDA7A, j, k])
-            G = _sample_gaze(rr, mu, sigma_gaze, samples_per_round)
-            X = G @ A.T + b + rr.normal(0.0, sigma_noise, (samples_per_round, d_in))
-            round_features.append(X)
-            round_gaze.append(G)
+            features[j, k], gaze[j, k] = _draw(rr, mu[j], b[j], A, sigma_gaze, sigma_noise, m)
         tr = np.random.default_rng([seed, 0x7E57, j])
-        TG = _sample_gaze(tr, mu, sigma_gaze, test_samples)
-        TX = TG @ A.T + b + tr.normal(0.0, sigma_noise, (test_samples, d_in))
-        clients.append(ClientData(j, mu, b, round_features, round_gaze, TX, TG))
+        test_features[j], test_gaze[j] = _draw(tr, mu[j], b[j], A, sigma_gaze, sigma_noise, T)
     return Population(
-        seed=seed,
-        heterogeneity=heterogeneity,
-        samples_per_round=samples_per_round,
-        rounds=rounds,
-        d_in=d_in,
-        sigma_gaze=sigma_gaze,
-        sigma_noise=sigma_noise,
-        A=A,
-        clients=clients,
+        seed=seed, heterogeneity=heterogeneity, samples_per_round=samples_per_round,
+        rounds=rounds, d_in=d_in, sigma_gaze=sigma_gaze, sigma_noise=sigma_noise, A=A,
+        mu=mu, b=b, features=features, gaze=gaze,
+        test_features=test_features, test_gaze=test_gaze,
     )
 
 
-def _sample_gaze(rng, mu, sigma, count):
-    G = mu + rng.normal(0.0, sigma, (count, GAZE_DIM))
+def _draw(rng, mu, b, A, sigma_gaze, sigma_noise, count):
+    """``count`` (features, gaze) samples of one client: gaze drawn around mu
+    and clipped to the valid angles, then mixed, offset by b and noised."""
+    G = mu + rng.normal(0.0, sigma_gaze, (count, GAZE_DIM))
     G[:, 0] = np.clip(G[:, 0], -MAX_PITCH, MAX_PITCH)
     G[:, 1] = np.clip(G[:, 1], -MAX_YAW, MAX_YAW)
-    return G
+    return G @ A.T + b + rng.normal(0.0, sigma_noise, (count, len(b))), G
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +310,17 @@ def mean_angular_error(pred_angles: np.ndarray, true_angles: np.ndarray) -> floa
 def evaluate_model(spec: ModelSpec, w: np.ndarray, population: Population):
     """Mean test angular error in degrees plus the per-client breakdown.
 
-    Predicts on the stacked (J, n, d_in) test sets in one call, so every
-    client's test set has the same size n (``gen_synthetic_population`` draws
-    ``test_samples`` for each). Per-client means and the weighted total
-    accumulate in client order, as a per-client loop would.
+    Predicts on the (J, T, d_in) test sets in one call. Per-client means and
+    the weighted total accumulate in client order, as a per-client loop would.
     """
-    clients = population.clients
-    if any(client.test_features.shape[0] == 0 for client in clients):
-        raise ValueError("empty test set")
-    P = predict(spec, w, np.stack([client.test_features for client in clients]))
-    errs = angular_errors_deg(P, np.stack([client.test_gaze for client in clients]))
-    per_client = {}
-    total_err, total_count = 0.0, 0
-    for client, err in zip(clients, errs.mean(axis=-1).tolist()):
-        per_client[client.client_id] = err
-        total_err += err * client.test_features.shape[0]
-        total_count += client.test_features.shape[0]
-    return total_err / total_count, per_client
+    P = predict(spec, w, population.test_features)
+    errs = angular_errors_deg(P, population.test_gaze)
+    count = population.test_features.shape[1]
+    per_client = dict(enumerate(errs.mean(axis=-1).tolist()))
+    total_err = 0.0
+    for err in per_client.values():
+        total_err += err * count
+    return total_err / (count * len(per_client)), per_client
 
 
 def fairness_spread(per_client: dict) -> float:
@@ -353,11 +340,11 @@ def export_population_csv(population: Population, path) -> None:
         header += [f"f{i + 1}" for i in range(population.d_in)]
         header += ["pitch", "yaw"]
         writer.writerow(header)
-        for client in population.clients:
-            for k, (X, G) in enumerate(zip(client.round_features, client.round_gaze), start=1):
-                for x_row, g_row in zip(X, G):
+        for j in range(population.num_clients):
+            for k in range(population.rounds):
+                for x_row, g_row in zip(population.features[j, k], population.gaze[j, k]):
                     writer.writerow(
-                        [client.client_id, k]
+                        [j, k + 1]
                         + [f"{v:.17g}" for v in x_row]
                         + [f"{g_row[0]:.17g}", f"{g_row[1]:.17g}"]
                     )

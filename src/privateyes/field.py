@@ -95,7 +95,7 @@ class FixedPointCodec:
         bound = count * 2 ** (self.params.f_bits + MAGNITUDE_BITS)
         if self.signed and bound >= self.params.q // 2:
             raise FieldError(f"modulus too small for the fixed-point headroom of "
-                             f"sums of {count} values")
+                             f"sums of {count} values at f_bits = {self.params.f_bits}")
 
     @property
     def scale(self) -> int:

@@ -58,9 +58,9 @@ class AttackConfig:
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
-            raise LeakprobeError("loss weights must be non-negative")
+            raise LeakprobeError("attack weights alpha, beta, gamma must be >= 0")
         if self.steps < 1 or self.prior_strength <= 0:
-            raise LeakprobeError("bad attack budget")
+            raise LeakprobeError("attack steps must be >= 1 and prior_strength > 0")
 
 
 @dataclass
@@ -104,7 +104,7 @@ def build_leak_set(scheme: str, transcript: Transcript, population: Population =
     if scheme == SCHEME_DATACENTRE:
         if population is None:
             raise LeakprobeError("datacentre leak view needs the raw datasets")
-        raw = {c.client_id: c.all_gaze() for c in population.clients}
+        raw = dict(enumerate(population.gaze.reshape(population.num_clients, -1, GAZE_DIM)))
         return LeakageTranscript(scheme, pub, {"raw": raw, "om": oms})
     if scheme == SCHEME_GENERIC_MPC:
         return LeakageTranscript(scheme, pub, {})
@@ -304,21 +304,22 @@ def dualview_lite_reconstruct(
     pub = leak.pub
     report = ReconstructionReport(scheme=leak.scheme)
     rng = np.random.default_rng([cfg.seed, 0xA77AC4])
+    truth = population.gaze.reshape(population.num_clients, -1, GAZE_DIM)
 
     if leak.scheme == SCHEME_DATACENTRE:
         # The raw data leaks; reconstruction is the data itself.
         for j, gaze in leak.leak["raw"].items():
-            report.per_client[j] = _score(gaze.mean(axis=0), gaze, population.clients[j], pub, rng)
+            report.per_client[j] = _score(gaze.mean(axis=0), gaze, truth[j], pub)
             report.per_client[j]["converged"] = True
         return report.finalize()
 
     if leak.scheme == SCHEME_GENERIC_MPC:
         # Nothing leaks: the best estimate is the population prior.
-        for client in population.clients:
+        for j in range(population.num_clients):
             est = np.zeros(GAZE_DIM)
             samples = _draw_recon_samples(est, pub, cfg, rng)
-            report.per_client[client.client_id] = _score(est, samples, client, pub, rng)
-            report.per_client[client.client_id]["converged"] = True
+            report.per_client[j] = _score(est, samples, truth[j], pub)
+            report.per_client[j]["converged"] = True
         return report.finalize()
 
     d_in = pub["mixing_map"].shape[0]
@@ -338,12 +339,11 @@ def dualview_lite_reconstruct(
             converged = converged and ok
         for j in clients:
             estimates[j] = (theta, converged)
-    for client in population.clients:
-        j = client.client_id
+    for j in range(population.num_clients):
         theta, converged = estimates.get(j, (np.zeros(GAZE_DIM + d_in), True))
         est_mu = theta[:GAZE_DIM]
         samples = _draw_recon_samples(est_mu, pub, cfg, rng)
-        entry = _score(est_mu, samples, client, pub, rng)
+        entry = _score(est_mu, samples, truth[j], pub)
         entry["b_hat"] = theta[GAZE_DIM:]
         entry["converged"] = converged
         report.per_client[j] = entry
@@ -375,8 +375,7 @@ def _draw_recon_samples(est_mu, pub, cfg, rng):
     return est_mu + rng.normal(0.0, sigma, (cfg.recon_samples, GAZE_DIM))
 
 
-def _score(est_mu, recon_samples, client, pub, rng):
-    truth = client.all_gaze()
+def _score(est_mu, recon_samples, truth, pub):
     true_mu = truth.mean(axis=0)
     return {
         "mu_hat": np.asarray(est_mu, dtype=float),

@@ -82,6 +82,11 @@ def client_wire_id(n_servers: int, j: int) -> int:
     return 1 + n_servers + j
 
 
+def scheme_servers(scheme: str, n_servers: int) -> int:
+    """Servers a run of ``scheme`` has: all ``n_servers`` in secure mode, one otherwise."""
+    return n_servers if scheme == SCHEME_PRIVATEYES else 1
+
+
 @dataclass
 class Transcript:
     """Everything exchanged in a run plus the ground-truth section.
@@ -171,21 +176,21 @@ def run_secure_aggregation_round(
     net: Network,
     dealer,
     round_index: int,
-    inputs: dict,
+    cohort: list,
+    inputs: np.ndarray,
     seed: int,
 ):
     """One dealer-assisted aggregation of the clients' field vectors.
 
-    ``inputs`` maps population client index -> encoded vector (a limb vector
-    or a sequence of ints). Returns a namespace with the opened sum (or None
+    ``inputs`` (len(cohort), d, 2) holds population client cohort[i]'s
+    encoded vector in row i. Returns a namespace with the opened sum (or None
     plus an abort reason), the per-server aggregate value shares, and the
     per-client reconstructed sums from the share return, all limb vectors.
     """
     params = dealer.params
     n = dealer.n
-    d = len(next(iter(inputs.values())))
-    order = sorted(inputs)
-    clients = [client_wire_id(n, j) for j in order]
+    J, d = inputs.shape[:2]
+    clients = [client_wire_id(n, j) for j in cohort]
     servers = [server_wire_id(i) for i in range(n)]
     kappa_shares = from_ints(dealer.key.key_shares)
 
@@ -203,7 +208,7 @@ def run_secure_aggregation_round(
                       [(cid, DEALER_ID) for cid in clients], d)
     if r is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "mask delivery")
-    eps = vec_sub(np.stack([as_limbs(inputs[j]) for j in order]), r, params)
+    eps = vec_sub(inputs, r, params)
     net.send_many(MsgType.INPUT_OFFSET, round_index,
                   [(cid, sid, payload) for cid, payload in zip(clients, _payloads(eps))
                    for sid in servers])
@@ -212,15 +217,15 @@ def run_secure_aggregation_round(
     # Every dealer frame precedes every offset in a server's inbox, so taking
     # all masks first keeps each receive at the head of the inbox.
     masks = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index,
-                          [(sid, DEALER_ID) for sid in servers for _ in order], 2 * d)
+                          [(sid, DEALER_ID) for sid in servers for _ in cohort], 2 * d)
     offsets = _recv_vectors(net, MsgType.INPUT_OFFSET, round_index,
                             [(sid, cid) for sid in servers for cid in clients], d)
     if masks is None or offsets is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "input phase")
     # Per server i: sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j,
     # with server 0 also absorbing sum_j eps_j into its value share.
-    r_sums = vec_sum(masks.reshape(n, len(order), 2 * d, 2), params, axis=1)
-    eps_sums = vec_sum(offsets.reshape(n, len(order), d, 2), params, axis=1)
+    r_sums = vec_sum(masks.reshape(n, J, 2 * d, 2), params, axis=1)
+    eps_sums = vec_sum(offsets.reshape(n, J, d, 2), params, axis=1)
     value_vecs = r_sums[:, :d].copy()
     value_vecs[0] = vec_add(value_vecs[0], eps_sums[0], params)
     mac_vecs = vec_add(r_sums[:, d:], vec_mul(kappa_shares[:, None], eps_sums, params), params)
@@ -238,14 +243,14 @@ def run_secure_aggregation_round(
                              [(cid, sid) for cid in clients for sid in servers], d)
     if returned is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "share return")
-    sums = vec_sum(returned.reshape(len(order), n, d, 2), params, axis=1)
+    sums = vec_sum(returned.reshape(J, n, d, 2), params, axis=1)
 
     return SimpleNamespace(
         opened=opened,
         abort_reason=None,
         abort_phase=None,
         per_server_value_shares=list(value_vecs),
-        client_sums=dict(zip(order, sums)),
+        client_sums=dict(zip(cohort, sums)),
     )
 
 
@@ -348,7 +353,9 @@ def run_secure_aggregation(
     if dealer is None:
         dealer = Dealer(n_servers, Random(derive_seed(seed, "dealer")), params)
     _distribute_key_shares(net, dealer)
-    result = run_secure_aggregation_round(net, dealer, 1, inputs, seed)
+    order = sorted(inputs)
+    stacked = np.stack([as_limbs(inputs[j]) for j in order])
+    result = run_secure_aggregation_round(net, dealer, 1, order, stacked, seed)
     result.net = net
     return result
 
@@ -401,7 +408,7 @@ def run_training(
     if scheme == SCHEME_DATACENTRE:
         return _run_datacentre(population, cfg, spec, seed, config, evaluate)
 
-    n = n_servers if scheme == SCHEME_PRIVATEYES else 1
+    n = scheme_servers(scheme, n_servers)
     roles = _build_roles(n, population.num_clients)
     net = Network(roles, codec.params, adversary)
     transcript = Transcript(scheme=scheme, config=config, comm=net.metrics)
@@ -428,12 +435,11 @@ def run_training(
 
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
         stacked = codec.encode_vector(updates)
-        encoded = dict(zip(cohort, stacked))
         for j, iu in zip(cohort, codec.decode_vector(stacked)):
             transcript.ground_truth_iu[(j, k)] = iu
 
         if scheme == SCHEME_PRIVATEYES:
-            result = run_secure_aggregation_round(net, dealer, k, encoded, seed)
+            result = run_secure_aggregation_round(net, dealer, k, cohort, stacked, seed)
             if result.opened is None:
                 aborted, reason, phase = True, result.abort_reason, result.abort_phase
             else:

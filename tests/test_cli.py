@@ -14,6 +14,7 @@ from privateyes.cli import (
     main,
     measure_communication,
 )
+from privateyes.protocol import SCHEME_ADAPTIVE_FL, client_wire_id, server_wire_id
 from privateyes.simnet import overhead_ratio
 
 
@@ -193,7 +194,11 @@ def test_attack_subcommand(tmp_path):
 
 @pytest.mark.parametrize("section,line", [
     ("model", "kind = cnn"),
+    ("model", "d_in = 0"),
+    ("model", "hidden = 0"),
     ("adversary", "behavior = foo"),
+    ("adversary", "corrupted_clients = 4"),
+    ("adversary", "corrupted_clients = -1"),
     ("train", "epochs = -1"),
     ("train", "batch = 0"),
     ("field", "f_bits = 200"),
@@ -301,3 +306,15 @@ def test_report_builds_the_population_once(tmp_path, monkeypatch):
     assert len(builds) == 1
     for name, digest in PINNED_REPORT_SHA.items():
         assert hashlib.sha256((tmp_path / "r" / name).read_bytes()).hexdigest() == digest
+
+
+def test_adversary_wire_ids_follow_the_schemes_server_count():
+    # adaptive_fl runs one server, so client 0 is wire id 2, not 1 + servers.
+    cfg = ExperimentConfig(clients=4, rounds=2, corrupted_clients=1).validate()
+    result = cli._run_scheme(cfg, SCHEME_ADAPTIVE_FL, cli._population(cfg))
+    view = result.transcript.adversary_view
+    assert view
+    assert all(client_wire_id(1, 0) in (f["sender"], f["receiver"]) for f in view)
+    # Corrupted servers beyond the scheme's own are not parties of its run.
+    adversary = ExperimentConfig(corrupted_servers=2).build(1).adversary
+    assert adversary.corrupted_servers == {server_wire_id(0)}

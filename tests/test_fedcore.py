@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,19 +27,45 @@ from privateyes.fedcore import (
 def test_population_deterministic():
     a = gen_synthetic_population(5, seed=9)
     b = gen_synthetic_population(5, seed=9)
-    for ca, cb in zip(a.clients, b.clients):
-        assert np.array_equal(ca.mu, cb.mu)
-        assert np.array_equal(ca.round_features[0], cb.round_features[0])
-        assert np.array_equal(ca.test_gaze, cb.test_gaze)
+    for j in range(5):
+        assert np.array_equal(a.mu[j], b.mu[j])
+        assert np.array_equal(a.features[j, 0], b.features[j, 0])
+        assert np.array_equal(a.test_gaze[j], b.test_gaze[j])
     c = gen_synthetic_population(5, seed=10)
-    assert not np.array_equal(a.clients[0].mu, c.clients[0].mu)
+    assert not np.array_equal(a.mu[0], c.mu[0])
+
+
+# sha256 over the bytes of mu, b, features, gaze, test_features and test_gaze
+# in that order, captured from the per-client generator this population
+# replaced (client-major, then round), for two shapes.
+PINNED_POPULATIONS = [
+    (dict(num_clients=5, seed=9),
+     "5a4e94ff7667a94c304b0d415f2b2f171c79e5d84543c9bd215b6bcabbe82759"),
+    (dict(num_clients=3, seed=2, rounds=2, samples_per_round=3, d_in=4, heterogeneity=0),
+     "0e2eee7085b9d3881173e85ed2f6b3590d29eba54782285b914dc1fff32aaa6d"),
+]
+
+
+def test_population_arrays_pinned():
+    for kwargs, digest in PINNED_POPULATIONS:
+        pop = gen_synthetic_population(**kwargs)
+        J, R = kwargs["num_clients"], kwargs.get("rounds", 10)
+        m, d = kwargs.get("samples_per_round", 20), kwargs.get("d_in", 8)
+        arrays = [pop.mu, pop.b, pop.features, pop.gaze, pop.test_features, pop.test_gaze]
+        assert [a.shape for a in arrays] == [(J, 2), (J, d), (J, R, m, d), (J, R, m, 2),
+                                             (J, 30, d), (J, 30, 2)]
+        h = hashlib.sha256()
+        for a in arrays:
+            assert a.dtype.str == "<f8" and a.flags.c_contiguous
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
 
 def test_zero_heterogeneity_shares_parameters():
     pop = gen_synthetic_population(4, seed=0, heterogeneity=0.0)
-    for client in pop.clients[1:]:
-        assert np.array_equal(client.mu, pop.clients[0].mu)
-        assert np.array_equal(client.b, pop.clients[0].b)
+    for j in range(1, 4):
+        assert np.array_equal(pop.mu[j], pop.mu[0])
+        assert np.array_equal(pop.b[j], pop.b[0])
 
 
 def test_mixing_map_public_and_fixed():
@@ -47,10 +75,10 @@ def test_mixing_map_public_and_fixed():
 
 def test_round_datasets_disjoint_draws():
     pop = gen_synthetic_population(2, seed=1, rounds=3, samples_per_round=10)
-    client = pop.clients[0]
-    assert len(client.round_gaze) == 3
-    assert not np.array_equal(client.round_gaze[0], client.round_gaze[1])
-    assert client.all_gaze().shape == (30, GAZE_DIM)
+    gaze = pop.gaze[0]
+    assert len(gaze) == 3
+    assert not np.array_equal(gaze[0], gaze[1])
+    assert gaze.reshape(-1, GAZE_DIM).shape == (30, GAZE_DIM)
 
 
 def test_model_dims():
@@ -97,7 +125,7 @@ def test_local_train_deterministic_and_moves():
     spec = ModelSpec()
     cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
     w0 = init_weights(spec, 0)
-    X, G = pop.clients[0].round_features[0], pop.clients[0].round_gaze[0]
+    X, G = pop.features[0, 0], pop.gaze[0, 0]
     w1 = local_train(w0, X, G, cfg, spec, seed=5)
     w2 = local_train(w0, X, G, cfg, spec, seed=5)
     assert np.array_equal(w1, w2)
@@ -112,7 +140,7 @@ def test_zero_epochs_is_identity():
     w0 = init_weights(spec, 0)
     pop = gen_synthetic_population(1, seed=4)
     cfg = TrainConfig(epochs=0)
-    X, G = pop.clients[0].round_features[0], pop.clients[0].round_gaze[0]
+    X, G = pop.features[0, 0], pop.gaze[0, 0]
     assert np.array_equal(local_train(w0, X, G, cfg, spec, 0), w0)
 
 
@@ -152,8 +180,7 @@ def test_stacked_local_train_matches_per_client_loop(kind, epochs):
     pop = gen_synthetic_population(7, seed=11, samples_per_round=20, d_in=5)
     cfg = TrainConfig(epochs=epochs, lr=0.1, batch_size=8)
     w0 = init_weights(spec, 3)
-    X = np.stack([c.round_features[0] for c in pop.clients])
-    G = np.stack([c.round_gaze[0] for c in pop.clients])
+    X, G = pop.features[:, 0], pop.gaze[:, 0]
     seeds = [100 + j for j in range(7)]
     stacked = local_train(w0, X, G, cfg, spec, seeds)
     assert stacked.shape == (7, spec.dim) and stacked.dtype == np.float64
@@ -166,8 +193,8 @@ def test_stacked_local_train_matches_per_client_loop(kind, epochs):
 def test_one_diverging_client_in_a_block_raises():
     spec = ModelSpec()
     pop = gen_synthetic_population(4, seed=12)
-    X = np.stack([c.round_features[0] for c in pop.clients])
-    G = np.stack([c.round_gaze[0] for c in pop.clients])
+    # Copied: a slice of the population is a view of it.
+    X, G = pop.features[:, 0].copy(), pop.gaze[:, 0]
     X[2] *= 1e200
     cfg = TrainConfig(epochs=1, lr=0.1, batch_size=8)
     w0 = init_weights(spec, 0)
@@ -183,11 +210,11 @@ def test_stacked_evaluate_matches_per_client_loop(kind):
     pop = gen_synthetic_population(9, seed=13)
     w = init_weights(spec, 4)
     expected, total_err, total_count = {}, 0.0, 0
-    for client in pop.clients:
-        err = mean_angular_error(predict(spec, w, client.test_features), client.test_gaze)
-        expected[client.client_id] = err
-        total_err += err * client.test_features.shape[0]
-        total_count += client.test_features.shape[0]
+    for j in range(9):
+        err = mean_angular_error(predict(spec, w, pop.test_features[j]), pop.test_gaze[j])
+        expected[j] = err
+        total_err += err * pop.test_features[j].shape[0]
+        total_count += pop.test_features[j].shape[0]
     mean_err, per_client = evaluate_model(spec, w, pop)
     assert per_client == expected
     assert all(type(err) is float for err in per_client.values())
@@ -218,8 +245,8 @@ def test_csv_roundtrip(tmp_path):
     groups = import_population_csv(path)
     assert set(groups) == {(j, k) for j in (0, 1) for k in (1, 2)}
     X, G = groups[(0, 1)]
-    assert np.array_equal(X, pop.clients[0].round_features[0])
-    assert np.array_equal(G, pop.clients[0].round_gaze[0])
+    assert np.array_equal(X, pop.features[0, 0])
+    assert np.array_equal(G, pop.gaze[0, 0])
 
 
 def test_select_cohort():
