@@ -25,6 +25,7 @@ MODEL_KINDS = ("linear", "mlp")
 TEST_SAMPLES = 30  # held-out test samples per client
 MAX_PITCH = math.pi / 2
 MAX_YAW = math.pi
+GAZE_LIMITS = np.array([MAX_PITCH, MAX_YAW])
 
 
 class TrainingDivergence(RuntimeError):
@@ -136,7 +137,7 @@ def gen_synthetic_population(
     test_features, test_gaze = np.empty((J, T, d_in)), np.empty((J, T, GAZE_DIM))
     for j in range(J):
         rng = np.random.default_rng([seed, 0xC11E27, j])
-        mu[j] = np.clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), -0.6, 0.6)
+        mu[j] = _clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), 0.6)
         b[j] = rng.normal(0.0, 0.5 * heterogeneity, d_in)
         for k in range(rounds):
             rr = np.random.default_rng([seed, 0xDA7A, j, k])
@@ -154,10 +155,14 @@ def gen_synthetic_population(
 def _draw(rng, mu, b, A, sigma_gaze, sigma_noise, count):
     """``count`` (features, gaze) samples of one client: gaze drawn around mu
     and clipped to the valid angles, then mixed, offset by b and noised."""
-    G = mu + rng.normal(0.0, sigma_gaze, (count, GAZE_DIM))
-    G[:, 0] = np.clip(G[:, 0], -MAX_PITCH, MAX_PITCH)
-    G[:, 1] = np.clip(G[:, 1], -MAX_YAW, MAX_YAW)
+    G = _clip(mu + rng.normal(0.0, sigma_gaze, (count, GAZE_DIM)), GAZE_LIMITS)
     return G @ A.T + b + rng.normal(0.0, sigma_noise, (count, len(b))), G
+
+
+def _clip(x, bound):
+    """np.clip(x, -bound, bound) in place, without the wrapper's call overhead."""
+    np.maximum(x, -bound, out=x)
+    return np.minimum(x, bound, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +199,9 @@ def predict(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Predicted (pitch, yaw) for rows X (..., m, d_in) under one model w (dim,)."""
     if spec.kind == "linear":
         W, c = _unpack_linear(spec, w)
-        return X @ W + c
+        return _add_rows(X @ W, c)
     W1, b1, W2, c = _unpack_mlp(spec, w)
-    return np.tanh(X @ W1 + b1) @ W2 + c
+    return _add_rows(np.tanh(X @ W1 + b1) @ W2, c)
 
 
 def _t(A):
@@ -205,6 +210,37 @@ def _t(A):
 
 def _flat(A):
     return A.reshape(*A.shape[:-2], -1)
+
+
+# The (pitch, yaw) axis has length 2, and numpy runs an inner loop per row
+# over it: broadcasting a bias over the rows or summing the rows costs a
+# loop call per 2 numbers. Viewed as complex128, each pair is one element,
+# so the loops run over rows instead. Complex + adds the two parts
+# separately, so every result keeps the bits of the float code it replaces.
+
+
+def _add_rows(E, c):
+    """E + c[..., None, :] for E (..., m, 2) and c (..., 2), in place in E.
+    c is copied if its pairs are not contiguous, as in local_train's
+    column-major stacked weights."""
+    rows = E.view(np.complex128)
+    rows += np.ascontiguousarray(c).view(np.complex128)[..., None, :]
+    return E
+
+
+def _row_sum(E):
+    """E.sum(axis=-2) for E (..., m, 2), leading axes at most one. numpy adds
+    the m rows in order; so does a sum over axis 0 of a copy with the batch
+    axis first."""
+    rows = E.view(np.complex128).swapaxes(0, -2).copy()
+    return np.add.reduce(rows.view(np.float64), axis=0)
+
+
+def _mean_squared(E):
+    """np.mean(np.sum(E**2, axis=-1), axis=-1) for E (..., m, 2): numpy sums
+    the length-2 axis as e0 + e1, and mean is add.reduce, then / m."""
+    sq = E * E
+    return np.add.reduce(sq[..., 0] + sq[..., 1], axis=-1) / E.shape[-2]
 
 
 def loss_and_grad(spec: ModelSpec, w: np.ndarray, X: np.ndarray, G: np.ndarray):
@@ -219,19 +255,20 @@ def loss_and_grad(spec: ModelSpec, w: np.ndarray, X: np.ndarray, G: np.ndarray):
     m = X.shape[-2]
     if spec.kind == "linear":
         W, c = _unpack_linear(spec, w)
-        E = X @ W + c[..., None, :] - G
-        loss = np.mean(np.sum(E**2, axis=-1), axis=-1)
+        E = _add_rows(X @ W, c)
+        E -= G
         grad_W = 2.0 / m * _t(X) @ E
-        grad_c = 2.0 / m * E.sum(axis=-2)
-        return loss, np.concatenate([_flat(grad_W), grad_c], axis=-1)
+        grad_c = 2.0 / m * _row_sum(E)
+        return _mean_squared(E), np.concatenate([_flat(grad_W), grad_c], axis=-1)
     W1, b1, W2, c = _unpack_mlp(spec, w)
     Z = X @ W1 + b1[..., None, :]
     H = np.tanh(Z)
-    E = H @ W2 + c[..., None, :] - G
-    loss = np.mean(np.sum(E**2, axis=-1), axis=-1)
+    E = _add_rows(H @ W2, c)
+    E -= G
+    loss = _mean_squared(E)
     dE = 2.0 / m * E
     grad_W2 = _t(H) @ dE
-    grad_c = dE.sum(axis=-2)
+    grad_c = _row_sum(dE)
     dH = dE @ _t(W2) * (1.0 - H**2)
     grad_W1 = _t(X) @ dH
     grad_b1 = dH.sum(axis=-2)
@@ -259,15 +296,18 @@ def local_train(
     stacked = X.ndim == 3
     if not stacked:
         X, G, seed = X[None], G[None], [seed]
-    w = np.array(np.broadcast_to(w, (X.shape[0], w.shape[-1])), dtype=np.float64)
+    J, m, d_in = X.shape
+    w = np.array(np.broadcast_to(w, (J, w.shape[-1])), dtype=np.float64)
     rngs = [np.random.default_rng([s, 0x10CA1]) for s in seed]
-    rows = np.arange(X.shape[0])[:, None]
-    m = X.shape[1]
+    # Batches are taken from the client-major rows with one flat index each.
+    X, G = X.reshape(J * m, d_in), G.reshape(J * m, GAZE_DIM)
+    first_rows = np.arange(0, J * m, m)[:, None]
     for _ in range(cfg.epochs):
         order = np.stack([rng.permutation(m) for rng in rngs])
+        order += first_rows
         for start in range(0, m, cfg.batch_size):
             idx = order[:, start : start + cfg.batch_size]
-            loss, grad = loss_and_grad(spec, w, X[rows, idx], G[rows, idx])
+            loss, grad = loss_and_grad(spec, w, X.take(idx, axis=0), G.take(idx, axis=0))
             finite = np.isfinite(loss)
             if not finite.all():
                 raise TrainingDivergence(f"non-finite loss {loss[~finite][0]}")
@@ -286,9 +326,11 @@ def gaze_to_vec(pitch: float, yaw: float) -> np.ndarray:
 
 
 def gaze_to_vecs(angles: np.ndarray) -> np.ndarray:
+    """Unit gaze vectors of (..., 2) (pitch, yaw) angles, component-first:
+    (3, ...)."""
     p, y = angles[..., 0], angles[..., 1]
     cp = np.cos(p)
-    return np.stack([cp * np.sin(y), np.sin(p), cp * np.cos(y)], axis=-1)
+    return np.stack([cp * np.sin(y), np.sin(p), cp * np.cos(y)])
 
 
 def angular_error(pred, truth) -> float:
@@ -298,9 +340,15 @@ def angular_error(pred, truth) -> float:
 
 
 def angular_errors_deg(pred_angles: np.ndarray, true_angles: np.ndarray) -> np.ndarray:
-    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays."""
-    dots = np.sum(gaze_to_vecs(pred_angles) * gaze_to_vecs(true_angles), axis=-1)
-    return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays.
+
+    The dot products add their terms as np.sum does over a length-3 axis,
+    (x + y) + z, without its inner loop per row.
+    """
+    terms = gaze_to_vecs(pred_angles) * gaze_to_vecs(true_angles)
+    dots = terms[0] + terms[1]
+    dots += terms[2]
+    return np.degrees(np.arccos(_clip(dots, 1.0)))
 
 
 def mean_angular_error(pred_angles: np.ndarray, true_angles: np.ndarray) -> float:

@@ -519,10 +519,16 @@ def grid_kde_density(data, axes) -> np.ndarray:
     x0, x1 = (data - centre).T
     a = (axes[0] - centre[0])[:, None]
     b = (axes[1] - centre[1])[:, None]
+    # A and B in four (G, n) buffers, each term in the order the formulas
+    # above give: da and db end up holding the second terms.
     da = a - x0
     db = b - x1
-    A = -0.5 * S[0, 0] * da * da + S[0, 1] * x1 * da
-    B = -0.5 * S[1, 1] * db * db + S[0, 1] * x0 * b
+    A = np.multiply(-0.5 * S[0, 0], da)
+    A *= da
+    A += np.multiply(S[0, 1] * x1, da, out=da)
+    B = np.multiply(-0.5 * S[1, 1], db)
+    B *= db
+    B += np.multiply(S[0, 1] * x0, b, out=db)
     mA = A.max(axis=1, keepdims=True)
     mB = B.max(axis=1, keepdims=True)
     C = -S[0, 1] * (a * b.T)

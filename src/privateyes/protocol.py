@@ -153,10 +153,11 @@ class RunResult:
 
 def _payloads(vectors) -> list:
     """Wire bytes of each row of a stacked (..., length, 2) limb array,
-    sliced from one buffer."""
-    buf = vectors.tobytes()
+    copied out of the array's memory row by row, with no whole-array bytes
+    copy held beside the rows."""
+    buf = memoryview(np.ascontiguousarray(vectors)).cast("B")
     size = vectors.shape[-2] * ELEMENT_BYTES
-    return [buf[i : i + size] for i in range(0, len(buf), size)]
+    return [bytes(buf[i : i + size]) for i in range(0, len(buf), size)]
 
 
 def _recv_vectors(net: Network, msg_type: MsgType, round_index: int, edges: list, length: int):
@@ -170,6 +171,18 @@ def _recv_vectors(net: Network, msg_type: MsgType, round_index: int, edges: list
     if set(map(len, payloads)) - {length * ELEMENT_BYTES}:
         raise FieldError(f"payload is not a vector of {length} field elements")
     return vector_from_bytes(b"".join(payloads)).reshape(len(msgs), length, 2)
+
+
+def _send_masks(net, dealer, round_index, clients, servers, d):
+    """The dealer's frames: each client's r vector, then every server's
+    shares of it. Only the payloads, held by the inboxes, outlive the call."""
+    masks = dealer.issue_masks(clients, d)
+    share_payloads = iter(_payloads(masks.server_shares))
+    frames = []
+    for cid, r_payload in zip(clients, _payloads(masks.r)):
+        frames.append((DEALER_ID, cid, r_payload))
+        frames.extend((DEALER_ID, sid, next(share_payloads)) for sid in servers)
+    net.send_many(MsgType.MASK_DELIVERY, round_index, frames)
 
 
 def run_secure_aggregation_round(
@@ -194,14 +207,7 @@ def run_secure_aggregation_round(
     servers = [server_wire_id(i) for i in range(n)]
     kappa_shares = from_ints(dealer.key.key_shares)
 
-    # Dealer: one r-vector frame per client, one share frame per server.
-    frames = []
-    for cid in clients:
-        masks = dealer.issue_masks(cid, d)
-        frames.append((DEALER_ID, cid, masks.r.tobytes()))
-        frames.extend((DEALER_ID, sid, payload)
-                      for sid, payload in zip(servers, _payloads(masks.server_shares)))
-    net.send_many(MsgType.MASK_DELIVERY, round_index, frames)
+    _send_masks(net, dealer, round_index, clients, servers, d)
 
     # Clients: publish epsilon = x - r to every server, the cohort at once.
     r = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index,

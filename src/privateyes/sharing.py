@@ -16,7 +16,7 @@ from random import Random
 
 import numpy as np
 
-from .field import FieldParams, from_ints, random_vector, vec_mul, vec_sub, vec_sum
+from .field import LIMB_DTYPE, FieldParams, from_ints, random_vector, vec_mul, vec_sub, vec_sum
 
 MASK_POOL_SIZE = 1 << 10  # masks per bulk draw; a draw's cost per mask flattens from here
 
@@ -72,18 +72,22 @@ class MacKeySharing:
 
 @dataclass
 class MaskBatch:
-    """``count`` single-use masks for one client, as limb arrays.
+    """``count`` single-use masks for one client, or for each of a list of
+    clients, as limb arrays.
 
-    ``r`` (count, 2) goes to the client; ``server_shares[i]`` (2 * count, 2)
-    goes to server i: its value shares of r, then its MAC shares of kappa*r.
+    ``r`` (..., count, 2) goes to the client; ``server_shares[..., i, :, :]``
+    (2 * count, 2) goes to server i: its value shares of r, then its MAC
+    shares of kappa*r. The leading axis, present iff ``client_id`` is a
+    list, runs over its clients.
     """
 
-    client_id: int
+    client_id: int | list
     r: np.ndarray
     server_shares: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.r)
+        """Masks in the batch, over all its clients."""
+        return self.r.size // 2
 
 
 class Dealer:
@@ -103,14 +107,33 @@ class Dealer:
         self.key = MacKeySharing(params, share(self.mac_key, n, rng, params).shares)
         self._pool = None  # (r, shares) of masks drawn but not yet issued
 
-    def issue_masks(self, client_id: int, count: int) -> MaskBatch:
-        """``count`` masks cut from a pool drawn MASK_POOL_SIZE (or ``count``,
-        if larger) at a time; what is left of a pool too small is dropped."""
-        if self._pool is None or len(self._pool[0]) < count:
-            self._refill(max(count, MASK_POOL_SIZE))
-        r, shares = self._pool
-        self._pool = (r[count:], shares[:, :, count:])
-        return MaskBatch(client_id, r[:count], shares[:, :, :count].reshape(self.n, 2 * count, 2))
+    def issue_masks(self, client_id: int | list, count: int) -> MaskBatch:
+        """``count`` masks for one client, or for each client of a list in
+        turn, cut from a pool drawn MASK_POOL_SIZE (or ``count``, if larger)
+        at a time; what is left of a pool too small for a client is dropped.
+
+        A list gets the masks that one call per client, in list order, would
+        get, with one slice of the pool per refill instead of per client.
+        """
+        cohort = isinstance(client_id, list)
+        J, n = len(client_id) if cohort else 1, self.n
+        # Filled pool slice by pool slice, so no more than one pool is alive.
+        r = np.empty((J, count, 2), LIMB_DTYPE)
+        shares = np.empty((J, n, 2, count, 2), LIMB_DTYPE)
+        done = 0
+        while done < J:
+            if self._pool is None or len(self._pool[0]) < count:
+                self._refill(max(count, MASK_POOL_SIZE))
+            pool_r, pool_shares = self._pool
+            served = min(J - done, len(pool_r) // count) if count else J - done
+            take = served * count
+            r[done : done + served] = pool_r[:take].reshape(served, count, 2)
+            shares[done : done + served] = (
+                pool_shares[:, :, :take].reshape(n, 2, served, count, 2).transpose(2, 0, 1, 3, 4))
+            self._pool = (pool_r[take:], pool_shares[:, :, take:])
+            done += served
+        shares = shares.reshape(J, n, 2 * count, 2)
+        return MaskBatch(client_id, r, shares) if cohort else MaskBatch(client_id, r[0], shares[0])
 
     def _refill(self, size: int) -> None:
         """Draw ``size`` masks: r and the first n-1 value and MAC shares

@@ -9,6 +9,7 @@ from privateyes.fedcore import (
     TrainConfig,
     TrainingDivergence,
     angular_error,
+    angular_errors_deg,
     evaluate_model,
     export_population_csv,
     fairness_spread,
@@ -170,6 +171,87 @@ def _reference_local_train(spec, w, X, G, cfg, seed):
                     [(Xb.T @ dH).ravel(), dH.sum(axis=0), (H.T @ dE).ravel(), dE.sum(axis=0)])
             w -= cfg.lr * grad
     return w
+
+
+def _reference_loss_and_grad(spec, w, X, G):
+    """The step's formulas in their plain numpy form: broadcast bias, np.sum
+    and np.mean over the (pitch, yaw) and batch axes."""
+    m = X.shape[-2]
+    lead = w.shape[:-1]
+    d, h = spec.d_in, spec.hidden
+    tX = X.swapaxes(-1, -2)
+    if spec.kind == "linear":
+        W, c = w[..., : 2 * d].reshape(*lead, d, 2), w[..., 2 * d :]
+        E = X @ W + c[..., None, :] - G
+        loss = np.mean(np.sum(E**2, axis=-1), axis=-1)
+        grad_W = 2.0 / m * tX @ E
+        grad_c = 2.0 / m * E.sum(axis=-2)
+        return loss, np.concatenate([grad_W.reshape(*lead, -1), grad_c], axis=-1)
+    W1 = w[..., : d * h].reshape(*lead, d, h)
+    b1 = w[..., d * h : d * h + h]
+    W2 = w[..., d * h + h : d * h + 3 * h].reshape(*lead, h, 2)
+    c = w[..., d * h + 3 * h :]
+    H = np.tanh(X @ W1 + b1[..., None, :])
+    E = H @ W2 + c[..., None, :] - G
+    loss = np.mean(np.sum(E**2, axis=-1), axis=-1)
+    dE = 2.0 / m * E
+    dH = dE @ W2.swapaxes(-1, -2) * (1.0 - H**2)
+    grads = [tX @ dH, dH.sum(axis=-2), H.swapaxes(-1, -2) @ dE, dE.sum(axis=-2)]
+    return loss, np.concatenate(
+        [grads[0].reshape(*lead, -1), grads[1], grads[2].reshape(*lead, -1), grads[3]], axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("m", [32, 20, 1])  # full batches, a ragged last batch, one row
+def test_loss_and_grad_matches_reference_formulas(kind, m):
+    spec = ModelSpec(kind=kind, d_in=5, hidden=6)
+    pop = gen_synthetic_population(6, seed=21, samples_per_round=32, d_in=5)
+    X, G = pop.features[:, 0, :m], pop.gaze[:, 0, :m]
+    w = np.random.default_rng(m).normal(0.0, 0.5, (6, spec.dim))
+    # C order, and the column-major layout that local_train's weights have.
+    for ws in (w, np.asfortranarray(w)):
+        loss, grad = loss_and_grad(spec, ws, X, G)
+        ref_loss, ref_grad = _reference_loss_and_grad(spec, ws, X, G)
+        assert np.array_equal(loss, ref_loss) and np.array_equal(grad, ref_grad)
+        for j in (0, 5):
+            loss, grad = loss_and_grad(spec, ws[j], X[j], G[j])
+            ref_loss, ref_grad = _reference_loss_and_grad(spec, ws[j], X[j], G[j])
+            assert loss.shape == () and grad.shape == (spec.dim,)
+            assert np.array_equal(loss, ref_loss) and np.array_equal(grad, ref_grad)
+
+
+def test_divergence_message_matches_reference_loss():
+    # Client 1 overflows to inf and client 2 turns to nan on the first step;
+    # the message names the first non-finite client's loss.
+    spec = ModelSpec()
+    pop = gen_synthetic_population(3, seed=12)
+    X, G = pop.features[:, 0].copy(), pop.gaze[:, 0]
+    X[1] *= 1e200
+    X[2, 3, 0] = np.nan
+    cfg = TrainConfig(epochs=1, lr=0.1, batch_size=64)  # one batch: all 20 rows
+    w0 = init_weights(spec, 0)
+    seeds = [1, 2, 3]
+    orders = [np.random.default_rng([s, 0x10CA1]).permutation(20) for s in seeds]
+    rows = np.arange(3)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = _reference_loss_and_grad(
+            spec, np.broadcast_to(w0, (3, spec.dim)), X[rows, orders], G[rows, orders])
+        with pytest.raises(TrainingDivergence) as raised:
+            local_train(w0, X, G, cfg, spec, seeds)
+    assert np.isinf(loss[1]) and np.isnan(loss[2])
+    assert str(raised.value) == f"non-finite loss {loss[1]}" == "non-finite loss inf"
+
+
+def test_angular_errors_match_reference_formula():
+    rng = np.random.default_rng(4)
+    pred = rng.uniform(-3.0, 3.0, (40, 30, 2))
+    for truth in (pred + rng.normal(0.0, 1e-3, pred.shape), pred, -pred):
+        def vecs(a):
+            cp = np.cos(a[..., 0])
+            return np.stack([cp * np.sin(a[..., 1]), np.sin(a[..., 0]), cp * np.cos(a[..., 1])], -1)
+        dots = np.sum(vecs(pred) * vecs(truth), axis=-1)
+        expected = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+        assert np.array_equal(angular_errors_deg(pred, truth), expected)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

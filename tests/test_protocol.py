@@ -127,17 +127,19 @@ def test_view_swap_indistinguishability():
             self.adjustments = adjustments
 
         def issue_masks(self, client_id, count):
+            # The round asks for the whole cohort's masks in one call.
             masks = super().issue_masks(client_id, count)
-            d = self.adjustments.get(client_id, 0)
-            if d:
-                p = self.params
-                shift = from_ints([d % p.q] * count)
-                mac_shift = vec_mul(from_ints([self.mac_key])[0], shift, p)
-                honest = masks.server_shares[self.n - 1]
-                masks.r = vec_add(masks.r, shift, p)
-                masks.server_shares[self.n - 1] = np.concatenate(
-                    [vec_add(honest[:count], shift, p), vec_add(honest[count:], mac_shift, p)]
-                )
+            for j, cid in enumerate(client_id):
+                d = self.adjustments.get(cid, 0)
+                if d:
+                    p = self.params
+                    shift = from_ints([d % p.q] * count)
+                    mac_shift = vec_mul(from_ints([self.mac_key])[0], shift, p)
+                    honest = masks.server_shares[j, self.n - 1]
+                    masks.r[j] = vec_add(masks.r[j], shift, p)
+                    masks.server_shares[j, self.n - 1] = np.concatenate(
+                        [vec_add(honest[:count], shift, p), vec_add(honest[count:], mac_shift, p)]
+                    )
             return masks
 
     dealer_a = Dealer(3, Random(derive_seed(seed, "dealer")), BIG)

@@ -2,7 +2,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privateyes.field import FieldParams, from_ints, to_ints, vec_add, vec_sum
@@ -202,6 +202,36 @@ def test_mask_single_use(calls):
     # uniform on [0, q), so their first limbs all differ.
     for issued in (np.concatenate(rs), np.concatenate(columns)):
         assert len(np.unique(issued[:, 0])) == len(issued)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 18, 1000]),
+       st.lists(st.integers(1, 70), min_size=1, max_size=4))
+# A pool of 1024 serves 56 clients of 18 masks and drops 16: a cohort that
+# spans a refill, one that starts on 34 left (one client fits, then a
+# refill), a refill per client, and single masks past the end of a pool.
+@example(18, [57])
+@example(18, [55, 3])
+@example(1000, [3, 2])
+@example(1, [1000, 30])
+def test_cohort_masks_match_per_client_calls(count, cohorts):
+    """One call for a list of clients hands out exactly what one call per
+    client would, in order, across pool refills and dropped remainders."""
+    cohort_dealer, client_dealer = Dealer(3, Random(3), BIG), Dealer(3, Random(3), BIG)
+    first = 0
+    for size in cohorts:
+        ids = list(range(first, first + size))
+        first += size
+        batch = cohort_dealer.issue_masks(ids, count)
+        assert batch.client_id == ids and len(batch) == size * count
+        assert batch.r.shape == (size, count, 2)
+        assert batch.server_shares.shape == (size, 3, 2 * count, 2)
+        for j, cid in enumerate(ids):
+            one = client_dealer.issue_masks(cid, count)
+            assert np.array_equal(batch.r[j], one.r)
+            assert np.array_equal(batch.server_shares[j], one.server_shares)
+        for a, b in zip(cohort_dealer._pool, client_dealer._pool):
+            assert np.array_equal(a, b)
 
 
 def test_mask_ids_unique():
