@@ -27,6 +27,7 @@ from .fedcore import (
 from .util import derive_seed
 
 COHORT_BLOCK = 128  # clients trained per stacked local_train call
+OPTIMIZER_MODES = ("adaptive", "fedavg")
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,13 @@ def adaptive_step(w_prev: np.ndarray, delta: np.ndarray, state: OptimizerState):
 
 
 def update_global_model(om_prev, average, state: OptimizerState, mode: str):
-    """One server-side round update in the selected optimizer mode."""
+    """One server-side round update in one of the OPTIMIZER_MODES."""
+    if mode not in OPTIMIZER_MODES:
+        raise ValueError(f"unknown optimizer mode {mode!r}")
     if mode == "adaptive":
         return adaptive_step(om_prev, average - om_prev, state)
-    if mode == "fedavg":
-        w = om_prev + state.eta * (average - om_prev)
-        return w, replace(state, round_index=state.round_index + 1)
-    if mode == "plain":
-        return average, replace(state, round_index=state.round_index + 1)
-    raise ValueError(f"unknown optimizer mode {mode!r}")
+    w = om_prev + state.eta * (average - om_prev)
+    return w, replace(state, round_index=state.round_index + 1)
 
 
 def client_average(opened, cohort_size: int, codec: FixedPointCodec) -> np.ndarray:
@@ -93,7 +92,6 @@ def client_average(opened, cohort_size: int, codec: FixedPointCodec) -> np.ndarr
 class OracleRun:
     om_history: list  # om_0 .. om_t (quantized)
     individual_updates: dict  # (client_id, round) -> quantized update vector
-    cohorts: dict  # round -> client id list
 
 
 def train_cohort_updates(
@@ -136,28 +134,24 @@ def plaintext_adaptive_fl_oracle(
     spec: ModelSpec,
     codec: FixedPointCodec,
     seed: int,
-    optimizer: OptimizerState = None,
-    optimizer_mode: str = "adaptive",
 ) -> OracleRun:
-    """Single-server pipeline, numerically identical to the secure path."""
-    state = optimizer or OptimizerState.zeros(spec.dim)
+    """Single-server adaptive pipeline, numerically identical to the secure path."""
+    state = OptimizerState.zeros(spec.dim)
     om = codec.quantize(init_weights(spec, derive_seed(seed, "init")))
     history = [om]
     ius = {}
-    cohorts = {}
     for k in range(1, cfg.rounds + 1):
         cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
-        cohorts[k] = cohort
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
         encoded = codec.encode_vector(updates)
         for j, iu in zip(cohort, codec.decode_vector(encoded)):
             ius[(j, k)] = iu
         total = aggregate_encoded(encoded, codec.params)
         average = client_average(total, len(cohort), codec)
-        raw, state = update_global_model(om, average, state, optimizer_mode)
+        raw, state = update_global_model(om, average, state, "adaptive")
         om = codec.quantize(raw)
         history.append(om)
-    return OracleRun(om_history=history, individual_updates=ius, cohorts=cohorts)
+    return OracleRun(om_history=history, individual_updates=ius)
 
 
 def plaintext_datacentre_oracle(
@@ -165,17 +159,10 @@ def plaintext_datacentre_oracle(
     cfg: TrainConfig,
     spec: ModelSpec,
     seed: int,
-    epochs: int = None,
 ) -> np.ndarray:
     """Pooled-data training run; the accuracy upper-line baseline."""
     X = population.features.reshape(-1, population.d_in)
     G = population.gaze.reshape(-1, GAZE_DIM)
-    pooled_cfg = TrainConfig(
-        epochs=epochs if epochs is not None else cfg.epochs * cfg.rounds,
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        rounds=cfg.rounds,
-        cohort_fraction=cfg.cohort_fraction,
-    )
+    pooled_cfg = replace(cfg, epochs=cfg.epochs * cfg.rounds)
     w0 = init_weights(spec, derive_seed(seed, "init"))
     return local_train(w0, X, G, pooled_cfg, spec, derive_seed(seed, "datacentre"))

@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
-from .aggregation import OptimizerState
+from .aggregation import OPTIMIZER_MODES, OptimizerState
 from .fedcore import (
     ModelSpec,
     TrainConfig,
@@ -71,6 +71,9 @@ SCHEME_MPC_COST_ONLY = "mpc_cost_only"
 VALID_SCHEMES = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES, SCHEME_MPC_COST_ONLY)
 
 EDGES = (EDGE_CLIENT_TO_SERVER, EDGE_SERVER_TO_CLIENT, EDGE_DEALER, EDGE_SERVER_TO_SERVER)
+
+BENCH_DIM = 1000  # vector length of the communication benchmark's round
+BENCH_SERVERS = (2, 3, 5)  # server counts the benchmark compares
 
 CSV_HEADER = (
     "round,test_mae_deg,fairness_deg,bytes_client_to_server,"
@@ -132,7 +135,7 @@ class ExperimentConfig:
     def validate(self):
         if self.scheme not in VALID_SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.mode not in ("adaptive", "fedavg"):
+        if self.mode not in OPTIMIZER_MODES:
             raise ConfigError(f"unknown optimizer mode {self.mode!r}")
         if self.clients < 1 or self.servers < 1:
             raise ConfigError("clients/servers out of range")
@@ -262,8 +265,8 @@ def write_round_metrics_csv(round_metrics, path) -> None:
             if row["abort"]:
                 mae = fair = ""
             else:
-                mae = f"{row.get('test_mae_deg', float('nan')):.6f}"
-                fair = f"{row.get('fairness_deg', float('nan')):.6f}"
+                mae = f"{row['test_mae_deg']:.6f}"
+                fair = f"{row['fairness_deg']:.6f}"
             fh.write(
                 f"{row['round']},{mae},{fair},"
                 + ",".join(str(b.get(e, 0)) for e in EDGES)
@@ -286,7 +289,7 @@ def _report_payload(cfg, result):
     if result.final_model is not None:
         payload["final_model"] = [round(v, 12) for v in result.final_model.tolist()]
         done = [r for r in result.round_metrics if not r["abort"]]
-        if done and "test_mae_deg" in done[-1]:
+        if done:
             payload["test_mae_deg"] = round(done[-1]["test_mae_deg"], 6)
             payload["fairness_deg"] = round(done[-1]["fairness_deg"], 6)
     return payload
@@ -358,9 +361,9 @@ def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def measure_communication(n_servers: int, d: int, params: FieldParams = None, seed: int = 0):
+def measure_communication(n_servers: int, d: int, seed: int = 0):
     """One secure aggregation round vs the single-server baseline, 1 client."""
-    params = params or FieldParams()
+    params = FieldParams()
     rng = Random(derive_seed(seed, "bench", n_servers, d))
     inputs = {0: [rng.randrange(params.q) for _ in range(d)]}
     secure = run_secure_aggregation(inputs, n_servers, params, seed=seed)
@@ -374,11 +377,11 @@ def measure_communication(n_servers: int, d: int, params: FieldParams = None, se
     return secure.net.metrics, baseline_net.metrics
 
 
-def cmd_bench(cfg: ExperimentConfig, outdir: Path, d: int = 1000, ns=(2, 3, 5)) -> int:
+def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for n in ns:
-        secure, baseline = measure_communication(n, d, seed=cfg.seed)
+    for n in BENCH_SERVERS:
+        secure, baseline = measure_communication(n, BENCH_DIM, seed=cfg.seed)
         ratio = overhead_ratio(secure, baseline)
         rows.append((n, secure.total_bytes(), baseline.total_bytes(), ratio))
     with open(outdir / "bench.csv", "w") as fh:

@@ -220,9 +220,7 @@ def _flat(A):
 
 
 def _add_rows(E, c):
-    """E + c[..., None, :] for E (..., m, 2) and c (..., 2), in place in E.
-    c is copied if its pairs are not contiguous, as in local_train's
-    column-major stacked weights."""
+    """E + c[..., None, :] for E (..., m, 2) and c (..., 2), in place in E."""
     rows = E.view(np.complex128)
     rows += np.ascontiguousarray(c).view(np.complex128)[..., None, :]
     return E
@@ -297,7 +295,7 @@ def local_train(
     if not stacked:
         X, G, seed = X[None], G[None], [seed]
     J, m, d_in = X.shape
-    w = np.array(np.broadcast_to(w, (J, w.shape[-1])), dtype=np.float64)
+    w = np.array(np.broadcast_to(w, (J, w.shape[-1])), dtype=np.float64, order="C")
     rngs = [np.random.default_rng([s, 0x10CA1]) for s in seed]
     # Batches are taken from the client-major rows with one flat index each.
     X, G = X.reshape(J * m, d_in), G.reshape(J * m, GAZE_DIM)
@@ -349,10 +347,6 @@ def angular_errors_deg(pred_angles: np.ndarray, true_angles: np.ndarray) -> np.n
     dots = terms[0] + terms[1]
     dots += terms[2]
     return np.degrees(np.arccos(_clip(dots, 1.0)))
-
-
-def mean_angular_error(pred_angles: np.ndarray, true_angles: np.ndarray) -> float:
-    return float(angular_errors_deg(pred_angles, true_angles).mean())
 
 
 def evaluate_model(spec: ModelSpec, w: np.ndarray, population: Population):

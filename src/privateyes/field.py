@@ -299,13 +299,6 @@ def vec_add(a, b, params: FieldParams) -> np.ndarray:
     return _from_objects(_as_objects(a) + _as_objects(b), params.q)
 
 
-def vec_neg(a, params: FieldParams) -> np.ndarray:
-    """Elementwise -a mod q."""
-    if params.q == DEFAULT_MODULUS:
-        return _reduce32(np.add(_sublimbs(np.invert(a), "<u4"), _QM1_32, dtype=np.uint64))
-    return _from_objects(-_as_objects(a), params.q)
-
-
 def vec_sub(a, b, params: FieldParams) -> np.ndarray:
     """Elementwise a - b mod q of broadcastable limb arrays."""
     if params.q == DEFAULT_MODULUS:

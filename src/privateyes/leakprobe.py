@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .aggregation import OPTIMIZER_MODES
 from .fedcore import GAZE_DIM, Population, angular_error
 from .protocol import (
     SCHEME_ADAPTIVE_FL,
@@ -29,6 +30,7 @@ DENSITY_FLOOR = 1e-9
 GRID_BINS = 64
 KDE_BLOCK = 512  # grid points per kernel evaluation block
 EXP_MIN = -700.0  # kernel exponents are floored here (e^-700 ~ 1e-304)
+RECON_SAMPLES = 400  # samples drawn around each reconstructed gaze mean
 
 
 class LeakprobeError(ValueError):
@@ -50,17 +52,15 @@ class AttackConfig:
     beta: float = 6.0
     gamma: float = 4.0
     steps: int = 400
-    prior_strength: float = 1.0
     seed: int = 0
     chain: bool = True
     rounds: tuple = None  # restrict to these round indices; None = all
-    recon_samples: int = 400
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise LeakprobeError("attack weights alpha, beta, gamma must be >= 0")
-        if self.steps < 1 or self.prior_strength <= 0:
-            raise LeakprobeError("attack steps must be >= 1 and prior_strength > 0")
+        if self.steps < 1:
+            raise LeakprobeError("attack steps must be >= 1")
 
 
 @dataclass
@@ -125,7 +125,9 @@ def invert_optimizer_history(om_history: list, config: dict) -> dict:
     """
     beta1, beta2 = config["beta1"], config["beta2"]
     tau, eta = config["tau"], config["eta"]
-    mode = config.get("optimizer_mode", "adaptive")
+    mode = config["optimizer_mode"]
+    if mode not in OPTIMIZER_MODES:
+        raise LeakprobeError(f"unknown optimizer mode {mode!r}")
     averages = {}
     m = np.zeros_like(om_history[0])
     v = np.zeros_like(om_history[0])
@@ -134,9 +136,6 @@ def invert_optimizer_history(om_history: list, config: dict) -> dict:
         obs = cur - prev
         if mode == "fedavg":
             averages[k] = prev + obs / eta
-            continue
-        if mode == "plain":
-            averages[k] = cur.copy()
             continue
         delta = _invert_adaptive_coordinates(obs, m, v, beta1, beta2, tau, eta)
         m = beta1 * m + (1.0 - beta1) * delta
@@ -226,7 +225,7 @@ def _expected_gradient_system(w_prev, grad_obs, pub, cfg, prior_mean, prior_std,
     M_p = np.diag(1.0 / prior_std)
     weights = np.repeat(
         [np.sqrt(cfg.beta), np.sqrt(cfg.gamma),
-         np.sqrt(cfg.alpha * cfg.prior_strength * prior_weight)],
+         np.sqrt(cfg.alpha * prior_weight)],
         [GAZE_DIM, d_in * GAZE_DIM, dim],
     )
     M = np.vstack([M_c, M_w.reshape(-1, dim), M_p]) * weights[:, None]
@@ -317,7 +316,7 @@ def dualview_lite_reconstruct(
         # Nothing leaks: the best estimate is the population prior.
         for j in range(population.num_clients):
             est = np.zeros(GAZE_DIM)
-            samples = _draw_recon_samples(est, pub, cfg, rng)
+            samples = _draw_recon_samples(est, pub, rng)
             report.per_client[j] = _score(est, samples, truth[j], pub)
             report.per_client[j]["converged"] = True
         return report.finalize()
@@ -342,7 +341,7 @@ def dualview_lite_reconstruct(
     for j in range(population.num_clients):
         theta, converged = estimates.get(j, (np.zeros(GAZE_DIM + d_in), True))
         est_mu = theta[:GAZE_DIM]
-        samples = _draw_recon_samples(est_mu, pub, cfg, rng)
+        samples = _draw_recon_samples(est_mu, pub, rng)
         entry = _score(est_mu, samples, truth[j], pub)
         entry["b_hat"] = theta[GAZE_DIM:]
         entry["converged"] = converged
@@ -370,9 +369,9 @@ def _attack_units(leak: LeakageTranscript, rounds=None) -> list:
     return [(range(pub["config"]["num_clients"]), shared)]
 
 
-def _draw_recon_samples(est_mu, pub, cfg, rng):
+def _draw_recon_samples(est_mu, pub, rng):
     sigma = pub["priors"]["sigma_gaze"]
-    return est_mu + rng.normal(0.0, sigma, (cfg.recon_samples, GAZE_DIM))
+    return est_mu + rng.normal(0.0, sigma, (RECON_SAMPLES, GAZE_DIM))
 
 
 def _score(est_mu, recon_samples, truth, pub):
@@ -390,7 +389,7 @@ def _score(est_mu, recon_samples, truth, pub):
 # ---------------------------------------------------------------------------
 
 
-def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
+def kde_kl_divergence(samples_p, samples_q) -> float:
     """KL(p || q) between Gaussian-KDE densities on a shared grid.
 
     Both sample sets are densified with Scott's-rule kernels, evaluated on
@@ -412,14 +411,11 @@ def kde_kl_divergence(samples_p, samples_q, grid=None) -> float:
         raise LeakprobeError("sample dimensionality mismatch")
     if np.array_equal(P, Q):
         return 0.0
-    if grid is None:
-        both = np.vstack([P, Q])
-        lo = both.min(axis=0)
-        hi = both.max(axis=0)
-        pad = 0.5 * (hi - lo) + 1e-6
-        axes = [np.linspace(lo[t] - pad[t], hi[t] + pad[t], GRID_BINS) for t in range(ndim)]
-    else:
-        axes = [np.linspace(g[0], g[1], GRID_BINS) for g in grid]
+    both = np.vstack([P, Q])
+    lo = both.min(axis=0)
+    hi = both.max(axis=0)
+    pad = 0.5 * (hi - lo) + 1e-6
+    axes = [np.linspace(lo[t] - pad[t], hi[t] + pad[t], GRID_BINS) for t in range(ndim)]
     p = np.maximum(grid_kde_density(P, axes), DENSITY_FLOOR)
     q = np.maximum(grid_kde_density(Q, axes), DENSITY_FLOOR)
     p /= p.sum()
@@ -579,23 +575,19 @@ def conv_backward_count(h_in, w_in, c_in, k, c_out) -> int:
     return grad_weights + grad_input
 
 
-def estimate_generic_mpc_cost(layers, passes=("forward", "backward")) -> int:
+def estimate_generic_mpc_cost(layers) -> int:
     """Communicated 128-bit values for one training iteration of the spec."""
     total = 0
     for layer in layers:
         kind = layer[0]
         if kind == "conv":
             _, h, w, cin, k, cout = layer
-            if "forward" in passes:
-                total += conv_forward_count(h, w, cin, k, cout)
-            if "backward" in passes:
-                total += conv_backward_count(h, w, cin, k, cout)
+            total += conv_forward_count(h, w, cin, k, cout)
+            total += conv_backward_count(h, w, cin, k, cout)
         elif kind == "dense":
             _, n_in, n_out = layer
-            if "forward" in passes:
-                total += n_in * n_out
-            if "backward" in passes:
-                total += 2 * n_in * n_out
+            total += n_in * n_out  # forward
+            total += 2 * n_in * n_out  # backward: weight and input gradients
         elif kind == "pool":
             continue  # averaging is a public linear map, no secret products
         else:

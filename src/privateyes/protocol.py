@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .aggregation import (
+    OPTIMIZER_MODES,
     OptimizerState,
     aggregate_encoded,
     client_average,
@@ -380,7 +381,7 @@ def _distribute_key_shares(net, dealer):
         payload = vector_to_bytes([dealer.key.key_shares[i]])
         net.send(WireMessage(MsgType.MASK_DELIVERY, 0, DEALER_ID, server_wire_id(i), payload))
         # Each server consumes its key share immediately at setup.
-        msg = net.recv(server_wire_id(i), MsgType.MASK_DELIVERY, sender=DEALER_ID, round_index=0)
+        msg = net.recv(server_wire_id(i), MsgType.MASK_DELIVERY, DEALER_ID, 0)
         if msg is None or msg.payload != payload:
             raise KeyShareError(f"server {i} did not receive its MAC key share intact")
 
@@ -402,17 +403,18 @@ def run_training(
     adversary: AdversarySpec = None,
     optimizer: OptimizerState = None,
     optimizer_mode: str = "adaptive",
-    evaluate: bool = True,
 ) -> RunResult:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if optimizer_mode not in OPTIMIZER_MODES:
+        raise ValueError(f"unknown optimizer mode {optimizer_mode!r}")
     codec = codec or FixedPointCodec()
     codec.check_headroom(population.num_clients)
     config = _config_snapshot(population, cfg, spec, scheme, n_servers, seed, codec,
                               optimizer, optimizer_mode)
 
     if scheme == SCHEME_DATACENTRE:
-        return _run_datacentre(population, cfg, spec, seed, config, evaluate)
+        return _run_datacentre(population, cfg, spec, seed, config)
 
     n = scheme_servers(scheme, n_servers)
     roles = _build_roles(n, population.num_clients)
@@ -475,16 +477,12 @@ def run_training(
         raw, state = update_global_model(om, average, state, optimizer_mode)
         om = codec.quantize(raw)
         transcript.om_history.append(om)
-        if evaluate:
-            mean_err, per_client = evaluate_model(spec, om, population)
-            round_metrics.append(
-                {"round": k, "abort": 0, "test_mae_deg": mean_err,
-                 "fairness_deg": fairness_spread(per_client),
-                 "bytes": dict(net.metrics.per_round[k])}
-            )
-        else:
-            round_metrics.append({"round": k, "abort": 0,
-                                  "bytes": dict(net.metrics.per_round[k])})
+        mean_err, per_client = evaluate_model(spec, om, population)
+        round_metrics.append(
+            {"round": k, "abort": 0, "test_mae_deg": mean_err,
+             "fairness_deg": fairness_spread(per_client),
+             "bytes": dict(net.metrics.per_round[k])}
+        )
 
     transcript.adversary_view = net.adversary_view
     return RunResult(
@@ -509,15 +507,13 @@ def _broadcast_model(net, n, k, client_indices, codec, om):
         raise FrameError(f"a client did not receive the round {k} model intact")
 
 
-def _run_datacentre(population, cfg, spec, seed, config, evaluate):
+def _run_datacentre(population, cfg, spec, seed, config):
     w = plaintext_datacentre_oracle(population, cfg, spec, seed)
     transcript = Transcript(scheme=SCHEME_DATACENTRE, config=config)
     transcript.om_history.append(w)
-    metrics = []
-    if evaluate:
-        mean_err, per_client = evaluate_model(spec, w, population)
-        metrics.append({"round": cfg.rounds, "abort": 0, "test_mae_deg": mean_err,
-                        "fairness_deg": fairness_spread(per_client), "bytes": {}})
+    mean_err, per_client = evaluate_model(spec, w, population)
+    metrics = [{"round": cfg.rounds, "abort": 0, "test_mae_deg": mean_err,
+                "fairness_deg": fairness_spread(per_client), "bytes": {}}]
     return RunResult(w, transcript, False, None, metrics)
 
 

@@ -29,17 +29,13 @@ class SharingError(ValueError):
     """Base class for sharing-layer errors."""
 
 
-class IncompleteSharingError(SharingError):
-    """A share is missing (a server withheld its output)."""
-
-
 class KeyShareError(SharingError):
     """A server's MAC key share did not arrive intact at setup."""
 
 
 @dataclass
 class AdditiveSharing:
-    """One share per server; entries may be None to model withholding."""
+    """One share per server."""
 
     params: FieldParams
     shares: list
@@ -56,12 +52,6 @@ def share(x: int, n: int, rng: Random, params: FieldParams) -> AdditiveSharing:
     return AdditiveSharing(params, shares)
 
 
-def reconstruct(s: AdditiveSharing) -> int:
-    if any(sh is None for sh in s.shares):
-        raise IncompleteSharingError("missing share")
-    return sum(s.shares) % s.params.q
-
-
 @dataclass
 class MacKeySharing:
     """Additive sharing of the global MAC key among the servers."""
@@ -72,16 +62,15 @@ class MacKeySharing:
 
 @dataclass
 class MaskBatch:
-    """``count`` single-use masks for one client, or for each of a list of
-    clients, as limb arrays.
+    """``count`` single-use masks for each of a list of clients, as limb
+    arrays; the leading axis runs over the clients.
 
-    ``r`` (..., count, 2) goes to the client; ``server_shares[..., i, :, :]``
-    (2 * count, 2) goes to server i: its value shares of r, then its MAC
-    shares of kappa*r. The leading axis, present iff ``client_id`` is a
-    list, runs over its clients.
+    ``r[j]`` (count, 2) goes to client j; ``server_shares[j, i]``
+    (2 * count, 2) goes to server i: its value shares of client j's r, then
+    its MAC shares of kappa*r.
     """
 
-    client_id: int | list
+    client_id: list
     r: np.ndarray
     server_shares: np.ndarray
 
@@ -107,16 +96,15 @@ class Dealer:
         self.key = MacKeySharing(params, share(self.mac_key, n, rng, params).shares)
         self._pool = None  # (r, shares) of masks drawn but not yet issued
 
-    def issue_masks(self, client_id: int | list, count: int) -> MaskBatch:
-        """``count`` masks for one client, or for each client of a list in
-        turn, cut from a pool drawn MASK_POOL_SIZE (or ``count``, if larger)
-        at a time; what is left of a pool too small for a client is dropped.
+    def issue_masks(self, client_id: list, count: int) -> MaskBatch:
+        """``count`` masks for each client of a list in turn, cut from a pool
+        drawn MASK_POOL_SIZE (or ``count``, if larger) at a time; what is left
+        of a pool too small for a client is dropped.
 
         A list gets the masks that one call per client, in list order, would
         get, with one slice of the pool per refill instead of per client.
         """
-        cohort = isinstance(client_id, list)
-        J, n = len(client_id) if cohort else 1, self.n
+        J, n = len(client_id), self.n
         # Filled pool slice by pool slice, so no more than one pool is alive.
         r = np.empty((J, count, 2), LIMB_DTYPE)
         shares = np.empty((J, n, 2, count, 2), LIMB_DTYPE)
@@ -132,8 +120,7 @@ class Dealer:
                 pool_shares[:, :, :take].reshape(n, 2, served, count, 2).transpose(2, 0, 1, 3, 4))
             self._pool = (pool_r[take:], pool_shares[:, :, take:])
             done += served
-        shares = shares.reshape(J, n, 2 * count, 2)
-        return MaskBatch(client_id, r, shares) if cohort else MaskBatch(client_id, r[0], shares[0])
+        return MaskBatch(client_id, r, shares.reshape(J, n, 2 * count, 2))
 
     def _refill(self, size: int) -> None:
         """Draw ``size`` masks: r and the first n-1 value and MAC shares

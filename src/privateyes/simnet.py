@@ -266,19 +266,14 @@ class Network:
         for key, (count, size) in metered.items():
             self.metrics.add(round_index, edge_class(*key), count * FRAME_OVERHEAD + size, count)
 
-    def recv(self, receiver: int, msg_type: MsgType = None, sender: int = None,
-             round_index: int = None):
-        """Next matching frame from the receiver's inbox, or None (timeout)."""
+    def recv(self, receiver: int, msg_type: MsgType, sender: int, round_index: int):
+        """The receiver's first frame of this type, sender and round, taken
+        out of its inbox, or None (timeout)."""
         inbox = self.inboxes[receiver]
         for i, msg in enumerate(inbox):
-            if msg_type is not None and msg.msg_type != msg_type:
-                continue
-            if sender is not None and msg.sender != sender:
-                continue
-            if round_index is not None and msg.round != round_index:
-                continue
-            del inbox[i]
-            return msg
+            if msg.msg_type == msg_type and msg.sender == sender and msg.round == round_index:
+                del inbox[i]
+                return msg
         return None
 
     def recv_many(self, msg_type: MsgType, round_index: int, edges) -> list:

@@ -214,7 +214,7 @@ def leakage_stats():
         runs = {}
         for scheme in ("adaptive_fl", "privateyes"):
             runs[scheme] = run_training(
-                pop, cfg, SPEC, scheme, seed=seed, codec=CODEC, evaluate=False
+                pop, cfg, SPEC, scheme, seed=seed, codec=CODEC
             )
             leak = build_leak_set(scheme, runs[scheme].transcript, pop)
             reports[scheme] = dualview_lite_reconstruct(leak, atk, pop)

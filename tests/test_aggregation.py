@@ -51,11 +51,12 @@ def test_state_validation():
 
 
 def test_plain_mode_two_clients():
-    # t = 1, scalar updates 3 and 5, plain averaging: aggregate is 4.
+    # t = 1, scalar updates 3 and 5, plain averaging (fedavg with eta = 1):
+    # aggregate is 4.
     codec = FixedPointCodec()
     total = aggregate_encoded([codec.encode_vector([3.0]), codec.encode_vector([5.0])], codec.params)
     avg = client_average(total, 2, codec)
-    w, _ = update_global_model(np.zeros(1), avg, OptimizerState.zeros(1), "plain")
+    w, _ = update_global_model(np.zeros(1), avg, OptimizerState.zeros(1, eta=1.0), "fedavg")
     assert w[0] == 4.0
 
 

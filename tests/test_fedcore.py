@@ -18,7 +18,6 @@ from privateyes.fedcore import (
     init_weights,
     local_train,
     loss_and_grad,
-    mean_angular_error,
     mixing_map,
     predict,
     select_cohort,
@@ -255,12 +254,17 @@ def test_angular_errors_match_reference_formula():
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
-@pytest.mark.parametrize("epochs", [0, 1, 3])
-def test_stacked_local_train_matches_per_client_loop(kind, epochs):
-    # m = 20 with batch 8 leaves a ragged last batch of 4.
+@pytest.mark.parametrize(
+    "epochs, batch_size",
+    [(e, b) for b in (8, 1) for e in (0, 1, 3)],
+    ids=[f"{e}" if b == 8 else f"{e}-batch{b}" for b in (8, 1) for e in (0, 1, 3)],
+)
+def test_stacked_local_train_matches_per_client_loop(kind, epochs, batch_size):
+    # m = 20 with batch 8 leaves a ragged last batch of 4; batch 1 takes the
+    # matmuls down to single rows.
     spec = ModelSpec(kind=kind, d_in=5, hidden=6)
     pop = gen_synthetic_population(7, seed=11, samples_per_round=20, d_in=5)
-    cfg = TrainConfig(epochs=epochs, lr=0.1, batch_size=8)
+    cfg = TrainConfig(epochs=epochs, lr=0.1, batch_size=batch_size)
     w0 = init_weights(spec, 3)
     X, G = pop.features[:, 0], pop.gaze[:, 0]
     seeds = [100 + j for j in range(7)]
@@ -293,7 +297,8 @@ def test_stacked_evaluate_matches_per_client_loop(kind):
     w = init_weights(spec, 4)
     expected, total_err, total_count = {}, 0.0, 0
     for j in range(9):
-        err = mean_angular_error(predict(spec, w, pop.test_features[j]), pop.test_gaze[j])
+        err = float(angular_errors_deg(predict(spec, w, pop.test_features[j]),
+                                       pop.test_gaze[j]).mean())
         expected[j] = err
         total_err += err * pop.test_features[j].shape[0]
         total_count += pop.test_features[j].shape[0]
@@ -307,7 +312,7 @@ def test_angular_error_basics():
     assert angular_error((0.1, 0.2), (0.1, 0.2)) == 0.0
     assert angular_error((0.0, 0.0), (0.0, np.pi / 2)) == pytest.approx(90.0)
     preds = np.array([[0.0, 0.0], [0.1, 0.1]])
-    assert mean_angular_error(preds, preds) == 0.0
+    assert angular_errors_deg(preds, preds).mean() == 0.0
 
 
 def test_evaluate_and_fairness():

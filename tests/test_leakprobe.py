@@ -33,7 +33,7 @@ from privateyes.protocol import run_training
 def _run(pop, scheme, seed, rounds=10, **cfg_kwargs):
     cfg = TrainConfig(rounds=rounds, **cfg_kwargs)
     return run_training(pop, cfg, ModelSpec(), scheme, seed=seed,
-                        codec=FixedPointCodec(), evaluate=False)
+                        codec=FixedPointCodec())
 
 
 def test_leak_set_counts():
@@ -74,13 +74,20 @@ def test_invert_fedavg_history():
     pop = gen_synthetic_population(4, seed=3, rounds=3)
     cfg = TrainConfig(rounds=3)
     res = run_training(pop, cfg, ModelSpec(), "privateyes", seed=3,
-                       codec=FixedPointCodec(), optimizer_mode="fedavg", evaluate=False)
+                       codec=FixedPointCodec(), optimizer_mode="fedavg")
     tr = res.transcript
     tr.config["optimizer_mode"] = "fedavg"
     averages = invert_optimizer_history(tr.om_history, tr.config)
     for k in range(1, 4):
         true_avg = np.mean([tr.ground_truth_iu[(j, k)] for j in range(4)], axis=0)
         assert np.abs(averages[k] - true_avg).max() < 1e-3
+
+
+def test_invert_rejects_unknown_optimizer_mode():
+    history = [np.zeros(3), np.full(3, 0.1)]
+    config = {"beta1": 0.9, "beta2": 0.99, "tau": 1e-3, "eta": 0.1, "optimizer_mode": "plain"}
+    with pytest.raises(LeakprobeError, match="optimizer mode"):
+        invert_optimizer_history(history, config)
 
 
 def test_gd_solution_matches_normal_equations():
@@ -160,7 +167,7 @@ def test_kl_monotone_in_separation():
     rng = np.random.default_rng(2)
     base = rng.normal(0, 0.5, 2000)
     kls = [
-        kde_kl_divergence(base, base + shift, grid=[(-3, 9)])
+        kde_kl_divergence(base, base + shift)
         for shift in (1.0, 2.0, 4.0)
     ]
     assert kls[0] < kls[1] < kls[2]
@@ -186,8 +193,6 @@ def test_conv_forward_count_example():
 def test_reference_cnn_total_in_band():
     total = estimate_generic_mpc_cost(REFERENCE_GAZE_CNN)
     assert 2.5e7 <= total <= 3.5e7
-    fwd = estimate_generic_mpc_cost(REFERENCE_GAZE_CNN, passes=("forward",))
-    assert fwd < total
     with pytest.raises(LeakprobeError):
         estimate_generic_mpc_cost((("rnn", 1),))
 
@@ -369,7 +374,7 @@ def _expected_gradient_system_loop(w_prev, grad_obs, pub, cfg, prior_mean, prior
         row[t] = 1.0 / prior_std[t]
         rows.append(row)
         targets.append(prior_mean[t] / prior_std[t])
-        weights.append(np.sqrt(cfg.alpha * cfg.prior_strength * prior_weight))
+        weights.append(np.sqrt(cfg.alpha * prior_weight))
     M = np.array(rows) * np.array(weights)[:, None]
     y = np.array(targets) * np.array(weights)
     return M, y
@@ -379,13 +384,13 @@ def _expected_gradient_system_loop(w_prev, grad_obs, pub, cfg, prior_mean, prior
 def test_vectorised_gradient_system_is_bit_identical(d_in):
     pop = gen_synthetic_population(3, seed=14, rounds=3, d_in=d_in)
     res = run_training(pop, TrainConfig(rounds=3), ModelSpec(d_in=d_in), "adaptive_fl",
-                       seed=14, codec=FixedPointCodec(), evaluate=False)
+                       seed=14, codec=FixedPointCodec())
     leak = build_leak_set("adaptive_fl", res.transcript, pop)
     pub = leak.pub
     rng = np.random.default_rng(d_in)
     prior_std = np.maximum(rng.uniform(0.0, 0.6, 2 + d_in), 1e-6)
-    for cfg in (AttackConfig(), AttackConfig(alpha=0.3, beta=2.5, gamma=0.0, prior_strength=3.1),
-                AttackConfig(alpha=0.7, beta=0.0, gamma=1.3, prior_strength=0.3)):
+    for cfg in (AttackConfig(), AttackConfig(alpha=0.3, beta=2.5, gamma=0.0),
+                AttackConfig(alpha=0.7, beta=0.0, gamma=1.3)):
         for (j, k), iu in leak.leak["iu"].items():
             w_prev = pub["om0"] if k == 1 else leak.leak["om"][k - 1]
             grad_obs = observed_gradient(w_prev, iu, pub["config"])

@@ -19,7 +19,6 @@ from privateyes.field import (
     to_ints,
     vec_add,
     vec_mul,
-    vec_neg,
     vec_sub,
     vec_sum,
     vector_from_bytes,
@@ -58,7 +57,6 @@ def test_add_sub_neg_match_python_ints(ab):
     A, B = from_ints(a), from_ints(b)
     assert to_ints(vec_add(A, B, BIG)) == [(x + y) % Q for x, y in zip(a, b)]
     assert to_ints(vec_sub(A, B, BIG)) == [(x - y) % Q for x, y in zip(a, b)]
-    assert to_ints(vec_neg(A, BIG)) == [-x % Q for x in a]
 
 
 @relaxed
@@ -118,7 +116,6 @@ def test_small_field_fallback_matches_python_ints(ab):
     A, B = from_ints(a), from_ints(b)
     assert to_ints(vec_add(A, B, P23)) == [(x + y) % 23 for x, y in zip(a, b)]
     assert to_ints(vec_sub(A, B, P23)) == [(x - y) % 23 for x, y in zip(a, b)]
-    assert to_ints(vec_neg(A, P23)) == [-x % 23 for x in a]
     assert to_ints(vec_mul(A, B, P23)) == [x * y % 23 for x, y in zip(a, b)]
     assert to_ints(vec_mul(A[0], B, P23)) == [a[0] * y % 23 for y in b]
     assert to_ints(vec_sum(np.stack([A, B, A]), P23)) == [

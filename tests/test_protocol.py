@@ -157,8 +157,8 @@ def test_training_parity_with_oracle():
     cfg = TrainConfig(rounds=4)
     spec = ModelSpec()
     codec = FixedPointCodec()
-    secure = run_training(pop, cfg, spec, "privateyes", seed=3, codec=codec, evaluate=False)
-    single = run_training(pop, cfg, spec, "adaptive_fl", seed=3, codec=codec, evaluate=False)
+    secure = run_training(pop, cfg, spec, "privateyes", seed=3, codec=codec)
+    single = run_training(pop, cfg, spec, "adaptive_fl", seed=3, codec=codec)
     oracle = plaintext_adaptive_fl_oracle(pop, cfg, spec, codec, seed=3)
     assert not secure.aborted
     for a, b, c in zip(secure.transcript.om_history, single.transcript.om_history, oracle.om_history):
@@ -168,14 +168,14 @@ def test_training_parity_with_oracle():
 
 def test_secure_transcript_has_no_server_view_iu():
     pop = gen_synthetic_population(3, seed=5, rounds=2)
-    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=5, evaluate=False)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=5)
     assert res.transcript.server_view_iu == {}
     assert len(res.transcript.ground_truth_iu) == 6
 
 
 def test_single_server_records_iu_view():
     pop = gen_synthetic_population(3, seed=5, rounds=2)
-    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "adaptive_fl", seed=5, evaluate=False)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "adaptive_fl", seed=5)
     assert set(res.transcript.server_view_iu) == set(res.transcript.ground_truth_iu)
     for key, vec in res.transcript.server_view_iu.items():
         assert np.array_equal(vec, res.transcript.ground_truth_iu[key])
@@ -187,7 +187,7 @@ def test_training_abort_mid_run():
         corrupted_servers=frozenset({2}), behavior="tamper-share", target_round=3
     )
     res = run_training(
-        pop, TrainConfig(rounds=6), ModelSpec(), "privateyes", seed=6, adversary=adv, evaluate=False
+        pop, TrainConfig(rounds=6), ModelSpec(), "privateyes", seed=6, adversary=adv
     )
     assert res.aborted
     assert res.abort_reason == ABORT_MAC_FAILURE
@@ -200,7 +200,7 @@ def test_training_abort_mid_run():
 def test_cohort_fraction_limits_participants():
     pop = gen_synthetic_population(6, seed=7, rounds=2)
     cfg = TrainConfig(rounds=2, cohort_fraction=0.5)
-    res = run_training(pop, cfg, ModelSpec(), "privateyes", seed=7, evaluate=False)
+    res = run_training(pop, cfg, ModelSpec(), "privateyes", seed=7)
     for record in res.transcript.round_records:
         assert len(record["cohort"]) == 3
 
@@ -219,9 +219,20 @@ def test_unknown_scheme_rejected():
         run_training(pop, TrainConfig(rounds=1), ModelSpec(), "pir", seed=0)
 
 
+def test_unknown_optimizer_mode_rejected_before_training(monkeypatch):
+    def train(*args):
+        raise AssertionError("a round trained")
+
+    monkeypatch.setattr(protocol, "train_cohort_updates", train)
+    pop = gen_synthetic_population(2, seed=0, rounds=1)
+    with pytest.raises(ValueError, match="optimizer mode"):
+        run_training(pop, TrainConfig(rounds=1), ModelSpec(), "privateyes", seed=0,
+                     optimizer_mode="plain")
+
+
 def test_transcript_ndjson_dump(tmp_path):
     pop = gen_synthetic_population(3, seed=9, rounds=2)
-    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=9, evaluate=False)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=9)
     path = tmp_path / "transcript.ndjson"
     res.transcript.dump_ndjson(path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -265,8 +276,7 @@ def test_frame_log_and_models_pinned(monkeypatch):
     monkeypatch.setattr(protocol, "Network", RecordingNetwork)
     pop = gen_synthetic_population(4, seed=21, rounds=2)
     spec = ModelSpec(kind="linear", d_in=8)
-    res = run_training(pop, TrainConfig(rounds=2), spec, "privateyes", n_servers=3, seed=21,
-                       evaluate=False)
+    res = run_training(pop, TrainConfig(rounds=2), spec, "privateyes", n_servers=3, seed=21)
     log = [(r["round"], r["type"], r["sender"], r["receiver"], r["bytes"]) for r in nets[0].log]
     assert spec.dim == 18
     assert len(log) == PINNED_FRAMES
@@ -289,7 +299,7 @@ def test_adversary_view_payloads_pinned():
     adv = AdversarySpec(corrupted_servers=frozenset({server_wire_id(2)}),
                         behavior="passive-record")
     res = run_training(pop, TrainConfig(rounds=2), ModelSpec(kind="linear", d_in=8),
-                       "privateyes", n_servers=3, seed=21, adversary=adv, evaluate=False)
+                       "privateyes", n_servers=3, seed=21, adversary=adv)
     assert not res.aborted
     view = res.transcript.adversary_view
     assert {MsgType.COMMIT, MsgType.REVEAL, MsgType.OPEN_SHARE} <= {f["type"] for f in view}
@@ -324,10 +334,9 @@ def test_passive_corrupted_server_multi_round_matches_honest():
     later rounds never read stale COMMIT/REVEAL frames."""
     pop = gen_synthetic_population(4, seed=9, rounds=3)
     cfg = TrainConfig(rounds=3)
-    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=9, evaluate=False)
+    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=9)
     adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="passive-record")
-    passive = run_training(pop, cfg, ModelSpec(), "privateyes", seed=9, adversary=adv,
-                           evaluate=False)
+    passive = run_training(pop, cfg, ModelSpec(), "privateyes", seed=9, adversary=adv)
     assert not passive.aborted
     assert len(passive.transcript.om_history) == 4
     for a, b in zip(passive.transcript.om_history, honest.transcript.om_history, strict=True):
@@ -416,8 +425,7 @@ def _dropping_network(msg_type, receiver_role, round_index):
 def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_role, phase):
     nets = _capture_networks(monkeypatch, _dropping_network(msg_type, receiver_role, 2))
     pop = gen_synthetic_population(4, seed=12, rounds=2)
-    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=12,
-                       evaluate=False)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=12)
     assert len(nets[0].dropped) == 1
     assert nets[0].dropped[0]["type"] == msg_type
     assert res.aborted
@@ -448,9 +456,9 @@ def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
 
     pop = gen_synthetic_population(4, seed=13, rounds=3)
     cfg = TrainConfig(rounds=3)
-    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13, evaluate=False)
+    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13)
     nets = _capture_networks(monkeypatch, ReplayingNetwork)
-    replayed = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13, evaluate=False)
+    replayed = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13)
     stale = nets[0].stale
     assert stale.round == 1
     assert list(nets[0].inboxes[stale.receiver]) == [stale]  # still there, never taken
@@ -464,7 +472,7 @@ def test_honest_run_leaves_every_inbox_empty(monkeypatch, scheme):
     nets = _capture_networks(monkeypatch)
     pop = gen_synthetic_population(6, seed=14, rounds=3)
     cfg = TrainConfig(rounds=3, cohort_fraction=0.5)
-    res = run_training(pop, cfg, ModelSpec(), scheme, seed=14, evaluate=False)
+    res = run_training(pop, cfg, ModelSpec(), scheme, seed=14)
     assert not res.aborted
     assert nets[0].inboxes
     assert all(not inbox for inbox in nets[0].inboxes.values())
@@ -474,8 +482,7 @@ def test_codec_headroom_scales_with_cohort():
     codec = FixedPointCodec(FieldParams(f_bits=84))  # headroom for one value
     pop = gen_synthetic_population(15, seed=0, rounds=1)
     with pytest.raises(FieldError):
-        run_training(pop, TrainConfig(rounds=1), ModelSpec(), "privateyes", codec=codec,
-                     evaluate=False)
+        run_training(pop, TrainConfig(rounds=1), ModelSpec(), "privateyes", codec=codec)
 
 
 # The deviation sweep. Each action replaces one frame; a replay keeps the
@@ -532,7 +539,7 @@ def _sweep_run(monkeypatch, target=None, action=None):
     nets = _capture_networks(monkeypatch, _sweep_network(target, action))
     pop = gen_synthetic_population(4, seed=21, rounds=2)
     res = run_training(pop, TrainConfig(rounds=2), ModelSpec(kind="linear", d_in=8),
-                       "privateyes", n_servers=3, seed=21, evaluate=False)
+                       "privateyes", n_servers=3, seed=21)
     return nets[0], res
 
 

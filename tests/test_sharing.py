@@ -10,13 +10,11 @@ from privateyes.sharing import (
     MASK_POOL_SIZE,
     AdditiveSharing,
     Dealer,
-    IncompleteSharingError,
     MacKeySharing,
     batch_coefficients,
     check_openings,
     commit,
     public_coin,
-    reconstruct,
     share,
     verify_commit,
 )
@@ -25,32 +23,31 @@ P23 = FieldParams(q=23, f_bits=0)
 BIG = FieldParams()
 
 
+def _open(s: AdditiveSharing) -> int:
+    """The value of a sharing, summed by vec_sum as the protocol opens it."""
+    return to_ints(vec_sum(from_ints(s.shares)[:, None], s.params))[0]
+
+
 def test_worked_sharing_of_three():
     # 5 + 17 + 4 = 26 = 3 mod 23
     s = AdditiveSharing(P23, [5, 17, 4])
-    assert reconstruct(s) == 3
+    assert _open(s) == 3
 
 
 def test_share_reconstruct_roundtrip():
     rng = Random(0)
     for x in range(23):
-        assert reconstruct(share(x, 3, rng, P23)) == x
+        assert _open(share(x, 3, rng, P23)) == x
     for _ in range(20):
         x = rng.randrange(BIG.q)
-        assert reconstruct(share(x, 5, rng, BIG)) == x
-
-
-def test_reconstruct_missing_share():
-    s = AdditiveSharing(P23, [5, None, 4])
-    with pytest.raises(IncompleteSharingError):
-        reconstruct(s)
+        assert _open(share(x, 5, rng, BIG)) == x
 
 
 def test_share_sum_example():
     # (1, 9, 11) in Z_23 opens to 21, and 21 / 3 = 7 client-side.
     s = AdditiveSharing(P23, [1, 9, 11])
-    assert reconstruct(s) == 21
-    assert reconstruct(s) / 3 == 7.0
+    assert _open(s) == 21
+    assert _open(s) / 3 == 7.0
 
 
 def _check(value_shares, mac_shares, kappa_shares, coeffs, params):
@@ -149,11 +146,11 @@ def test_dealer_key_and_mask_relations():
     rng = Random(7)
     dealer = Dealer(3, rng, BIG)
     assert sum(dealer.key.key_shares) % BIG.q == dealer.mac_key
-    batch = dealer.issue_masks(42, 1)
-    assert batch.client_id == 42
-    vals, macs = zip(*(to_ints(shares) for shares in batch.server_shares))
-    assert sum(vals) % BIG.q == to_ints(batch.r)[0]
-    assert sum(macs) % BIG.q == dealer.mac_key * to_ints(batch.r)[0] % BIG.q
+    batch = dealer.issue_masks([42], 1)
+    assert batch.client_id == [42]
+    vals, macs = zip(*(to_ints(shares) for shares in batch.server_shares[0]))
+    assert sum(vals) % BIG.q == to_ints(batch.r[0])[0]
+    assert sum(macs) % BIG.q == dealer.mac_key * to_ints(batch.r[0])[0] % BIG.q
 
 
 @pytest.mark.parametrize("params", [P23, BIG])
@@ -161,17 +158,17 @@ def test_bulk_masks_relations_and_determinism(params):
     q = params.q
     dealer = Dealer(3, Random(7), params)
     # The second request does not fit what is left of the first pool.
-    batches = [dealer.issue_masks(40, 5), dealer.issue_masks(41, MASK_POOL_SIZE)]
+    batches = [dealer.issue_masks([40], 5), dealer.issue_masks([41], MASK_POOL_SIZE)]
     for batch, count in zip(batches, (5, MASK_POOL_SIZE)):
         assert len(batch) == count
-        assert batch.server_shares.shape == (3, 2 * count, 2)
-        r = to_ints(batch.r)
+        assert batch.server_shares.shape == (1, 3, 2 * count, 2)
+        r = to_ints(batch.r[0])
         assert all(0 <= v < q for v in r)
-        per_server = [to_ints(shares) for shares in batch.server_shares]
+        per_server = [to_ints(shares) for shares in batch.server_shares[0]]
         for t in range(0, count, 997):
             assert sum(s[t] for s in per_server) % q == r[t]
             assert sum(s[count + t] for s in per_server) % q == dealer.mac_key * r[t] % q
-    again = Dealer(3, Random(7), params).issue_masks(40, 5)
+    again = Dealer(3, Random(7), params).issue_masks([40], 5)
     assert np.array_equal(again.r, batches[0].r)
     assert np.array_equal(again.server_shares, batches[0].server_shares)
 
@@ -187,17 +184,17 @@ def test_mask_single_use(calls):
     rs, columns = [], []
     for cid, count in calls:
         before = dealer._pool
-        batch = dealer.issue_masks(cid, count)
+        batch = dealer.issue_masks([cid], count)
         after = dealer._pool[0]
-        assert batch.client_id == cid and len(batch) == count
+        assert batch.client_id == [cid] and len(batch) == count
         if before is not None and len(before[0]) >= count:
-            assert np.array_equal(batch.r, before[0][:count])
+            assert np.array_equal(batch.r[0], before[0][:count])
             assert np.array_equal(after, before[0][count:])
         else:  # refilled: the batch is the front of a fresh pool
             assert len(batch) + len(after) == max(count, MASK_POOL_SIZE)
-        rs.append(batch.r)
+        rs.append(batch.r[0])
         # One row per value-share column and per MAC-share column: (2 * count, 3 * 2).
-        columns.append(batch.server_shares.transpose(1, 0, 2).reshape(2 * count, 6))
+        columns.append(batch.server_shares[0].transpose(1, 0, 2).reshape(2 * count, 6))
     # A reissued r or column would repeat its first limb; the fresh ones are
     # uniform on [0, q), so their first limbs all differ.
     for issued in (np.concatenate(rs), np.concatenate(columns)):
@@ -227,9 +224,9 @@ def test_cohort_masks_match_per_client_calls(count, cohorts):
         assert batch.r.shape == (size, count, 2)
         assert batch.server_shares.shape == (size, 3, 2 * count, 2)
         for j, cid in enumerate(ids):
-            one = client_dealer.issue_masks(cid, count)
-            assert np.array_equal(batch.r[j], one.r)
-            assert np.array_equal(batch.server_shares[j], one.server_shares)
+            one = client_dealer.issue_masks([cid], count)
+            assert np.array_equal(batch.r[j], one.r[0])
+            assert np.array_equal(batch.server_shares[j], one.server_shares[0])
         for a, b in zip(cohort_dealer._pool, client_dealer._pool):
             assert np.array_equal(a, b)
 
@@ -237,8 +234,8 @@ def test_cohort_masks_match_per_client_calls(count, cohorts):
 def test_mask_ids_unique():
     # Ten single masks from one dealer are ten distinct masks.
     dealer = Dealer(3, Random(0), BIG)
-    batches = [dealer.issue_masks(0, 1) for _ in range(10)]
-    assert len({tuple(b.r[0]) for b in batches}) == 10
+    batches = [dealer.issue_masks([0], 1) for _ in range(10)]
+    assert len({tuple(b.r[0, 0]) for b in batches}) == 10
     assert len({b.server_shares.tobytes() for b in batches}) == 10
 
 
@@ -246,9 +243,9 @@ def test_mask_ownership():
     # A batch carries the client it was issued for, and two clients'
     # batches share no mask.
     dealer = Dealer(3, Random(5), BIG)
-    a, b = dealer.issue_masks(0, 4), dealer.issue_masks(1, 4)
-    assert (a.client_id, b.client_id) == (0, 1)
-    assert not {tuple(r) for r in a.r} & {tuple(r) for r in b.r}
+    a, b = dealer.issue_masks([0], 4), dealer.issue_masks([1], 4)
+    assert (a.client_id, b.client_id) == ([0], [1])
+    assert not {tuple(r) for r in a.r[0]} & {tuple(r) for r in b.r[0]}
 
 
 def test_commitment_binding_and_hiding_shape():

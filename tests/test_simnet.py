@@ -86,37 +86,37 @@ def test_fifo_recv_with_filters():
     net.send(WireMessage(MsgType.COMMIT, 1, 1, 2, b"a"))
     net.send(WireMessage(MsgType.REVEAL, 1, 1, 2, b"b"))
     net.send(WireMessage(MsgType.COMMIT, 1, 0, 2, b"c"))
-    assert net.recv(2, MsgType.REVEAL).payload == b"b"
-    assert net.recv(2, MsgType.COMMIT, sender=0).payload == b"c"
-    assert net.recv(2, MsgType.COMMIT).payload == b"a"
-    assert net.recv(2, MsgType.COMMIT) is None  # timeout
+    assert net.recv(2, MsgType.REVEAL, 1, 1).payload == b"b"
+    assert net.recv(2, MsgType.COMMIT, 0, 1).payload == b"c"
+    assert net.recv(2, MsgType.COMMIT, 1, 1).payload == b"a"
+    assert net.recv(2, MsgType.COMMIT, 1, 1) is None  # timeout
 
 
 def test_honest_frames_never_mutated():
     net = Network(ROLES, P, AdversarySpec())  # passive-record
     payload = vector_to_bytes([42])
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, payload))
-    assert net.recv(2, MsgType.OPEN_SHARE).payload == payload
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, 1).payload == payload
 
 
 def test_tamper_share_mutates_first_element():
     adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="tamper-share")
     net = Network(ROLES, P, adv)
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, vector_to_bytes([5, 7])))
-    got = net.recv(2, MsgType.OPEN_SHARE)
+    got = net.recv(2, MsgType.OPEN_SHARE, 1, 1)
     from privateyes.field import to_ints, vector_from_bytes
 
     assert to_ints(vector_from_bytes(got.payload)) == [6, 7]
     # Frames from honest servers are untouched.
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 2, 1, vector_to_bytes([5])))
-    assert net.recv(1, MsgType.OPEN_SHARE).payload == vector_to_bytes([5])
+    assert net.recv(1, MsgType.OPEN_SHARE, 2, 1).payload == vector_to_bytes([5])
 
 
 def test_withhold_drops_frame():
     adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="withhold")
     net = Network(ROLES, P, adv)
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, b""))
-    assert net.recv(2, MsgType.OPEN_SHARE) is None
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, 1) is None
     assert len(net.dropped) == 1
 
 
@@ -124,9 +124,9 @@ def test_target_round_scopes_adversary():
     adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="withhold", target_round=5)
     net = Network(ROLES, P, adv)
     net.send(WireMessage(MsgType.OPEN_SHARE, 4, 1, 2, b""))
-    assert net.recv(2, MsgType.OPEN_SHARE) is not None
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, 4) is not None
     net.send(WireMessage(MsgType.OPEN_SHARE, 5, 1, 2, b""))
-    assert net.recv(2, MsgType.OPEN_SHARE) is None
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, 5) is None
 
 
 def test_adversary_view_captures_corrupted_endpoints():
@@ -240,7 +240,7 @@ def test_recv_matches_the_round():
     net = Network(ROLES, P)
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, b"old"))
     net.send(WireMessage(MsgType.OPEN_SHARE, 2, 1, 2, b"new"))
-    assert net.recv(2, MsgType.OPEN_SHARE, 1, round_index=2).payload == b"new"
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, 2).payload == b"new"
     assert net.recv_many(MsgType.OPEN_SHARE, 2, [(2, 1)]) == [None]
     assert net.recv_many(MsgType.OPEN_SHARE, 1, [(2, 1)])[0].payload == b"old"
 
