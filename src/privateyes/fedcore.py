@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class Population:
     @property
     def num_clients(self) -> int:
         return len(self.mu)
+
+    @cached_property
+    def test_vecs(self) -> np.ndarray:
+        """Unit vectors (3, J, T) of ``test_gaze``, computed once."""
+        return gaze_to_vecs(self.test_gaze)
 
     def priors(self) -> dict:
         """Population-level generating priors; public attacker knowledge."""
@@ -338,12 +344,17 @@ def angular_error(pred, truth) -> float:
 
 
 def angular_errors_deg(pred_angles: np.ndarray, true_angles: np.ndarray) -> np.ndarray:
-    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays.
+    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays."""
+    return _angles_deg(gaze_to_vecs(pred_angles), gaze_to_vecs(true_angles))
+
+
+def _angles_deg(pred_vecs: np.ndarray, true_vecs: np.ndarray) -> np.ndarray:
+    """Elementwise angle in degrees between (3, ...) unit vectors.
 
     The dot products add their terms as np.sum does over a length-3 axis,
     (x + y) + z, without its inner loop per row.
     """
-    terms = gaze_to_vecs(pred_angles) * gaze_to_vecs(true_angles)
+    terms = pred_vecs * true_vecs
     dots = terms[0] + terms[1]
     dots += terms[2]
     return np.degrees(np.arccos(_clip(dots, 1.0)))
@@ -356,7 +367,7 @@ def evaluate_model(spec: ModelSpec, w: np.ndarray, population: Population):
     the weighted total accumulate in client order, as a per-client loop would.
     """
     P = predict(spec, w, population.test_features)
-    errs = angular_errors_deg(P, population.test_gaze)
+    errs = _angles_deg(gaze_to_vecs(P), population.test_vecs)
     count = population.test_features.shape[1]
     per_client = dict(enumerate(errs.mean(axis=-1).tolist()))
     total_err = 0.0

@@ -152,38 +152,32 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _payloads(vectors) -> list:
-    """Wire bytes of each row of a stacked (..., length, 2) limb array,
-    copied out of the array's memory row by row, with no whole-array bytes
-    copy held beside the rows."""
-    buf = memoryview(np.ascontiguousarray(vectors)).cast("B")
-    size = vectors.shape[-2] * ELEMENT_BYTES
-    return [bytes(buf[i : i + size]) for i in range(0, len(buf), size)]
-
-
-def _recv_vectors(net: Network, msg_type: MsgType, round_index: int, edges: list, length: int):
-    """Receive one frame per (receiver, sender) edge and stack the payloads
-    into a (len(edges), length, 2) limb array; None if a frame is missing.
-    The frames themselves are dropped on return."""
-    msgs = net.recv_many(msg_type, round_index, edges)
-    if None in msgs:
-        return None
-    payloads = [m.payload for m in msgs]
-    if set(map(len, payloads)) - {length * ELEMENT_BYTES}:
-        raise FieldError(f"payload is not a vector of {length} field elements")
-    return vector_from_bytes(b"".join(payloads)).reshape(len(msgs), length, 2)
+def _recv_vectors(net: Network, msg_type: MsgType, round_index: int, receivers, senders,
+                  length: int):
+    """Receive one frame per (receivers[f], senders[f]) edge as an (edges,
+    length, 2) limb array; None if a frame is missing. Honest frames arrive
+    as stacked rows; payloads that arrive as bytes (hooked, injected or
+    out-of-order frames) must each hold ``length`` field elements."""
+    got = net.recv_many(msg_type, round_index, receivers, senders)
+    if isinstance(got, list):
+        if set(map(len, got)) - {length * ELEMENT_BYTES}:
+            raise FieldError(f"payload is not a vector of {length} field elements")
+        got = vector_from_bytes(b"".join(got)).reshape(len(got), length, 2)
+    return got
 
 
 def _send_masks(net, dealer, round_index, clients, servers, d):
     """The dealer's frames: each client's r vector, then every server's
-    shares of it. Only the payloads, held by the inboxes, outlive the call."""
+    shares of it, as rows of the two mask arrays."""
     masks = dealer.issue_masks(clients, d)
-    share_payloads = iter(_payloads(masks.server_shares))
-    frames = []
-    for cid, r_payload in zip(clients, _payloads(masks.r)):
-        frames.append((DEALER_ID, cid, r_payload))
-        frames.extend((DEALER_ID, sid, next(share_payloads)) for sid in servers)
-    net.send_many(MsgType.MASK_DELIVERY, round_index, frames)
+    J, n = len(clients), len(servers)
+    # Server i's shares of client j's r: row j*n + i here, row J + j*n + i of
+    # the pair (masks.r, shares).
+    shares = masks.server_shares.reshape(J * n, 2 * d, 2)
+    rows = np.column_stack([np.arange(J), J + np.arange(J * n).reshape(J, n)])
+    receivers = np.column_stack([clients, np.tile(servers, (J, 1))])
+    net.send_many(MsgType.MASK_DELIVERY, round_index, np.full(J * (n + 1), DEALER_ID),
+                  receivers.ravel(), (masks.r, shares), rows.ravel())
 
 
 def run_secure_aggregation_round(
@@ -211,22 +205,20 @@ def run_secure_aggregation_round(
     _send_masks(net, dealer, round_index, clients, servers, d)
 
     # Clients: publish epsilon = x - r to every server, the cohort at once.
-    r = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index,
-                      [(cid, DEALER_ID) for cid in clients], d)
+    r = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index, clients, [DEALER_ID] * J, d)
     if r is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "mask delivery")
     eps = vec_sub(inputs, r, params)
-    net.send_many(MsgType.INPUT_OFFSET, round_index,
-                  [(cid, sid, payload) for cid, payload in zip(clients, _payloads(eps))
-                   for sid in servers])
+    net.send_many(MsgType.INPUT_OFFSET, round_index, np.repeat(clients, n), np.tile(servers, J),
+                  eps, np.repeat(np.arange(J), n))
 
     # Servers: derive authenticated shares from the offsets, sum locally.
     # Every dealer frame precedes every offset in a server's inbox, so taking
     # all masks first keeps each receive at the head of the inbox.
-    masks = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index,
-                          [(sid, DEALER_ID) for sid in servers for _ in cohort], 2 * d)
-    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET, round_index,
-                            [(sid, cid) for sid in servers for cid in clients], d)
+    by_server = np.repeat(servers, J).tolist()
+    masks = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index, by_server,
+                          [DEALER_ID] * (n * J), 2 * d)
+    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET, round_index, by_server, clients * n, d)
     if masks is None or offsets is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "input phase")
     # Per server i: sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j,
@@ -243,11 +235,10 @@ def run_secure_aggregation_round(
         return _abort(net, round_index, n, clients, reason, "opening")
 
     # Share return: every server sends its aggregate share to every client.
-    net.send_many(MsgType.SHARE_UPLOAD, round_index,
-                  [(sid, cid, payload) for sid, payload in zip(servers, _payloads(value_vecs))
-                   for cid in clients])
+    net.send_many(MsgType.SHARE_UPLOAD, round_index, np.repeat(servers, J), np.tile(clients, n),
+                  value_vecs, np.repeat(np.arange(n), J))
     returned = _recv_vectors(net, MsgType.SHARE_UPLOAD, round_index,
-                             [(cid, sid) for cid in clients for sid in servers], d)
+                             np.repeat(clients, n).tolist(), servers * J, d)
     if returned is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "share return")
     sums = vec_sum(returned.reshape(J, n, d, 2), params, axis=1)
@@ -266,7 +257,8 @@ def _abort(net, round_index, n, clients, reason, phase):
     payload = reason.encode()
     sid = server_wire_id(0)
     receivers = [server_wire_id(i) for i in range(1, n)] + clients
-    net.send_many(MsgType.ABORT, round_index, [(sid, rid, payload) for rid in receivers])
+    net.send_many(MsgType.ABORT, round_index, [sid] * len(receivers), receivers,
+                  [payload] * len(receivers))
     return SimpleNamespace(opened=None, abort_reason=reason, abort_phase=phase,
                            per_server_value_shares=None, client_sums=None)
 
@@ -279,17 +271,20 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     rngs = [Random(derive_seed(seed, "open", k, i)) for i in range(n)]
     servers = [server_wire_id(i) for i in range(n)]
     corrupted = net.corrupted_servers(k)
-    # (receiver, sender) edges between distinct servers, by receiver.
-    edges = [(rid, sid) for rid in servers for sid in servers if sid != rid]
+    # Every ordered pair of distinct servers, grouped by the first: frame f
+    # of a broadcast goes from owners[f] = servers[own[f]] to peers[f], and a
+    # receive takes at owners[f] the frame from peers[f].
+    own = [i for i in range(n) for _ in range(n - 1)]
+    owners = [servers[i] for i in own]
+    peers = [peer for sid in servers for peer in servers if peer != sid]
 
     def broadcast(msg_type, payloads):
-        # Server i sends payloads[i] to every other server, by sender.
-        net.send_many(msg_type, k, [(sid, rid, payload) for sid, payload in zip(servers, payloads)
-                                    for rid in servers if rid != sid])
+        # Server i sends payloads[i] to every other server.
+        net.send_many(msg_type, k, owners, peers, [payloads[i] for i in own])
 
     def receive_commits():
-        return zip(net.recv_many(MsgType.COMMIT, k, edges),
-                   net.recv_many(MsgType.REVEAL, k, edges))
+        return [(net.recv(rid, MsgType.COMMIT, sid, k), net.recv(rid, MsgType.REVEAL, sid, k))
+                for rid, sid in zip(owners, peers)]
 
     # Public coin: commit-then-reveal of per-server nonces.
     nonces = [rngs[i].randbytes(16) for i in range(n)]
@@ -304,8 +299,8 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     coeffs = from_ints(batch_coefficients(coin, d, params))
 
     # Open the aggregate value shares.
-    broadcast(MsgType.OPEN_SHARE, _payloads(value_vecs))
-    others = _recv_vectors(net, MsgType.OPEN_SHARE, k, edges, d)
+    net.send_many(MsgType.OPEN_SHARE, k, owners, peers, value_vecs, own)
+    others = _recv_vectors(net, MsgType.OPEN_SHARE, k, owners, peers, d)
     if others is None:
         return None, ABORT_TIMEOUT
     # Per server: its own share plus the n - 1 it received open its view of
@@ -325,7 +320,7 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
 
     # Corrupted servers take their frames off the wire (so no later round
     # reads them) but honest servers do the checking.
-    received = list(receive_commits())
+    received = receive_commits()
     for jj in range(n):
         if servers[jj] in corrupted:
             continue
@@ -455,10 +450,10 @@ def run_training(
         else:
             sid = server_wire_id(0)
             clients = [client_wire_id(n, j) for j in cohort]
-            uploads = zip(clients, _payloads(stacked))
-            net.send_many(MsgType.SHARE_UPLOAD, k, [(cid, sid, p) for cid, p in uploads])
-            received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k,
-                                     [(sid, cid) for cid in clients], spec.dim)
+            net.send_many(MsgType.SHARE_UPLOAD, k, clients, [sid] * len(clients),
+                          stacked, range(len(clients)))
+            received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k, [sid] * len(clients), clients,
+                                     spec.dim)
             for j, iu in zip(cohort, codec.decode_vector(received)):
                 transcript.server_view_iu[(j, k)] = iu
             total = aggregate_encoded(list(received), codec.params)
@@ -501,9 +496,10 @@ def _broadcast_model(net, n, k, client_indices, codec, om):
     payload = vector_to_bytes(codec.encode_vector(om))
     sid = server_wire_id(0)
     clients = [client_wire_id(n, j) for j in client_indices]
-    net.send_many(MsgType.BROADCAST_MODEL, k, [(sid, cid, payload) for cid in clients])
-    received = net.recv_many(MsgType.BROADCAST_MODEL, k, [(cid, sid) for cid in clients])
-    if any(msg is None or msg.payload != payload for msg in received):
+    net.send_many(MsgType.BROADCAST_MODEL, k, [sid] * len(clients), clients,
+                  [payload] * len(clients))
+    received = net.recv_many(MsgType.BROADCAST_MODEL, k, clients, [sid] * len(clients))
+    if received is None or any(got != payload for got in received):
         raise FrameError(f"a client did not receive the round {k} model intact")
 
 

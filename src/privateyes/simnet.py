@@ -5,15 +5,27 @@ All frames pass through a single Network instance, a phase's frames of one
 type in one ``send_many`` call; delivery order is the send order, so
 identical seeds give identical transcripts and byte counts. A frame's
 metered size is its encoded length, ``FRAME_OVERHEAD + len(payload)``.
+
+An honest vector frame is a reference to one row of a stacked
+(frames, length, 2) limb array: the inbox holds (type, round, sender,
+receiver, array, row), and ``recv_many`` gathers a phase's rows in one
+step. A frame exists as a WireMessage with payload bytes only where bytes
+are needed: in a hooked batch, whose frames ``_mutate`` sees one by one;
+in the adversary view of a watched endpoint; and for the small byte
+frames (coin, sigma, key share, abort, model broadcast).
 """
 
 from __future__ import annotations
 
 import struct
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .field import ELEMENT_BYTES, FieldParams
 
@@ -182,7 +194,10 @@ def edge_class(sender_role: str, receiver_role: str) -> str:
 class Network:
     """Single-threaded scheduler: FIFO inboxes, live metering, adversary hooks.
 
-    With ``log_frames`` set, ``log`` keeps one summary per delivered frame.
+    ``roles`` names the role of each wire id 0 to len(roles) - 1. An inbox
+    entry is a WireMessage or a row reference (see the module docstring);
+    both hold the type, round and sender at positions 0-2. With
+    ``log_frames`` set, ``log`` keeps one summary per delivered frame.
     """
 
     def __init__(self, roles: dict, params: FieldParams, adversary: AdversarySpec = None,
@@ -198,6 +213,10 @@ class Network:
         self.dropped = []
         self._watched = frozenset() if adversary is None else (
             adversary.corrupted_servers | adversary.corrupted_clients)
+        # Each wire id's role as an index into _role_names, for metering in numpy.
+        self._role_names = sorted(set(self.roles.values()))
+        self._role_codes = np.array([self._role_names.index(self.roles[party])
+                                     for party in range(len(self.roles))])
 
     def corrupted_servers(self, round_index: int) -> frozenset:
         """Wire ids of the servers the adversary controls in this round."""
@@ -206,13 +225,14 @@ class Network:
             return frozenset()
         return spec.corrupted_servers
 
-    def _hooked(self, point, round_index: int, frames) -> bool:
-        """Whether the adversary's behaviour can touch a frame of a batch."""
+    def _hooked(self, point, round_index: int, endpoints) -> bool:
+        """Whether the adversary's behaviour can touch a frame of a batch,
+        given as its (senders, receivers) columns."""
         corrupted = self.corrupted_servers(round_index)
         hook = _HOOKS[self.adversary.behavior] if corrupted else None
         if hook is None or hook[0] != point:
             return False
-        return any(frame[hook[1]] in corrupted for frame in frames)
+        return any(party in corrupted for party in endpoints[hook[1]])
 
     def _mutate(self, msg: WireMessage):
         """The hook point, called per frame of a batch ``_hooked`` accepted;
@@ -226,72 +246,129 @@ class Network:
 
     def value(self, point: str, round_index: int, server: int, payload: bytes) -> bytes:
         """The encoded value ``server`` goes on to use at a value point."""
-        if not self._hooked(point, round_index, [(server, None)]):
+        if not self._hooked(point, round_index, ([server], [None])):
             return payload
         return self._mutate(WireMessage(point, round_index, server, None, payload)).payload
 
     def send(self, msg: WireMessage) -> None:
-        self.send_many(msg.msg_type, msg.round, [(msg.sender, msg.receiver, msg.payload)])
+        self.send_many(msg.msg_type, msg.round, [msg.sender], [msg.receiver], [msg.payload])
 
-    def send_many(self, msg_type: MsgType, round_index: int, frames) -> None:
-        """Deliver a list of ``(sender, receiver, payload)`` frames of one
-        type and round in order, metering each edge class once for the batch."""
+    def send_many(self, msg_type: MsgType, round_index: int, senders, receivers, payloads,
+                  rows=None) -> None:
+        """Deliver a phase's frames of one type and round in order, given as
+        columns: frame f goes from ``senders[f]`` to ``receivers[f]``. Its
+        payload is the bytes ``payloads[f]``, or, with ``rows``, row
+        ``rows[f]`` of ``payloads``: a stacked (frames, length, 2) limb array,
+        or a tuple of them taken as concatenated. The inbox then references
+        the row, so those arrays are made read-only.
+        """
         if msg_type not in _MSG_TYPES:
             raise FrameError(f"unknown message type {msg_type}")
-        hooked = self._hooked(msg_type, round_index, frames)
-        roles, inboxes, watched, log = self.roles, self.inboxes, self._watched, self.log_frames
-        metered = defaultdict(lambda: [0, 0])  # (sender role, receiver role) -> [frames, bytes]
-        for sender, receiver, payload in frames:
-            msg = WireMessage(msg_type, round_index, sender, receiver, payload)
+        ids = np.asarray(senders, dtype=np.intp), np.asarray(receivers, dtype=np.intp)
+        senders, receivers = ids[0].tolist(), ids[1].tolist()
+        hooked = self._hooked(msg_type, round_index, (senders, receivers))
+        if rows is not None:
+            arrays = payloads if isinstance(payloads, tuple) else (payloads,)
+            for a in arrays:
+                a.flags.writeable = False
+            if len(arrays) == 1:
+                sources, rows = repeat(arrays[0]), np.asarray(rows).tolist()
+                sizes = arrays[0].shape[1] * ELEMENT_BYTES
+            else:
+                starts = np.cumsum([0] + [len(a) for a in arrays])
+                part = np.searchsorted(starts, rows, side="right") - 1
+                sources = list(map(arrays.__getitem__, part.tolist()))
+                rows = (np.asarray(rows) - starts[part]).tolist()
+                sizes = np.array([a.shape[1] for a in arrays])[part] * ELEMENT_BYTES
+            if hooked:  # _mutate sees WireMessages; a changed row is a changed copy
+                payloads = [source[row].tobytes() for source, row in zip(sources, rows)]
+        if rows is None or hooked:
+            entries = [WireMessage(msg_type, round_index, sender, receiver, payload)
+                       for sender, receiver, payload in zip(senders, receivers, payloads)]
             if hooked:
-                msg = self._mutate(msg)
-                if msg is None:
-                    self.dropped.append({"round": round_index, "type": int(msg_type),
-                                         "sender": sender, "receiver": receiver})
-                    continue
-            key = (roles[sender], roles[receiver])
-            tally = metered[key]
-            tally[0] += 1
-            tally[1] += len(msg.payload)
-            seen = sender in watched or receiver in watched
-            if log or seen:
+                outs = [self._mutate(msg) for msg in entries]
+                self.dropped += [{"round": round_index, "type": int(msg_type), "sender": msg.sender,
+                                  "receiver": msg.receiver}
+                                 for msg, out in zip(entries, outs) if out is None]
+                kept = [f for f, out in enumerate(outs) if out is not None]
+                senders, receivers = [senders[f] for f in kept], [receivers[f] for f in kept]
+                entries, ids = [outs[f] for f in kept], (ids[0][kept], ids[1][kept])
+            sizes = np.array([len(msg.payload) for msg in entries], dtype=np.intp)
+        else:
+            entries = list(zip(repeat(msg_type), repeat(round_index), senders, receivers, sources,
+                               rows))
+        self._meter(round_index, *ids, sizes)
+        roles, watched = self.roles, self._watched
+        if self.log_frames or watched:
+            sizes = np.broadcast_to(sizes, len(entries)).tolist()
+            for sender, receiver, size, entry in zip(senders, receivers, sizes, entries):
                 record = {"round": round_index, "type": int(msg_type), "sender": sender,
-                          "receiver": receiver, "bytes": FRAME_OVERHEAD + len(msg.payload),
-                          "edge": edge_class(*key)}
-                if log:
+                          "receiver": receiver, "bytes": FRAME_OVERHEAD + size,
+                          "edge": edge_class(roles[sender], roles[receiver])}
+                if self.log_frames:
                     self.log.append(record)
-                if seen:
-                    self.adversary_view.append({**record, "payload": msg.payload})
-            inboxes[receiver].append(msg)
-        for key, (count, size) in metered.items():
-            self.metrics.add(round_index, edge_class(*key), count * FRAME_OVERHEAD + size, count)
+                if sender in watched or receiver in watched:
+                    self.adversary_view.append({**record, "payload": _payload(entry)})
+        inboxes = self.inboxes
+        for receiver, entry in zip(receivers, entries):
+            inboxes[receiver].append(entry)
+
+    def _meter(self, round_index: int, senders, receivers, sizes) -> None:
+        """One metrics add per (sender role, receiver role, size) group of a
+        batch's frames (sizes: one per frame, or one for all), in the order
+        of each group's first frame."""
+        kinds, codes = len(self._role_names), self._role_codes
+        groups = (np.asarray(sizes) * kinds + codes[senders]) * kinds + codes[receivers]
+        for group, count in Counter(groups.tolist()).items():
+            size, pair = divmod(group, kinds * kinds)
+            edge = edge_class(*(self._role_names[code] for code in divmod(pair, kinds)))
+            self.metrics.add(round_index, edge, count * (FRAME_OVERHEAD + size), count)
 
     def recv(self, receiver: int, msg_type: MsgType, sender: int, round_index: int):
         """The receiver's first frame of this type, sender and round, taken
-        out of its inbox, or None (timeout)."""
+        out of its inbox as a WireMessage, or None (timeout)."""
         inbox = self.inboxes[receiver]
-        for i, msg in enumerate(inbox):
-            if msg.msg_type == msg_type and msg.sender == sender and msg.round == round_index:
+        for i, entry in enumerate(inbox):
+            if entry[0] == msg_type and entry[2] == sender and entry[1] == round_index:
                 del inbox[i]
-                return msg
+                return entry if isinstance(entry, WireMessage) else WireMessage(
+                    *entry[:4], _payload(entry))
         return None
 
-    def recv_many(self, msg_type: MsgType, round_index: int, edges) -> list:
-        """One frame of this type and round per (receiver, sender) edge, or
-        None for a missing one: the frame ``recv`` would take, found at the
-        head of the inbox when the sends were in the same order."""
+    def recv_many(self, msg_type: MsgType, round_index: int, receivers, senders):
+        """Take one frame of this type and round per (receivers[f],
+        senders[f]) edge: the frame ``recv`` would take, found at the head of
+        the inbox when the sends were in the same order.
+
+        Returns the rows stacked into one (edges, length, 2) limb array,
+        gathered in one step, when every frame is a row of one array taken at
+        the head of its inbox; else (a hooked, injected or out-of-order
+        frame) the payload bytes, in edge order; None if a frame is missing.
+        """
         inboxes = self.inboxes
-        out = []
-        for receiver, sender in edges:
+        taken = []
+        for receiver, sender in zip(receivers, senders):
             inbox = inboxes[receiver]
             if inbox:
                 head = inbox[0]
-                if (head.sender == sender and head.msg_type == msg_type
-                        and head.round == round_index):
-                    out.append(inbox.popleft())
+                if head[2] == sender and head[0] == msg_type and head[1] == round_index:
+                    taken.append(inbox.popleft())
                     continue
-            out.append(self.recv(receiver, msg_type, sender, round_index))
-        return out
+            taken.append(self.recv(receiver, msg_type, sender, round_index))
+        if None in taken:
+            return None
+        if taken and type(taken[0]) is tuple:  # a row entry; a WireMessage is not
+            source = taken[0][4]
+            if all(entry[4] is source for entry in taken):
+                rows = np.fromiter(map(itemgetter(5), taken), np.intp, len(taken))
+                return source.take(rows, axis=0)
+        return [_payload(entry) for entry in taken]
+
+
+def _payload(entry) -> bytes:
+    """The payload of an inbox entry: a WireMessage's, or the bytes of the
+    row a (type, round, sender, receiver, array, row) entry references."""
+    return entry.payload if isinstance(entry, WireMessage) else entry[4][entry[5]].tobytes()
 
 
 def _bump_first_element(payload: bytes, q: int) -> bytes:

@@ -13,6 +13,7 @@ from privateyes.fedcore import (
     evaluate_model,
     export_population_csv,
     fairness_spread,
+    gaze_to_vecs,
     gen_synthetic_population,
     import_population_csv,
     init_weights,
@@ -306,6 +307,15 @@ def test_stacked_evaluate_matches_per_client_loop(kind):
     assert per_client == expected
     assert all(type(err) is float for err in per_client.values())
     assert mean_err == total_err / total_count
+
+
+def test_test_set_unit_vectors_computed_once():
+    pop = gen_synthetic_population(5, seed=3, rounds=1)
+    vecs = pop.test_vecs
+    assert vecs is pop.test_vecs
+    assert np.array_equal(vecs, gaze_to_vecs(pop.test_gaze))
+    evaluate_model(ModelSpec(), init_weights(ModelSpec(), 2), pop)
+    assert pop.test_vecs is vecs
 
 
 def test_angular_error_basics():

@@ -467,6 +467,30 @@ def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("msg_type", [MsgType.MASK_DELIVERY, MsgType.INPUT_OFFSET,
+                                      MsgType.OPEN_SHARE, MsgType.SHARE_UPLOAD],
+                         ids=["mask", "offset", "open-share", "share-return"])
+def test_truncated_vector_frame_is_a_field_error(monkeypatch, msg_type):
+    """A hooked vector frame one byte short fails the receiver's length check."""
+
+    class TruncatingNetwork(Network):
+        truncated = False
+
+        def _hooked(self, point, round_index, endpoints):
+            return point == msg_type and round_index == 1  # not the round-0 key shares
+
+        def _mutate(self, msg):
+            if self.truncated:
+                return msg
+            self.truncated = True
+            return msg._replace(payload=msg.payload[:-1])
+
+    nets = _capture_networks(monkeypatch, TruncatingNetwork)
+    with pytest.raises(FieldError, match=r"^payload is not a vector of 2 field elements$"):
+        run_secure_aggregation({j: [j + 1, 2 * j] for j in range(4)}, 3, BIG, seed=2)
+    assert nets[0].truncated
+
+
 @pytest.mark.parametrize("scheme", ["privateyes", "adaptive_fl"])
 def test_honest_run_leaves_every_inbox_empty(monkeypatch, scheme):
     nets = _capture_networks(monkeypatch)

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privateyes.field import FieldParams, vector_to_bytes
+from privateyes.field import FieldParams, from_ints, random_vector, vector_to_bytes
 from privateyes.simnet import (
     BEHAVIORS,
     EDGE_CLIENT_TO_SERVER,
@@ -190,7 +193,7 @@ MIXED = [
 def test_send_many_bookkeeping_matches_single_sends(adversary):
     batched = Network(ROLES5, P, adversary, log_frames=True)
     single = Network(ROLES5, P, adversary, log_frames=True)
-    batched.send_many(MsgType.OPEN_SHARE, 3, MIXED)
+    batched.send_many(MsgType.OPEN_SHARE, 3, *zip(*MIXED))
     for sender, receiver, payload in MIXED:
         single.send(WireMessage(MsgType.OPEN_SHARE, 3, sender, receiver, payload))
     for net in (batched, single):
@@ -211,7 +214,7 @@ def test_send_many_bookkeeping_matches_single_sends(adversary):
 
 def test_frame_log_is_opt_in():
     quiet = Network(ROLES5, P)
-    quiet.send_many(MsgType.OPEN_SHARE, 3, MIXED)
+    quiet.send_many(MsgType.OPEN_SHARE, 3, *zip(*MIXED))
     assert quiet.log == []
     assert sum(quiet.metrics.message_counts.values()) == len(MIXED)
 
@@ -219,21 +222,37 @@ def test_frame_log_is_opt_in():
 def test_send_many_rejects_unknown_type():
     net = Network(ROLES5, P)
     with pytest.raises(FrameError):
-        net.send_many(99, 1, MIXED)
+        net.send_many(99, 1, *zip(*MIXED))
     assert net.metrics.total_bytes() == 0
 
 
 def test_recv_many_takes_the_frames_recv_would():
-    edges = [(1, 0), (1, 3), (2, 1), (4, 2), (1, 2), (2, 0), (3, 0), (2, 4), (1, 4)]
+    edges = [(1, 0), (1, 3), (2, 1), (4, 2), (1, 2), (2, 0), (3, 0), (2, 4)]
     batched = Network(ROLES5, P)
     single = Network(ROLES5, P)
     for net in (batched, single):
-        net.send_many(MsgType.OPEN_SHARE, 3, MIXED)
-    got = batched.recv_many(MsgType.OPEN_SHARE, 3, edges)
-    assert got == [single.recv(r, MsgType.OPEN_SHARE, s, 3) for r, s in edges]
-    assert got[-1] is None  # nothing from client 4 to server 1
+        net.send_many(MsgType.OPEN_SHARE, 3, *zip(*MIXED))
+    got = batched.recv_many(MsgType.OPEN_SHARE, 3, *zip(*edges))
+    assert got == [single.recv(r, MsgType.OPEN_SHARE, s, 3).payload for r, s in edges]
+    assert batched.recv_many(MsgType.OPEN_SHARE, 3, [1], [4]) is None  # nothing from 4 to 1
     assert {r: list(q) for r, q in batched.inboxes.items()} == {
         r: list(q) for r, q in single.inboxes.items()}
+
+
+def test_recv_many_gathers_rows_of_one_array():
+    rows = from_ints(range(12)).reshape(6, 2, 2)
+    edges = [(1, 0), (2, 0), (3, 1), (4, 2), (1, 3), (2, 4)]
+    senders, receivers = [s for _, s in edges], [r for r, _ in edges]
+    nets = [Network(ROLES5, P), Network(ROLES5, P)]
+    for net in nets:
+        net.send_many(MsgType.INPUT_OFFSET, 3, senders, receivers, rows, [5, 4, 3, 2, 1, 0])
+    got = nets[0].recv_many(MsgType.INPUT_OFFSET, 3, receivers, senders)
+    assert isinstance(got, np.ndarray) and got.flags.writeable
+    assert np.array_equal(got, rows[::-1])
+    # Out of send order, the frames are still found, as bytes.
+    got = nets[1].recv_many(MsgType.INPUT_OFFSET, 3, receivers[::-1], senders[::-1])
+    assert got == [row.tobytes() for row in rows]
+    assert all(not inbox for net in nets for inbox in net.inboxes.values())
 
 
 def test_recv_matches_the_round():
@@ -241,11 +260,128 @@ def test_recv_matches_the_round():
     net.send(WireMessage(MsgType.OPEN_SHARE, 1, 1, 2, b"old"))
     net.send(WireMessage(MsgType.OPEN_SHARE, 2, 1, 2, b"new"))
     assert net.recv(2, MsgType.OPEN_SHARE, 1, 2).payload == b"new"
-    assert net.recv_many(MsgType.OPEN_SHARE, 2, [(2, 1)]) == [None]
-    assert net.recv_many(MsgType.OPEN_SHARE, 1, [(2, 1)])[0].payload == b"old"
+    assert net.recv_many(MsgType.OPEN_SHARE, 2, [2], [1]) is None
+    assert net.recv_many(MsgType.OPEN_SHARE, 1, [2], [1]) == [b"old"]
+
+
+def test_sent_rows_are_frozen():
+    """An array sent as rows is read-only afterwards, so a write after the
+    send cannot change a frame already delivered."""
+    value_vecs = from_ints([1, 2, 3, 4]).reshape(2, 2, 2)
+    net = Network(ROLES, P)
+    net.send_many(MsgType.SHARE_UPLOAD, 1, [1, 2], [3, 3], value_vecs, [0, 1])
+    with pytest.raises(ValueError, match="read-only"):
+        value_vecs[0] = from_ints([9, 9])
+    with pytest.raises(ValueError, match="read-only"):
+        value_vecs += 1
+    assert net.recv(3, MsgType.SHARE_UPLOAD, 1, 1).payload == vector_to_bytes([1, 2])
+    assert net.recv(3, MsgType.SHARE_UPLOAD, 2, 1).payload == vector_to_bytes([3, 4])
+
+
+def test_hooked_row_is_copied_before_mutation():
+    adv = AdversarySpec(corrupted_servers=frozenset({1}), behavior="tamper-share")
+    net = Network(ROLES, P, adv)
+    shares = from_ints([5, 7, 8, 9]).reshape(2, 2, 2)
+    before = shares.copy()
+    net.send_many(MsgType.OPEN_SHARE, 1, [1, 2], [2, 1], shares, [0, 1])
+    assert np.array_equal(shares, before)
+    assert net.recv(2, MsgType.OPEN_SHARE, 1, 1).payload == vector_to_bytes([6, 7])
+    assert net.recv(1, MsgType.OPEN_SHARE, 2, 1).payload == vector_to_bytes([8, 9])
 
 
 def test_wire_message_is_immutable():
     msg = WireMessage(MsgType.COMMIT, 1, 0, 1, b"x")
     with pytest.raises(AttributeError):
         msg.payload = b"y"
+
+
+ROLES7 = {0: "dealer", 1: "server", 2: "server", 3: "server", 4: "client", 5: "client",
+          6: "client"}
+VECTOR_TYPES = (MsgType.MASK_DELIVERY, MsgType.INPUT_OFFSET, MsgType.OPEN_SHARE,
+                MsgType.SHARE_UPLOAD)
+
+
+def _sent_both_ways(msg_type, frames, arrays, adversary, log_frames):
+    """The same frames, (sender, receiver, array, row), sent once as one
+    stacked-row batch over the arrays and once as one ``send`` per frame."""
+    rows_net = Network(ROLES7, P, adversary, log_frames=log_frames)
+    single = Network(ROLES7, P, adversary, log_frames=log_frames)
+    senders, receivers, which, rows = (list(column) for column in zip(*frames))
+    starts = np.cumsum([0] + [len(a) for a in arrays])
+    rows_net.send_many(msg_type, 1, senders, receivers, tuple(arrays),
+                       [starts[a] + i for a, i in zip(which, rows)])
+    for sender, receiver, a, i in frames:
+        single.send(WireMessage(msg_type, 1, sender, receiver, vector_to_bytes(arrays[a][i])))
+    return rows_net, single
+
+
+def _taken_bytes(got):
+    return None if got is None else [bytes(row) if isinstance(row, bytes) else row.tobytes()
+                                     for row in got]
+
+
+def _check_row_and_single_sends_agree(msg_type, frames, arrays, adversary, log_frames):
+    rows_net, single = _sent_both_ways(msg_type, frames, arrays, adversary, log_frames)
+    assert list(rows_net.metrics.per_round[1].items()) == list(single.metrics.per_round[1].items())
+    assert list(rows_net.metrics.totals.items()) == list(single.metrics.totals.items())
+    assert rows_net.metrics.message_counts == single.metrics.message_counts
+    assert rows_net.log == single.log
+    assert rows_net.adversary_view == single.adversary_view
+    assert rows_net.dropped == single.dropped
+    taken = [[None if m is None else m.payload
+              for m in (net.recv(r, msg_type, s, 1) for s, r, _, _ in frames)]
+             for net in (rows_net, single)]
+    assert taken[0] == taken[1]
+    assert all(not inbox for inbox in rows_net.inboxes.values())
+    # The batched receive takes the same bytes, stacked or not.
+    rows_net, single = _sent_both_ways(msg_type, frames, arrays, adversary, log_frames)
+    senders, receivers = [f[0] for f in frames], [f[1] for f in frames]
+    got = rows_net.recv_many(msg_type, 1, receivers, senders)
+    assert _taken_bytes(got) == _taken_bytes(single.recv_many(msg_type, 1, receivers, senders))
+    if adversary is None and len({a for _, _, a, _ in frames}) == 1:
+        assert isinstance(got, np.ndarray)
+
+
+@st.composite
+def _row_batches(draw):
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    lengths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    arrays = [random_vector(gen, (4, length), P) for length in lengths]
+    parties = sorted(ROLES7)
+    frames = draw(st.lists(
+        st.tuples(st.sampled_from(parties), st.sampled_from(parties),
+                  st.integers(0, len(arrays) - 1), st.integers(0, 3))
+        .filter(lambda f: f[0] != f[1]), min_size=1, max_size=10))
+    adversary = draw(st.none() | st.builds(
+        AdversarySpec,
+        corrupted_servers=st.frozensets(st.sampled_from([1, 2, 3])),
+        corrupted_clients=st.frozensets(st.sampled_from([4, 5, 6])),
+        behavior=st.sampled_from(BEHAVIORS),
+        target_round=st.sampled_from([None, 1, 2])))
+    return draw(st.sampled_from(VECTOR_TYPES)), frames, arrays, adversary, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_row_batches())
+def test_row_and_single_sends_agree(batch):
+    """A stacked-row batch and one ``send`` per frame deliver the same bytes
+    and keep the same books, whatever the adversary hooks or watches."""
+    _check_row_and_single_sends_agree(*batch)
+
+
+@pytest.mark.parametrize("behavior", ["tamper-share", "withhold"])
+@pytest.mark.parametrize("log_frames", [False, True])
+def test_one_hooked_frame_among_honest_neighbours(behavior, log_frames):
+    arrays = [from_ints(range(6)).reshape(3, 2, 2)]
+    frames = [(1, 3, 0, 0), (2, 1, 0, 1), (3, 2, 0, 2)]  # only server 2's frame is hooked
+    adv = AdversarySpec(corrupted_servers=frozenset({2}), behavior=behavior)
+    _check_row_and_single_sends_agree(MsgType.OPEN_SHARE, frames, arrays, adv, log_frames)
+    rows_net, _ = _sent_both_ways(MsgType.OPEN_SHARE, frames, arrays, adv, log_frames)
+    got = [rows_net.recv(r, MsgType.OPEN_SHARE, s, 1) for s, r, _, _ in frames]
+    assert got[0].payload == vector_to_bytes([0, 1])
+    assert got[2].payload == vector_to_bytes([4, 5])
+    if behavior == "withhold":
+        assert got[1] is None and len(rows_net.dropped) == 1
+    else:
+        assert got[1].payload == vector_to_bytes([3, 3])
+    assert np.array_equal(arrays[0], from_ints(range(6)).reshape(3, 2, 2))
