@@ -194,9 +194,8 @@ def edge_class(sender_role: str, receiver_role: str) -> str:
 class Network:
     """Single-threaded scheduler: FIFO inboxes, live metering, adversary hooks.
 
-    ``roles`` names the role of each wire id 0 to len(roles) - 1. An inbox
-    entry is a WireMessage or a row reference (see the module docstring);
-    both hold the type, round and sender at positions 0-2. With
+    An inbox entry is a WireMessage or a row reference (see the module
+    docstring); both hold the type, round and sender at positions 0-2. With
     ``log_frames`` set, ``log`` keeps one summary per delivered frame.
     """
 
@@ -213,10 +212,6 @@ class Network:
         self.dropped = []
         self._watched = frozenset() if adversary is None else (
             adversary.corrupted_servers | adversary.corrupted_clients)
-        # Each wire id's role as an index into _role_names, for metering in numpy.
-        self._role_names = sorted(set(self.roles.values()))
-        self._role_codes = np.array([self._role_names.index(self.roles[party])
-                                     for party in range(len(self.roles))])
 
     def corrupted_servers(self, round_index: int) -> frozenset:
         """Wire ids of the servers the adversary controls in this round."""
@@ -264,22 +259,18 @@ class Network:
         """
         if msg_type not in _MSG_TYPES:
             raise FrameError(f"unknown message type {msg_type}")
-        ids = np.asarray(senders, dtype=np.intp), np.asarray(receivers, dtype=np.intp)
-        senders, receivers = ids[0].tolist(), ids[1].tolist()
+        senders = np.asarray(senders, dtype=np.intp).tolist()
+        receivers = np.asarray(receivers, dtype=np.intp).tolist()
         hooked = self._hooked(msg_type, round_index, (senders, receivers))
         if rows is not None:
             arrays = payloads if isinstance(payloads, tuple) else (payloads,)
             for a in arrays:
                 a.flags.writeable = False
-            if len(arrays) == 1:
-                sources, rows = repeat(arrays[0]), np.asarray(rows).tolist()
-                sizes = arrays[0].shape[1] * ELEMENT_BYTES
-            else:
-                starts = np.cumsum([0] + [len(a) for a in arrays])
-                part = np.searchsorted(starts, rows, side="right") - 1
-                sources = list(map(arrays.__getitem__, part.tolist()))
-                rows = (np.asarray(rows) - starts[part]).tolist()
-                sizes = np.array([a.shape[1] for a in arrays])[part] * ELEMENT_BYTES
+            starts = np.cumsum([0] + [len(a) for a in arrays])
+            part = np.searchsorted(starts, rows, side="right") - 1
+            sources = list(map(arrays.__getitem__, part.tolist()))
+            rows = (np.asarray(rows) - starts[part]).tolist()
+            sizes = (np.array([a.shape[1] for a in arrays])[part] * ELEMENT_BYTES).tolist()
             if hooked:  # _mutate sees WireMessages; a changed row is a changed copy
                 payloads = [source[row].tobytes() for source, row in zip(sources, rows)]
         if rows is None or hooked:
@@ -292,15 +283,14 @@ class Network:
                                  for msg, out in zip(entries, outs) if out is None]
                 kept = [f for f, out in enumerate(outs) if out is not None]
                 senders, receivers = [senders[f] for f in kept], [receivers[f] for f in kept]
-                entries, ids = [outs[f] for f in kept], (ids[0][kept], ids[1][kept])
-            sizes = np.array([len(msg.payload) for msg in entries], dtype=np.intp)
+                entries = [outs[f] for f in kept]
+            sizes = [len(msg.payload) for msg in entries]
         else:
             entries = list(zip(repeat(msg_type), repeat(round_index), senders, receivers, sources,
                                rows))
-        self._meter(round_index, *ids, sizes)
+        self._meter(round_index, senders, receivers, sizes)
         roles, watched = self.roles, self._watched
         if self.log_frames or watched:
-            sizes = np.broadcast_to(sizes, len(entries)).tolist()
             for sender, receiver, size, entry in zip(senders, receivers, sizes, entries):
                 record = {"round": round_index, "type": int(msg_type), "sender": sender,
                           "receiver": receiver, "bytes": FRAME_OVERHEAD + size,
@@ -314,15 +304,17 @@ class Network:
             inboxes[receiver].append(entry)
 
     def _meter(self, round_index: int, senders, receivers, sizes) -> None:
-        """One metrics add per (sender role, receiver role, size) group of a
-        batch's frames (sizes: one per frame, or one for all), in the order
-        of each group's first frame."""
-        kinds, codes = len(self._role_names), self._role_codes
-        groups = (np.asarray(sizes) * kinds + codes[senders]) * kinds + codes[receivers]
-        for group, count in Counter(groups.tolist()).items():
-            size, pair = divmod(group, kinds * kinds)
-            edge = edge_class(*(self._role_names[code] for code in divmod(pair, kinds)))
-            self.metrics.add(round_index, edge, count * (FRAME_OVERHEAD + size), count)
+        """One metrics add per (sender role, receiver role) pair of a batch's
+        frames, in the order of each pair's first frame."""
+        roles = self.roles.__getitem__
+        metered = defaultdict(lambda: [0, 0])  # (sender role, receiver role) -> [frames, bytes]
+        for (sender_role, receiver_role, size), count in Counter(
+                zip(map(roles, senders), map(roles, receivers), sizes)).items():
+            tally = metered[sender_role, receiver_role]
+            tally[0] += count
+            tally[1] += count * (FRAME_OVERHEAD + size)
+        for pair, (count, size) in metered.items():
+            self.metrics.add(round_index, edge_class(*pair), size, count)
 
     def recv(self, receiver: int, msg_type: MsgType, sender: int, round_index: int):
         """The receiver's first frame of this type, sender and round, taken

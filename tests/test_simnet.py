@@ -239,6 +239,21 @@ def test_recv_many_takes_the_frames_recv_would():
         r: list(q) for r, q in single.inboxes.items()}
 
 
+def test_recv_many_with_a_missing_edge_takes_the_present_frames():
+    """A batch with a missing edge among present ones times out as a whole,
+    but takes the frames that are there, as per-edge recv would."""
+    edges = [(1, 0), (1, 3), (2, 1), (1, 4), (4, 2), (1, 2), (2, 0)]  # nothing from 4 to 1
+    batched = Network(ROLES5, P)
+    single = Network(ROLES5, P)
+    for net in (batched, single):
+        net.send_many(MsgType.OPEN_SHARE, 3, *zip(*MIXED))
+    assert batched.recv_many(MsgType.OPEN_SHARE, 3, *zip(*edges)) is None
+    assert [single.recv(r, MsgType.OPEN_SHARE, s, 3) is None for r, s in edges] == [
+        False, False, False, True, False, False, False]
+    assert {r: list(q) for r, q in batched.inboxes.items()} == {
+        r: list(q) for r, q in single.inboxes.items()}
+
+
 def test_recv_many_gathers_rows_of_one_array():
     rows = from_ints(range(12)).reshape(6, 2, 2)
     edges = [(1, 0), (2, 0), (3, 1), (4, 2), (1, 3), (2, 4)]
