@@ -429,21 +429,27 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     outdir = Path(args.out)
     command = {"run": cmd_run, "attack": cmd_attack, "report": cmd_report, "bench": cmd_bench}
     try:
-        return command[args.command](cfg, outdir)
+        return command[args.command](load_config(args.config), outdir)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(outdir, "config", f"config error: {exc}", 1)
     except NUMERICAL_FAILURES as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _fail(outdir, "numerical", f"numerical failure: {type(exc).__name__}: {exc}", 3)
+
+
+def _fail(outdir: Path, failure_class: str, message: str, code: int) -> int:
+    """Print the one-line message and record it in ``outdir/report.json``;
+    the line on stderr is the report when the directory cannot be written."""
+    print(message, file=sys.stderr)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        payload = {"failure_class": failure_class, "message": message}
+        (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError:
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,15 +142,17 @@ def gen_synthetic_population(
     mu, b = np.empty((J, GAZE_DIM)), np.empty((J, d_in))
     features, gaze = np.empty((J, rounds, m, d_in)), np.empty((J, rounds, m, GAZE_DIM))
     test_features, test_gaze = np.empty((J, T, d_in)), np.empty((J, T, GAZE_DIM))
-    for j in range(J):
-        rng = np.random.default_rng([seed, 0xC11E27, j])
+    # Every client has its own parameter stream, one stream per round and a
+    # test stream; each stream is used by itself, so the order they are taken
+    # in changes no draw.
+    for j, rng in enumerate(_streams([seed, 0xC11E27, j] for j in range(J))):
         mu[j] = _clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), 0.6)
         b[j] = rng.normal(0.0, 0.5 * heterogeneity, d_in)
-        for k in range(rounds):
-            rr = np.random.default_rng([seed, 0xDA7A, j, k])
-            features[j, k], gaze[j, k] = _draw(rr, mu[j], b[j], A, sigma_gaze, sigma_noise, m)
-        tr = np.random.default_rng([seed, 0x7E57, j])
-        test_features[j], test_gaze[j] = _draw(tr, mu[j], b[j], A, sigma_gaze, sigma_noise, T)
+    cells = [(j, k) for j in range(J) for k in range(rounds)]
+    for (j, k), rng in zip(cells, _streams([seed, 0xDA7A, j, k] for j, k in cells)):
+        features[j, k], gaze[j, k] = _draw(rng, mu[j], b[j], A, sigma_gaze, sigma_noise, m)
+    for j, rng in enumerate(_streams([seed, 0x7E57, j] for j in range(J))):
+        test_features[j], test_gaze[j] = _draw(rng, mu[j], b[j], A, sigma_gaze, sigma_noise, T)
     return Population(
         seed=seed, heterogeneity=heterogeneity, samples_per_round=samples_per_round,
         rounds=rounds, d_in=d_in, sigma_gaze=sigma_gaze, sigma_noise=sigma_noise, A=A,
@@ -169,6 +172,108 @@ def _clip(x, bound):
     """np.clip(x, -bound, bound) in place, without the wrapper's call overhead."""
     np.maximum(x, -bound, out=x)
     return np.minimum(x, bound, out=x)
+
+
+# ---------------------------------------------------------------------------
+# Seeded streams
+# ---------------------------------------------------------------------------
+
+# A PCG64 stream is fixed by the two 128-bit words SeedSequence hashes its
+# entropy into, so np.random.default_rng(entropy) need not be built once per
+# stream: the hash runs as uint32 arithmetic over a stack of entropy rows,
+# and one Generator is set to each resulting state in turn. The constants are
+# those of numpy's SeedSequence (pool of 4 words) and PCG64's multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init, mult, count):
+    """The hash constant before each of ``count`` hashmix calls, and after."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(values, consts, k):
+    """SeedSequence's hashmix over the last axis: column i is call k + i."""
+    c = values.shape[-1]
+    values = (values ^ consts[k : k + c]) * consts[k + 1 : k + c + 1]
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _pcg64_states(entropy: np.ndarray) -> list:
+    """(state, inc) of PCG64(SeedSequence(row)) for each row of a (J, w)
+    uint32 entropy array. Rows shorter than the pool are zero-padded, as
+    SeedSequence pads them; longer rows run its extra mixing loop."""
+    J, w = entropy.shape
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * max(w, _POOL))
+    with np.errstate(over="ignore"):
+        pool = np.zeros((J, _POOL), np.uint32)
+        pool[:, : min(w, _POOL)] = entropy[:, :_POOL]
+        mixer = _hashmix(pool, consts, 0)
+        k = _POOL
+        for src in range(_POOL):
+            dst = [d for d in range(_POOL) if d != src]
+            mixer[:, dst] = _mix(mixer[:, dst], _hashmix(mixer[:, [src] * len(dst)], consts, k))
+            k += len(dst)
+        for src in range(_POOL, w):
+            mixer = _mix(mixer, _hashmix(entropy[:, [src] * _POOL], consts, k))
+            k += _POOL
+        # generate_state(4, np.uint64): eight words drawn cycling the pool.
+        words = _hashmix(np.tile(mixer, 2), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL), 0)
+    hi_init, lo_init, hi_seq, lo_seq = words.astype("<u4").view("<u8").T.tolist()
+    states = []
+    for a, b, c, d in zip(hi_init, lo_init, hi_seq, lo_seq):
+        inc = ((c << 65) | (d << 1) | 1) & _MASK128
+        states.append(((((a << 64) | b) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _words(entropy) -> list:
+    """The uint32 words SeedSequence makes of a list of non-negative ints."""
+    words = []
+    for value in entropy:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
+
+
+def _streams(entropies):
+    """Yield, for each entropy list in turn, a Generator in the state
+    np.random.default_rng(entropy) starts in. It is one Generator, reset for
+    each list, so a stream must be used up before the next is taken."""
+    rows = [_words(e) for e in entropies]
+    states = [None] * len(rows)
+    by_width = {}
+    for i, row in enumerate(rows):
+        by_width.setdefault(max(len(row), _POOL), []).append(i)
+    for width, lanes in by_width.items():
+        entropy = np.array([rows[i] + [0] * (width - len(rows[i])) for i in lanes], np.uint32)
+        for i, state in zip(lanes, _pcg64_states(entropy)):
+            states[i] = state
+    gen = np.random.Generator(np.random.PCG64(0))
+    bit_generator = gen.bit_generator
+    for state, inc in states:
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +400,26 @@ def local_train(
     gets a (dim,) model back. A block of J clients that start from the same w
     passes X (J, m, d_in), G (J, m, 2) and J seeds and gets (J, dim) back,
     each row bit-identical to that client's one-client call: every client
-    shuffles with its own generator and the steps run in lockstep.
+    shuffles with its own stream, the one np.random.default_rng([seed,
+    0x10CA1]) starts, and the steps run in lockstep.
     """
     stacked = X.ndim == 3
     if not stacked:
         X, G, seed = X[None], G[None], [seed]
     J, m, d_in = X.shape
     w = np.array(np.broadcast_to(w, (J, w.shape[-1])), dtype=np.float64, order="C")
-    rngs = [np.random.default_rng([s, 0x10CA1]) for s in seed]
     # Batches are taken from the client-major rows with one flat index each.
+    # Each client's stream draws only its epochs' shuffles, one after the
+    # other, as permutation(m) would draw them; a shuffle moves positions
+    # whatever the values, so client j's rows start out as j*m .. j*m + m-1.
+    orders = np.empty((J, cfg.epochs, m), dtype=np.intp)
+    orders[...] = np.arange(J * m).reshape(J, 1, m)
+    for order, rng in zip(orders, _streams([s, 0x10CA1] for s in seed)):
+        for epoch_order in order:
+            rng.shuffle(epoch_order)
     X, G = X.reshape(J * m, d_in), G.reshape(J * m, GAZE_DIM)
-    first_rows = np.arange(0, J * m, m)[:, None]
-    for _ in range(cfg.epochs):
-        order = np.stack([rng.permutation(m) for rng in rngs])
-        order += first_rows
+    for epoch in range(cfg.epochs):
+        order = orders[:, epoch]
         for start in range(0, m, cfg.batch_size):
             idx = order[:, start : start + cfg.batch_size]
             loss, grad = loss_and_grad(spec, w, X.take(idx, axis=0), G.take(idx, axis=0))

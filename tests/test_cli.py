@@ -147,6 +147,32 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+def _failure_report(outdir, err):
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["message"] == err.rstrip("\n") and err.count("\n") == 1
+    return report["failure_class"]
+
+
+def test_config_error_writes_a_failure_report(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[experiment]\nscheme = espresso\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert _failure_report(out, err) == "config"
+
+
+def test_numerical_failure_writes_a_failure_report(tmp_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text("[train]\nlr = 1e6\nepochs = 5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: EncodingRangeError:")
+    assert _failure_report(out, err) == "numerical"
+
+
 def test_determinism_byte_identical(tmp_path):
     config = write_config(tmp_path / "exp.ini")
     out1, out2 = tmp_path / "a", tmp_path / "b"

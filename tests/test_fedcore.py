@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privateyes.fedcore import (
     GAZE_DIM,
@@ -23,6 +25,7 @@ from privateyes.fedcore import (
     predict,
     select_cohort,
 )
+from privateyes.fedcore import _pcg64_states, _streams, _words
 
 
 def test_population_deterministic():
@@ -208,7 +211,7 @@ def test_loss_and_grad_matches_reference_formulas(kind, m):
     pop = gen_synthetic_population(6, seed=21, samples_per_round=32, d_in=5)
     X, G = pop.features[:, 0, :m], pop.gaze[:, 0, :m]
     w = np.random.default_rng(m).normal(0.0, 0.5, (6, spec.dim))
-    # C order, and the column-major layout that local_train's weights have.
+    # C order, and an input that is not in C order.
     for ws in (w, np.asfortranarray(w)):
         loss, grad = loss_and_grad(spec, ws, X, G)
         ref_loss, ref_grad = _reference_loss_and_grad(spec, ws, X, G)
@@ -275,6 +278,51 @@ def test_stacked_local_train_matches_per_client_loop(kind, epochs, batch_size):
         one = local_train(w0, X[j], G[j], cfg, spec, seeds[j])
         assert np.array_equal(stacked[j], one)
         assert np.array_equal(one, _reference_local_train(spec, w0, X[j], G[j], cfg, seeds[j]))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+entropy_ints = st.sampled_from(EDGE_SEEDS) | st.integers(2**7, 2**100 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(entropy_ints, min_size=2, max_size=5), min_size=1, max_size=6))
+def test_stream_states_match_numpy_seeding(entropies):
+    """Each stream starts where PCG64(SeedSequence(entropy)) does: 2 to 20
+    words, so rows that SeedSequence pads and rows that run its extra mixing
+    loop, stacked in one call."""
+    expected = [np.random.PCG64(np.random.SeedSequence(e)).state for e in entropies]
+    for e, want in zip(entropies, expected):
+        state, inc = _pcg64_states(np.array([_words(e)], dtype=np.uint32))[0]
+        assert {"state": state, "inc": inc} == want["state"]
+    got = [gen.bit_generator.state for gen in _streams(entropies)]
+    assert got == expected
+
+
+def test_stacked_local_train_with_seeds_of_every_width():
+    # [seed, 0x10CA1] spans 2, 3, 4 and 5 words; the 5-word rows run
+    # SeedSequence's extra mixing loop.
+    spec = ModelSpec()
+    pop = gen_synthetic_population(8, seed=11, samples_per_round=20)
+    cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
+    w0 = init_weights(spec, 3)
+    X, G = pop.features[:, 0], pop.gaze[:, 0]
+    seeds = [0, 2**32 + 7, 5, 2**64 + 9, 2**96 + 1, 2**32 - 1, 2**63 + 7, 2**100 + 3]
+    stacked = local_train(w0, X, G, cfg, spec, seeds)
+    for j, s in enumerate(seeds):
+        assert np.array_equal(stacked[j], _reference_local_train(spec, w0, X[j], G[j], cfg, s))
+
+
+def test_negative_seeds_raise_as_numpy_seeding_does():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng([-1, 0x10CA1])
+    pop = gen_synthetic_population(3, seed=12)
+    with pytest.raises(ValueError) as ours:
+        local_train(init_weights(ModelSpec(), 0), pop.features[:, 0], pop.gaze[:, 0],
+                    TrainConfig(epochs=1), ModelSpec(), [1, -1, 3])
+    assert str(ours.value) == str(numpy_error.value) == "expected non-negative integer"
+    with pytest.raises(ValueError) as ours:
+        gen_synthetic_population(2, seed=-1)
+    assert str(ours.value) == str(numpy_error.value)
 
 
 def test_one_diverging_client_in_a_block_raises():
