@@ -317,15 +317,22 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
 LEAKAGE_SCHEMES = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES)
 
 
-def _train_leakage_schemes(cfg: ExperimentConfig):
+def _train_leakage_schemes(cfg: ExperimentConfig, outdir: Path):
     """One run per scheme of the leakage table on one shared population:
-    {scheme: (population, result)}, or None if a run aborted."""
+    {scheme: (population, result)}, or None once a run aborts, after that
+    abort is reported as a protocol failure in ``outdir``."""
     population = _population(cfg)
     runs = {}
     for scheme in LEAKAGE_SCHEMES:
-        runs[scheme] = (population, _run_scheme(cfg, scheme, population))
-        if runs[scheme][1].aborted:
+        result = _run_scheme(cfg, scheme, population)
+        if result.aborted:
+            _fail(outdir, "protocol",
+                  f"protocol abort: the {scheme} run aborted in {result.abort_phase}: "
+                  f"{result.abort_reason}", 2,
+                  scheme=scheme, abort_reason=result.abort_reason,
+                  abort_phase=result.abort_phase)
             return None
+        runs[scheme] = (population, result)
     return runs
 
 
@@ -333,7 +340,7 @@ def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
     """Leakage table; ``runs`` reuses trainings from ``_train_leakage_schemes``."""
     outdir.mkdir(parents=True, exist_ok=True)
     if runs is None:
-        runs = _train_leakage_schemes(cfg)
+        runs = _train_leakage_schemes(cfg, outdir)
         if runs is None:
             return 2
     attack = cfg.build(cfg.servers).attack
@@ -394,7 +401,7 @@ def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:
 def cmd_report(cfg: ExperimentConfig, outdir: Path) -> int:
     """Accuracy, leakage, and communication comparison tables."""
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = _train_leakage_schemes(cfg)
+    runs = _train_leakage_schemes(cfg, outdir)
     if runs is None:
         return 2
     with open(outdir / "accuracy.csv", "w") as fh:
@@ -439,13 +446,14 @@ def main(argv=None) -> int:
         return _fail(outdir, "numerical", f"numerical failure: {type(exc).__name__}: {exc}", 3)
 
 
-def _fail(outdir: Path, failure_class: str, message: str, code: int) -> int:
-    """Print the one-line message and record it in ``outdir/report.json``;
-    the line on stderr is the report when the directory cannot be written."""
+def _fail(outdir: Path, failure_class: str, message: str, code: int, **fields) -> int:
+    """Print the one-line message and record it, with ``fields``, in
+    ``outdir/report.json``; the line on stderr is the report when the
+    directory cannot be written."""
     print(message, file=sys.stderr)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        payload = {"failure_class": failure_class, "message": message}
+        payload = {"failure_class": failure_class, "message": message, **fields}
         (outdir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     except OSError:
         pass

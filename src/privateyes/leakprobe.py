@@ -43,7 +43,7 @@ class LeakageTranscript:
 
     scheme: str
     pub: dict  # om0, final OM, model/train config, mixing map, priors
-    leak: dict  # "iu": {(j, k): vec}, "om": {k: vec}, "raw": {j: gaze array}
+    leak: dict  # "iu": {(j, k): vec}, "om": {k: vec}, "raw": (J, n, 2) gaze array
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def build_leak_set(scheme: str, transcript: Transcript, population: Population =
     if scheme == SCHEME_DATACENTRE:
         if population is None:
             raise LeakprobeError("datacentre leak view needs the raw datasets")
-        raw = dict(enumerate(population.gaze.reshape(population.num_clients, -1, GAZE_DIM)))
+        raw = population.gaze.reshape(population.num_clients, -1, GAZE_DIM)
         return LeakageTranscript(scheme, pub, {"raw": raw, "om": oms})
     if scheme == SCHEME_GENERIC_MPC:
         return LeakageTranscript(scheme, pub, {})
@@ -198,14 +198,17 @@ def _expected_gradient_system(w_prev, grad_obs, pub, cfg, prior_mean, prior_std,
 
     The expected full-batch gradient under the generating model is affine
     in theta once the observed bias gradient pins down the mean residual.
+    ``w_prev``, ``grad_obs`` and ``prior_mean`` may carry a leading system
+    axis, which M and y then carry too.
     """
     A = pub["mixing_map"]
     priors = pub["priors"]
     d_in = A.shape[0]
-    W = w_prev[: d_in * GAZE_DIM].reshape(d_in, GAZE_DIM)
-    c = w_prev[d_in * GAZE_DIM :]
-    g_c = grad_obs[d_in * GAZE_DIM :]
-    g_W = grad_obs[: d_in * GAZE_DIM].reshape(d_in, GAZE_DIM)
+    lead = w_prev.shape[:-1]
+    W = w_prev[..., : d_in * GAZE_DIM].reshape(*lead, d_in, GAZE_DIM)
+    c = w_prev[..., d_in * GAZE_DIM :]
+    g_c = grad_obs[..., d_in * GAZE_DIM :]
+    g_W = grad_obs[..., : d_in * GAZE_DIM].reshape(*lead, d_in, GAZE_DIM)
     sg2 = priors["sigma_gaze"] ** 2
     sn2 = priors["sigma_noise"] ** 2
 
@@ -215,53 +218,67 @@ def _expected_gradient_system(w_prev, grad_obs, pub, cfg, prior_mean, prior_std,
 
     # Rows in the order: bias gradient (l), weight gradient (i, l), prior (t).
     # Bias-gradient residual: 2[(W^T A - I) mu + W^T b + c] - g_c
-    M_c = np.hstack([2.0 * (W.T @ A - np.eye(GAZE_DIM)), 2.0 * W.T])
+    W_T = np.swapaxes(W, -1, -2)
+    M_c = np.concatenate([2.0 * (W_T @ A - np.eye(GAZE_DIM)), 2.0 * W_T], axis=-1)
     # Weight-gradient residual: 2[(A mu + b) e_obs^T + K] - g_W
     two_e = 2.0 * e_obs
-    M_w = np.zeros((d_in, GAZE_DIM, dim))
-    M_w[:, :, :GAZE_DIM] = two_e[:, None] * A[:, None, :]
-    M_w[np.arange(d_in), :, GAZE_DIM + np.arange(d_in)] = two_e
+    M_w = np.zeros((*lead, d_in, GAZE_DIM, dim))
+    M_w[..., :GAZE_DIM] = two_e[..., None, :, None] * A[:, None, :]
+    M_w[..., np.arange(d_in), :, GAZE_DIM + np.arange(d_in)] = two_e
     # Prior pull toward the current prior mean.
-    M_p = np.diag(1.0 / prior_std)
+    M_p = np.broadcast_to(np.diag(1.0 / prior_std), (*lead, dim, dim))
     weights = np.repeat(
         [np.sqrt(cfg.beta), np.sqrt(cfg.gamma),
          np.sqrt(cfg.alpha * prior_weight)],
         [GAZE_DIM, d_in * GAZE_DIM, dim],
     )
-    M = np.vstack([M_c, M_w.reshape(-1, dim), M_p]) * weights[:, None]
-    y = np.concatenate([g_c - 2.0 * c, (g_W - 2.0 * K).ravel(),
-                        prior_mean / prior_std]) * weights
+    M = np.concatenate([M_c, M_w.reshape(*lead, -1, dim), M_p], axis=-2) * weights[:, None]
+    y = np.concatenate([g_c - 2.0 * c, (g_W - 2.0 * K).reshape(*lead, -1),
+                        prior_mean / prior_std], axis=-1) * weights
     return M, y
 
 
 def _solve_gd(M, y, theta0, steps):
     """Plain gradient descent on ||M theta - y||^2 with a safe fixed step,
-    evaluated in closed form.
+    evaluated in closed form; a leading axis of M, y and theta0 solves a
+    stack of systems.
 
     With H = M^T M = V diag(lam) V^T and step s = 1/(2 lam_max), iterate k is
     theta0 + V diag((1 - (1 - 2 s lam)^k) / lam) V^T (M^T y - H theta0); the
     factor tends to 2 s k as lam -> 0. ``converged`` tests the gradient at
     iterate k - 1, the last one the loop would have computed.
     """
-    H = M.T @ M
-    b = M.T @ y
+    M_T = np.swapaxes(M, -1, -2)
+    H = M_T @ M
+    b = _matvec(M_T, y)
     lam, V = np.linalg.eigh(H)
-    step = 1.0 / (2.0 * lam[-1]) if lam[-1] > 0 else 0.0
-    w = V.T @ (b - H @ theta0)
-    theta = theta0 + V @ (_gd_gain(lam, step, steps) * w)
-    prev = theta0 + V @ (_gd_gain(lam, step, steps - 1) * w)
-    grad = 2.0 * (H @ prev - b)
-    converged = bool(np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(b)))
+    top = lam[..., -1]
+    with np.errstate(divide="ignore"):
+        step = np.where(top > 0, 1.0 / (2.0 * top), 0.0)
+    w = _matvec(np.swapaxes(V, -1, -2), b - _matvec(H, theta0))
+    theta = theta0 + _matvec(V, _gd_gain(lam, step, steps) * w)
+    prev = theta0 + _matvec(V, _gd_gain(lam, step, steps - 1) * w)
+    grad = 2.0 * (_matvec(H, prev) - b)
+    rows = zip(grad.reshape(-1, grad.shape[-1]), b.reshape(-1, b.shape[-1]))
+    converged = np.array([np.linalg.norm(g) <= 1e-6 * max(1.0, np.linalg.norm(r))
+                          for g, r in rows]).reshape(top.shape)
     return theta, converged
 
 
+def _matvec(A, x):
+    """A @ x over the trailing axes, one BLAS matrix-vector product per row."""
+    return (A @ x[..., None])[..., 0]
+
+
 def _gd_gain(lam, step, k):
-    """(1 - (1 - 2 step lam)^k) / lam per eigenvalue, 2 step k where lam <= 0."""
+    """(1 - (1 - 2 step lam)^k) / lam per eigenvalue, 2 step k where lam <= 0;
+    ``step`` holds one step per row of ``lam``."""
     if k == 0:
         return np.zeros_like(lam)
+    two_step = np.broadcast_to((2.0 * step)[..., None], lam.shape)
     pos = lam > 0
-    x = np.minimum(2.0 * step * lam[pos], 1.0)  # 1 - x is the contraction factor
-    gain = np.full_like(lam, 2.0 * step * k)
+    x = np.minimum(two_step[pos] * lam[pos], 1.0)  # 1 - x is the contraction factor
+    gain = two_step * k
     with np.errstate(divide="ignore"):
         gain[pos] = -np.expm1(k * np.log1p(-x)) / lam[pos]
     return gain
@@ -275,18 +292,44 @@ def _prior_std(pub, d_in):
     return np.maximum(std, 1e-6)
 
 
-def _reconstruct_unit(w_prev, update, pub, cfg, prior_mean, prior_std, prior_weight=1.0):
-    grad_obs = observed_gradient(w_prev, update, pub["config"])
-    M, y = _expected_gradient_system(
-        w_prev, grad_obs, pub, cfg, prior_mean, prior_std, prior_weight
-    )
-    if cfg.beta == 0 and cfg.gamma == 0:
-        return prior_mean.copy(), True
-    theta, converged = _solve_gd(M, y, prior_mean, cfg.steps)
-    # Project onto the prior's 3-sigma box: ill-conditioned rounds must not
-    # walk the chained estimate out of the plausible parameter range.
-    theta = np.clip(theta, -3.0 * prior_std, 3.0 * prior_std)
-    return theta, converged
+def _chain_estimates(leak: LeakageTranscript, cfg: AttackConfig, num_clients: int):
+    """Per-client (theta (J, 2 + d_in), converged (J,)) from the leaked units.
+
+    Each distinct unit sequence is one chain, and every chain advances one
+    unit at a time: step s solves, in one stack, the chains that have more
+    than s units. Round-s estimates seed round s+1's prior when chaining is
+    enabled. Clients without a chain keep the zero estimate.
+    """
+    pub = leak.pub
+    d_in = pub["mixing_map"].shape[0]
+    prior_std = _prior_std(pub, d_in)
+    chains = _attack_units(leak, cfg.rounds)
+    owner = np.full(num_clients, len(chains))  # clients without a chain read the last row
+    for g, (clients, _) in enumerate(chains):
+        owner[list(clients)] = g
+    theta = np.zeros((len(chains) + 1, GAZE_DIM + d_in))
+    converged = np.ones(len(chains) + 1, dtype=bool)
+    for s in range(max((len(units) for _, units in chains), default=0)):
+        lanes = [g for g, (_, units) in enumerate(chains) if len(units) > s]
+        # Chained prior: the round-s prior already summarizes s rounds
+        # of evidence, so its weight grows like a Bayesian filter's.
+        prior_mean = theta[lanes] if cfg.chain else np.zeros((len(lanes), theta.shape[1]))
+        weight = float(1 + s) if cfg.chain else 1.0
+        if cfg.beta == 0 and cfg.gamma == 0:
+            theta[lanes] = prior_mean  # no gradient evidence: the prior stands
+            continue
+        w_prev = np.stack([chains[g][1][s][1] for g in lanes])
+        update = np.stack([chains[g][1][s][2] for g in lanes])
+        grad_obs = observed_gradient(w_prev, update, pub["config"])
+        M, y = _expected_gradient_system(
+            w_prev, grad_obs, pub, cfg, prior_mean, prior_std, weight
+        )
+        estimate, ok = _solve_gd(M, y, prior_mean, cfg.steps)
+        # Project onto the prior's 3-sigma box: ill-conditioned rounds must not
+        # walk the chained estimate out of the plausible parameter range.
+        theta[lanes] = np.clip(estimate, -3.0 * prior_std, 3.0 * prior_std)
+        converged[lanes] &= ok
+    return theta[owner], converged[owner]
 
 
 def dualview_lite_reconstruct(
@@ -296,56 +339,41 @@ def dualview_lite_reconstruct(
 
     ``population`` supplies ground truth for scoring only; the solver sees
     nothing beyond ``leak``. Only rounds in ``cfg.rounds`` are attacked (all
-    when None). Round-k estimates seed round k+1's prior when chaining is
-    enabled. Each distinct unit sequence is solved once; clients sharing one
-    (every client in secure mode) share its estimate.
+    when None). Each distinct unit sequence is solved once; clients sharing one
+    (every client in secure mode) share its estimate. All clients are scored
+    in one pass over client-indexed stacks.
     """
     pub = leak.pub
-    report = ReconstructionReport(scheme=leak.scheme)
-    rng = np.random.default_rng([cfg.seed, 0xA77AC4])
-    truth = population.gaze.reshape(population.num_clients, -1, GAZE_DIM)
-
+    num = population.num_clients
+    truth = population.gaze.reshape(num, -1, GAZE_DIM)
+    sigma = pub["priors"]["sigma_gaze"]
+    theta, converged = None, np.ones(num, dtype=bool)
     if leak.scheme == SCHEME_DATACENTRE:
         # The raw data leaks; reconstruction is the data itself.
-        for j, gaze in leak.leak["raw"].items():
-            report.per_client[j] = _score(gaze.mean(axis=0), gaze, truth[j], pub)
-            report.per_client[j]["converged"] = True
-        return report.finalize()
-
-    if leak.scheme == SCHEME_GENERIC_MPC:
-        # Nothing leaks: the best estimate is the population prior.
-        for j in range(population.num_clients):
-            est = np.zeros(GAZE_DIM)
-            samples = _draw_recon_samples(est, pub, rng)
-            report.per_client[j] = _score(est, samples, truth[j], pub)
-            report.per_client[j]["converged"] = True
-        return report.finalize()
-
-    d_in = pub["mixing_map"].shape[0]
-    prior_std = _prior_std(pub, d_in)
-    estimates = {}  # client -> (theta, converged)
-    for clients, units in _attack_units(leak, cfg.rounds):
-        theta = np.zeros(GAZE_DIM + d_in)
-        converged = True
-        for s, (k, w_prev, update) in enumerate(units):
-            # Chained prior: the round-s prior already summarizes s rounds
-            # of evidence, so its weight grows like a Bayesian filter's.
-            prior_mean = theta if cfg.chain else np.zeros(GAZE_DIM + d_in)
-            weight = float(1 + s) if cfg.chain else 1.0
-            theta, ok = _reconstruct_unit(
-                w_prev, update, pub, cfg, prior_mean, prior_std, weight
-            )
-            converged = converged and ok
-        for j in clients:
-            estimates[j] = (theta, converged)
-    for j in range(population.num_clients):
-        theta, converged = estimates.get(j, (np.zeros(GAZE_DIM + d_in), True))
-        est_mu = theta[:GAZE_DIM]
-        samples = _draw_recon_samples(est_mu, pub, rng)
-        entry = _score(est_mu, samples, truth[j], pub)
-        entry["b_hat"] = theta[GAZE_DIM:]
-        entry["converged"] = converged
-        report.per_client[j] = entry
+        samples = leak.leak["raw"]
+        est_mu = samples.mean(axis=1)
+    else:
+        if leak.scheme == SCHEME_GENERIC_MPC:
+            # Nothing leaks: the best estimate is the population prior.
+            est_mu = np.zeros((num, GAZE_DIM))
+        else:
+            theta, converged = _chain_estimates(leak, cfg, num)
+            est_mu = theta[:, :GAZE_DIM]
+        rng = np.random.default_rng([cfg.seed, 0xA77AC4])
+        samples = est_mu[:, None, :] + rng.normal(0.0, sigma, (num, RECON_SAMPLES, GAZE_DIM))
+    kls = kde_kl_divergence(truth, samples)
+    true_mu = truth.mean(axis=1)
+    report = ReconstructionReport(scheme=leak.scheme)
+    for j in range(num):
+        report.per_client[j] = {
+            "mu_hat": est_mu[j],
+            "sigma_hat": sigma,
+            "mae_deg": angular_error(est_mu[j], true_mu[j]),
+            "kl": float(kls[j]),
+            "converged": bool(converged[j]),
+        }
+        if theta is not None:
+            report.per_client[j]["b_hat"] = theta[j, GAZE_DIM:]
     return report.finalize()
 
 
@@ -369,58 +397,52 @@ def _attack_units(leak: LeakageTranscript, rounds=None) -> list:
     return [(range(pub["config"]["num_clients"]), shared)]
 
 
-def _draw_recon_samples(est_mu, pub, rng):
-    sigma = pub["priors"]["sigma_gaze"]
-    return est_mu + rng.normal(0.0, sigma, (RECON_SAMPLES, GAZE_DIM))
-
-
-def _score(est_mu, recon_samples, truth, pub):
-    true_mu = truth.mean(axis=0)
-    return {
-        "mu_hat": np.asarray(est_mu, dtype=float),
-        "sigma_hat": pub["priors"]["sigma_gaze"],
-        "mae_deg": angular_error(est_mu, true_mu),
-        "kl": kde_kl_divergence(truth, recon_samples),
-    }
-
-
 # ---------------------------------------------------------------------------
 # KDE / KL scoring
 # ---------------------------------------------------------------------------
 
 
-def kde_kl_divergence(samples_p, samples_q) -> float:
+def kde_kl_divergence(samples_p, samples_q):
     """KL(p || q) between Gaussian-KDE densities on a shared grid.
 
     Both sample sets are densified with Scott's-rule kernels, evaluated on
     a fixed-resolution grid covering both supports, floored, normalized,
     and summed discretely. Equal sample sets give exactly 0. A sample set
     with a singular covariance (e.g. all samples equal) has no KDE and
-    raises ``LeakprobeError``.
+    raises ``LeakprobeError``. Stacks (J, n, d) of sample sets give the J
+    divergences of their rows as an array; one set, (n, d) or (n,) for
+    d = 1, gives a float.
     """
     P = np.asarray(samples_p, dtype=float)
     Q = np.asarray(samples_q, dtype=float)
+    single = P.ndim < 3
     if P.ndim == 1:
         P = P[:, None]
     if Q.ndim == 1:
         Q = Q[:, None]
-    if P.shape[0] < 10 or Q.shape[0] < 10:
+    if single:
+        P, Q = P[None], Q[None]
+    if P.shape[1] < 10 or Q.shape[1] < 10:
         raise LeakprobeError("need at least 10 samples per side")
-    ndim = P.shape[1]
-    if Q.shape[1] != ndim:
-        raise LeakprobeError("sample dimensionality mismatch")
-    if np.array_equal(P, Q):
-        return 0.0
-    both = np.vstack([P, Q])
-    lo = both.min(axis=0)
-    hi = both.max(axis=0)
+    if P.shape[::2] != Q.shape[::2]:
+        raise LeakprobeError("sample stack or dimensionality mismatch")
+    both = np.concatenate([P, Q], axis=1)
+    lo = both.min(axis=1)
+    hi = both.max(axis=1)
     pad = 0.5 * (hi - lo) + 1e-6
-    axes = [np.linspace(lo[t] - pad[t], hi[t] + pad[t], GRID_BINS) for t in range(ndim)]
-    p = np.maximum(grid_kde_density(P, axes), DENSITY_FLOOR)
-    q = np.maximum(grid_kde_density(Q, axes), DENSITY_FLOOR)
-    p /= p.sum()
-    q /= q.sum()
-    return float(np.sum(p * np.log(p / q)))
+    axes = np.linspace(lo - pad, hi + pad, GRID_BINS, axis=-1)
+    kls = np.zeros(len(P))
+    rows = [j for j in range(len(P)) if not np.array_equal(P[j], Q[j])]
+    # The (G, n) work runs row by row; the (2, G^d) densities of a row are
+    # floored, normalized and summed with all rows at once.
+    dens = np.empty((len(rows), 2, GRID_BINS ** P.shape[2]))
+    for i, j in enumerate(rows):
+        dens[i] = grid_kde_density(P[j], axes[j]), grid_kde_density(Q[j], axes[j])
+    np.maximum(dens, DENSITY_FLOOR, out=dens)
+    dens /= dens.sum(axis=-1, keepdims=True)
+    p, q = dens[:, 0], dens[:, 1]
+    kls[rows] = np.sum(p * np.log(p / q), axis=-1)
+    return float(kls[0]) if single else kls
 
 
 def _kde_kernel(data):
@@ -433,9 +455,14 @@ def _kde_kernel(data):
     the data mean ``centre``; ``norm`` is the kernel's normalizer over n.
     """
     n, d = data.shape
-    # Uniform weights round like scipy's covariance; the KDE differs from it by
-    # up to 2e-12 relative at rho = 0.99 without them.
-    data_cov = np.atleast_2d(np.cov(data, rowvar=False, aweights=np.full(n, 1.0 / n)))
+    # The covariance in np.cov(data, rowvar=False, aweights=w)'s operations,
+    # with w uniform: weighted that way it rounds like scipy's, and the KDE
+    # differs from scipy's by up to 2e-12 relative at rho = 0.99 without it.
+    w = np.full(n, 1.0 / n)
+    w_sum = w.sum()
+    X = data - (data * w[:, None]).sum(axis=0) / w_sum
+    data_cov = X.T @ (X * w[:, None])
+    data_cov *= np.true_divide(1, w_sum - np.sum(w * w) / w_sum)
     try:
         lower = np.linalg.cholesky(data_cov)
     except np.linalg.LinAlgError as exc:

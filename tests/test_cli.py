@@ -173,6 +173,24 @@ def test_numerical_failure_writes_a_failure_report(tmp_path, capsys):
     assert _failure_report(out, err) == "numerical"
 
 
+@pytest.mark.parametrize("command", ["attack", "report"])
+def test_leakage_command_abort_writes_a_failure_report(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path / "exp.ini",
+        extra="[adversary]\ncorrupted_servers = 1\nbehavior = tamper-share\n",
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("protocol abort: the privateyes run aborted in opening:")
+    assert _failure_report(out, err) == "protocol"
+    report = json.loads((out / "report.json").read_text())
+    assert report["scheme"] == "privateyes"
+    assert report["abort_reason"] == "mac-failure"
+    assert report["abort_phase"] == "opening"
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
 def test_determinism_byte_identical(tmp_path):
     config = write_config(tmp_path / "exp.ini")
     out1, out2 = tmp_path / "a", tmp_path / "b"

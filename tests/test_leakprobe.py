@@ -1,3 +1,6 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,12 +301,13 @@ def test_kl_equal_arrays_is_exactly_zero():
 
 
 def _count_solves(monkeypatch):
+    """One entry per solved system: a stacked call adds one per row of its M."""
     calls = []
     original = leakprobe._solve_gd
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(M, y, theta0, steps):
+        calls.extend(M.reshape(-1, *M.shape[-2:]))
+        return original(M, y, theta0, steps)
 
     monkeypatch.setattr(leakprobe, "_solve_gd", counted)
     return calls
@@ -403,6 +407,73 @@ def test_vectorised_gradient_system_is_bit_identical(d_in):
                 assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
 
 
+@pytest.mark.parametrize("d_in", [1, 3, 8])
+def test_stacked_systems_and_solves_match_one_system_calls(d_in):
+    """A stack of systems (one row per leaked unit) builds and solves each row
+    to the bytes of the one-system calls, on the traffic of the test above."""
+    pop = gen_synthetic_population(3, seed=14, rounds=3, d_in=d_in)
+    res = run_training(pop, TrainConfig(rounds=3), ModelSpec(d_in=d_in), "adaptive_fl",
+                       seed=14, codec=FixedPointCodec())
+    leak = build_leak_set("adaptive_fl", res.transcript, pop)
+    pub = leak.pub
+    rng = np.random.default_rng(d_in)
+    prior_std = np.maximum(rng.uniform(0.0, 0.6, 2 + d_in), 1e-6)
+    units = list(leak.leak["iu"].items())
+    w_prev = np.stack([pub["om0"] if k == 1 else leak.leak["om"][k - 1] for (_, k), _ in units])
+    grad_obs = np.stack([observed_gradient(w, iu, pub["config"])
+                         for w, (_, iu) in zip(w_prev, units)])
+    for cfg in (AttackConfig(), AttackConfig(alpha=0.3, beta=2.5, gamma=0.0),
+                AttackConfig(alpha=0.7, beta=0.0, gamma=1.3)):
+        prior_mean = rng.normal(0.0, 0.3, (len(units), 2 + d_in))
+        for weight in (1.0, 2.0, 7):
+            M, y = _expected_gradient_system(w_prev, grad_obs, pub, cfg, prior_mean,
+                                             prior_std, weight)
+            for steps in (1, cfg.steps):
+                theta, converged = _solve_gd(M, y, prior_mean, steps)
+                assert theta.shape == prior_mean.shape and converged.shape == (len(units),)
+                for i in range(len(units)):
+                    M_i, y_i = _expected_gradient_system(w_prev[i], grad_obs[i], pub, cfg,
+                                                         prior_mean[i], prior_std, weight)
+                    assert M[i].tobytes() == M_i.tobytes() and y[i].tobytes() == y_i.tobytes()
+                    theta_i, converged_i = _solve_gd(M_i, y_i, prior_mean[i], steps)
+                    assert theta[i].tobytes() == theta_i.tobytes()
+                    assert converged[i] == converged_i
+
+
+def _per_client_digest(reports):
+    """sha256 over every client's kl, mae_deg, mu_hat and b_hat bytes, scheme by scheme."""
+    digest = hashlib.sha256()
+    for scheme in sorted(reports):
+        for j in sorted(reports[scheme].per_client):
+            entry = reports[scheme].per_client[j]
+            for key in ("kl", "mae_deg", "mu_hat", "b_hat"):
+                if key in entry:
+                    digest.update(np.asarray(entry[key], dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("steps, digest, converged", [
+    (70, "e5e77077aec63af1a7b46f6394d61d370b66540ab94e569bdec93de127949395",
+     [False, False, True, True, True, True]),
+    (400, "4996cd1ac3b2be931ef6bb0a35ef185ef829e663beddd7e8347de92ad1210445", [True] * 6),
+])
+def test_ragged_chains_are_pinned(steps, digest, converged):
+    """With cohort_fraction = 0.5 the clients' chains run 2, 3, 0, 1, 2 and 4
+    units long. Per-client kl, mae_deg, mu_hat and b_hat bytes and converged
+    flags are pinned to the values of the one-client-at-a-time chain loop
+    (BLAS on one thread, as conftest.py sets it: the KDE matmul rounds
+    differently on more)."""
+    pop = gen_synthetic_population(6, seed=14, rounds=4)
+    res = _run(pop, "adaptive_fl", 14, rounds=4, cohort_fraction=0.5)
+    leak = build_leak_set("adaptive_fl", res.transcript, pop)
+    lengths = [sum(j == client for client, _ in leak.leak["iu"]) for j in range(6)]
+    assert lengths == [2, 3, 0, 1, 2, 4]
+    report = dualview_lite_reconstruct(leak, AttackConfig(seed=14, steps=steps), pop)
+    assert _per_client_digest({"adaptive_fl": report}) == digest
+    assert [entry["converged"] for entry in report.per_client.values()] == converged
+    assert np.array_equal(report.per_client[2]["b_hat"], np.zeros(8))
+
+
 def _grid_axes(data, other):
     """The grid ``kde_kl_divergence`` lays over two sample sets."""
     both = np.vstack([data, other])
@@ -496,6 +567,82 @@ def test_report_traffic_stays_on_the_fast_path(tmp_path, monkeypatch):
     assert cli.cmd_report(cfg, tmp_path) == 0
     assert len(grids) > 0 and all(d == 2 for _, d in grids)
     assert calls == []
+
+
+def _np_cov_kernel(data):
+    """The KDE kernel with its covariance from ``np.cov``."""
+    n, d = data.shape
+    data_cov = np.atleast_2d(np.cov(data, rowvar=False, aweights=np.full(n, 1.0 / n)))
+    L = np.linalg.inv(np.linalg.cholesky(data_cov) * float(n) ** (-1.0 / (d + 4))).T
+    return data.mean(axis=0), L, np.prod(np.diag(L)) / ((2.0 * np.pi) ** (d / 2.0) * n)
+
+
+def _kl_per_row(P, Q):
+    """KL(P || Q) of one pair of sample sets, with a linspace per grid axis."""
+    axes = _grid_axes(P, Q)
+    p = np.maximum(grid_kde_density(P, axes), DENSITY_FLOOR)
+    q = np.maximum(grid_kde_density(Q, axes), DENSITY_FLOOR)
+    p /= p.sum()
+    q /= q.sum()
+    return np.sum(p * np.log(p / q))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rho=st.one_of(st.sampled_from([-0.99, 0.99]), st.floats(-0.99, 0.99)),
+       n=st.one_of(st.integers(10, 40), st.integers(10, 2000)),
+       m=st.integers(10, 600),
+       log_scales=st.lists(st.tuples(st.floats(-4.0, 1.5), st.floats(-4.0, 1.5)),
+                           min_size=1, max_size=3),
+       equal_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_kls_match_per_row_calls(rho, n, m, log_scales, equal_row, seed):
+    """Each row of a stacked KL equals, byte for byte, the one-set call and
+    the per-row formula with its per-axis grid; every row's kernel equals the
+    np.cov one. The rows differ in scale, may repeat P in Q, and the last row
+    (rho = 0.99, Q shifted by twenty standard deviations) takes the fallback."""
+    rng = np.random.default_rng(seed)
+    m = n if equal_row else m
+    P, Q = [], []
+    for scale, r in [(np.exp(s), rho) for s in log_scales] + [(np.ones(2), 0.99)]:
+        cov = np.array([[1.0, r], [r, 1.0]]) * np.outer(scale, scale)
+        P.append(rng.multivariate_normal([0.1, -0.2], cov, n))
+        Q.append(rng.multivariate_normal([0.3, 0.1], cov, m) * 1.5)
+    Q[-1] = Q[-1] + 20.0
+    if equal_row:
+        Q[0] = P[0].copy()
+    P, Q = np.array(P), np.array(Q)
+    with mock.patch.object(leakprobe, "gaussian_kde_density",
+                           wraps=leakprobe.gaussian_kde_density) as fallback:
+        kls = kde_kl_divergence(P, Q)
+    assert fallback.called
+    assert kls.shape == (len(P),)
+    for j in range(len(P)):
+        for data in (P[j], Q[j]):
+            ours, ref = leakprobe._kde_kernel(data), _np_cov_kernel(data)
+            assert all(a.tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, ref))
+        one = kde_kl_divergence(P[j], Q[j])
+        assert type(one) is float and kls[j].tobytes() == np.float64(one).tobytes()
+        ref = 0.0 if equal_row and j == 0 else _kl_per_row(P[j], Q[j])
+        assert kls[j].tobytes() == np.float64(ref).tobytes()
+
+
+def test_attack_per_client_values_are_pinned(tmp_path, monkeypatch):
+    """The CSVs round to 6 decimals; every scheme's per-client kl, mae_deg,
+    mu_hat and b_hat bytes of a small attack are pinned here (BLAS on one
+    thread, as in the test above)."""
+    reports = {}
+    original = cli.dualview_lite_reconstruct
+
+    def recorded(leak, attack, population):
+        reports[leak.scheme] = original(leak, attack, population)
+        return reports[leak.scheme]
+
+    monkeypatch.setattr(cli, "dualview_lite_reconstruct", recorded)
+    cfg = cli.ExperimentConfig(clients=5, rounds=3, steps=60, seed=7)
+    assert cli.cmd_attack(cfg, tmp_path) == 0
+    assert sorted(reports) == ["adaptive_fl", "datacentre", "mpc", "privateyes"]
+    assert _per_client_digest(reports) == (
+        "1adc9584f7789617fe1710f21be8c2064503f25483077424cc49c177e5edee4a")
 
 
 @pytest.mark.parametrize("shape", [(20,), (20, 2)])
