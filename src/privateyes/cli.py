@@ -2,9 +2,9 @@
 
 Subcommands: run (one scheme, metrics + transcript), attack (leakage
 probe across schemes), report (comparison tables), bench (communication
-scaling). Exit codes: 0 success, 1 usage/config error, 2 protocol abort,
-3 numerical failure (diverged training, a value outside the codec's range,
-a degenerate leakage-probe sample set).
+scaling). Exit codes: 0 success, 1 usage/config error, 2 protocol abort or
+damaged frame, 3 numerical failure (diverged training, a value outside the
+codec's range, a degenerate leakage-probe sample set).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .fedcore import (
 from .field import (
     DecodeOverflowError,
     EncodingRangeError,
+    FieldError,
     FieldParams,
     FixedPointCodec,
     vector_to_bytes,
@@ -47,6 +48,7 @@ from .protocol import (
     SCHEME_ADAPTIVE_FL,
     SCHEME_DATACENTRE,
     SCHEME_PRIVATEYES,
+    KeyShareError,
     client_wire_id,
     run_secure_aggregation,
     run_training,
@@ -59,6 +61,7 @@ from .simnet import (
     EDGE_SERVER_TO_CLIENT,
     EDGE_SERVER_TO_SERVER,
     AdversarySpec,
+    FrameError,
     MsgType,
     Network,
     WireMessage,
@@ -321,6 +324,8 @@ def _train_leakage_schemes(cfg: ExperimentConfig, outdir: Path):
     """One run per scheme of the leakage table on one shared population:
     {scheme: (population, result)}, or None once a run aborts, after that
     abort is reported as a protocol failure in ``outdir``."""
+    if cfg.kind != "linear":
+        raise ConfigError(f"the leakage probe attacks the linear model only, not {cfg.kind!r}")
     population = _population(cfg)
     runs = {}
     for scheme in LEAKAGE_SCHEMES:
@@ -444,6 +449,8 @@ def main(argv=None) -> int:
         return _fail(outdir, "config", f"config error: {exc}", 1)
     except NUMERICAL_FAILURES as exc:
         return _fail(outdir, "numerical", f"numerical failure: {type(exc).__name__}: {exc}", 3)
+    except (FrameError, KeyShareError, FieldError) as exc:  # after the FieldErrors above
+        return _fail(outdir, "protocol", f"protocol failure: {type(exc).__name__}: {exc}", 2)
 
 
 def _fail(outdir: Path, failure_class: str, message: str, code: int, **fields) -> int:

@@ -9,7 +9,6 @@ nonconvexity.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -490,47 +489,6 @@ def evaluate_model(spec: ModelSpec, w: np.ndarray, population: Population):
 def fairness_spread(per_client: dict) -> float:
     errs = list(per_client.values())
     return max(errs) - min(errs)
-
-
-# ---------------------------------------------------------------------------
-# Dataset export (client_id, round, f1..fd, pitch, yaw)
-# ---------------------------------------------------------------------------
-
-
-def export_population_csv(population: Population, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["client_id", "round"]
-        header += [f"f{i + 1}" for i in range(population.d_in)]
-        header += ["pitch", "yaw"]
-        writer.writerow(header)
-        for j in range(population.num_clients):
-            for k in range(population.rounds):
-                for x_row, g_row in zip(population.features[j, k], population.gaze[j, k]):
-                    writer.writerow(
-                        [j, k + 1]
-                        + [f"{v:.17g}" for v in x_row]
-                        + [f"{g_row[0]:.17g}", f"{g_row[1]:.17g}"]
-                    )
-
-
-def import_population_csv(path):
-    """Rows back as {(client_id, round): (features, gaze)} arrays."""
-    groups = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d_in = len(header) - 4
-        for row in reader:
-            key = (int(row[0]), int(row[1]))
-            feats = [float(v) for v in row[2 : 2 + d_in]]
-            gaze = [float(row[2 + d_in]), float(row[3 + d_in])]
-            groups.setdefault(key, ([], []))
-            groups[key][0].append(feats)
-            groups[key][1].append(gaze)
-    return {
-        key: (np.array(fs), np.array(gs)) for key, (fs, gs) in groups.items()
-    }
 
 
 def select_cohort(num_clients: int, fraction: float, round_index: int, seed: int) -> list:

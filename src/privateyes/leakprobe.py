@@ -88,7 +88,6 @@ def build_leak_set(scheme: str, transcript: Transcript, population: Population =
     pub = {
         "config": dict(transcript.config),
         "om0": transcript.om_history[0],
-        "om_final": transcript.om_history[-1],
     }
     if population is not None:
         pub["mixing_map"] = population.A
@@ -367,7 +366,6 @@ def dualview_lite_reconstruct(
     for j in range(num):
         report.per_client[j] = {
             "mu_hat": est_mu[j],
-            "sigma_hat": sigma,
             "mae_deg": angular_error(est_mu[j], true_mu[j]),
             "kl": float(kls[j]),
             "converged": bool(converged[j]),

@@ -200,7 +200,7 @@ def run_secure_aggregation_round(
     J, d = inputs.shape[:2]
     clients = [client_wire_id(n, j) for j in cohort]
     servers = [server_wire_id(i) for i in range(n)]
-    kappa_shares = from_ints(dealer.key.key_shares)
+    kappa_shares = from_ints(dealer.key_shares)
 
     _send_masks(net, dealer, round_index, clients, servers, d)
 
@@ -278,23 +278,35 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     owners = [servers[i] for i in own]
     peers = [peer for sid in servers for peer in servers if peer != sid]
 
-    def broadcast(msg_type, payloads):
-        # Server i sends payloads[i] to every other server.
-        net.send_many(msg_type, k, owners, peers, [payloads[i] for i in own])
-
-    def receive_commits():
-        return [(net.recv(rid, MsgType.COMMIT, sid, k), net.recv(rid, MsgType.REVEAL, sid, k))
-                for rid, sid in zip(owners, peers)]
+    def exchange(tag, blinds, committed, revealed):
+        """Server i commits to committed[i] under blinds[i] + tag, then reveals
+        blinds[i] + revealed[i] to every other server. Every server takes its frames
+        off the wire, so no later round reads them, and the honest ones check theirs.
+        Returns the payloads revealed per frame (None at a corrupted owner) and None,
+        or None and an abort reason."""
+        digests = [commit(payload, blind + tag) for blind, payload in zip(blinds, committed)]
+        net.send_many(MsgType.COMMIT, k, owners, peers, [digests[i] for i in own])
+        net.send_many(MsgType.REVEAL, k, owners, peers, [blinds[i] + revealed[i] for i in own])
+        received = [(rid, net.recv(rid, MsgType.COMMIT, sid, k),
+                     net.recv(rid, MsgType.REVEAL, sid, k)) for rid, sid in zip(owners, peers)]
+        opened = []
+        for rid, cm, rv in received:
+            if rid in corrupted:
+                opened.append(None)
+                continue
+            if cm is None or rv is None:
+                return None, ABORT_TIMEOUT
+            blind, payload = rv.payload[:len(blinds[0])], rv.payload[len(blinds[0]):]
+            if not verify_commit(cm.payload, payload, blind + tag):
+                return None, ABORT_EQUIVOCATION
+            opened.append(payload)
+        return opened, None
 
     # Public coin: commit-then-reveal of per-server nonces.
     nonces = [rngs[i].randbytes(16) for i in range(n)]
-    broadcast(MsgType.COMMIT, [commit(nonce, _COIN_TAG) for nonce in nonces])
-    broadcast(MsgType.REVEAL, nonces)
-    for cm, rv in receive_commits():
-        if cm is None or rv is None:
-            return None, ABORT_TIMEOUT
-        if not verify_commit(cm.payload, rv.payload, _COIN_TAG):
-            return None, ABORT_EQUIVOCATION
+    _, reason = exchange(_COIN_TAG, [b""] * n, nonces, nonces)
+    if reason:
+        return None, reason
     coin = public_coin(k, nonces)
     coeffs = from_ints(batch_coefficients(coin, d, params))
 
@@ -313,30 +325,19 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     sigma_nonces = [rngs[i].randbytes(16) for i in range(n)]
     payloads = [net.value(SIGMA_COMMITTED, k, sid, int(s).to_bytes(32, "little"))
                 for sid, s in zip(servers, sigmas)]
-    broadcast(MsgType.COMMIT, [commit(payloads[i], sigma_nonces[i] + _SIGMA_TAG)
-                               for i in range(n)])
-    broadcast(MsgType.REVEAL, [sigma_nonces[i] + net.value(SIGMA_REVEALED, k, sid, payloads[i])
-                               for i, sid in enumerate(servers)])
-
-    # Corrupted servers take their frames off the wire (so no later round
-    # reads them) but honest servers do the checking.
-    received = receive_commits()
-    for jj in range(n):
-        if servers[jj] in corrupted:
-            continue
-        seen = [sigmas[jj]]
-        for cm, rv in received[jj * (n - 1) : (jj + 1) * (n - 1)]:
-            if cm is None or rv is None:
-                return None, ABORT_TIMEOUT
-            nonce, payload = rv.payload[:16], rv.payload[16:]
-            if not verify_commit(cm.payload, payload, nonce + _SIGMA_TAG):
-                return None, ABORT_EQUIVOCATION
-            seen.append(int.from_bytes(payload, "little"))
-        if sum(seen) % q:
+    revealed, reason = exchange(_SIGMA_TAG, sigma_nonces, payloads,
+                                [net.value(SIGMA_REVEALED, k, sid, payloads[i])
+                                 for i, sid in enumerate(servers)])
+    if reason:
+        return None, reason
+    # Each honest server's own sigma and the n - 1 revealed to it sum to 0.
+    honest = [i for i in range(n) if servers[i] not in corrupted]
+    for i in honest:
+        seen = revealed[i * (n - 1) : (i + 1) * (n - 1)]
+        if (sigmas[i] + sum(int.from_bytes(s, "little") for s in seen)) % q:
             return None, ABORT_MAC_FAILURE
 
     # All honest servers accepted; honest views agree on the opened vector.
-    honest = [i for i in range(n) if servers[i] not in corrupted]
     return views[honest[0]], None
 
 
@@ -373,7 +374,7 @@ def _build_roles(n_servers, num_clients):
 
 def _distribute_key_shares(net, dealer):
     for i in range(dealer.n):
-        payload = vector_to_bytes([dealer.key.key_shares[i]])
+        payload = vector_to_bytes([dealer.key_shares[i]])
         net.send(WireMessage(MsgType.MASK_DELIVERY, 0, DEALER_ID, server_wire_id(i), payload))
         # Each server consumes its key share immediately at setup.
         msg = net.recv(server_wire_id(i), MsgType.MASK_DELIVERY, DEALER_ID, 0)

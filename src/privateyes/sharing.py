@@ -33,31 +33,16 @@ class KeyShareError(SharingError):
     """A server's MAC key share did not arrive intact at setup."""
 
 
-@dataclass
-class AdditiveSharing:
-    """One share per server."""
-
-    params: FieldParams
-    shares: list
-
-
-def share(x: int, n: int, rng: Random, params: FieldParams) -> AdditiveSharing:
-    """Split x into n shares, the first n-1 uniform, the last the remainder."""
+def share(x: int, n: int, rng: Random, params: FieldParams) -> list:
+    """Split x into a list of n shares, the first n-1 uniform, the last the
+    remainder."""
     if n < 1:
         raise SharingError("need at least one share")
     q = params.q
     x %= q
     shares = [rng.randrange(q) for _ in range(n - 1)]
     shares.append((x - sum(shares)) % q)
-    return AdditiveSharing(params, shares)
-
-
-@dataclass
-class MacKeySharing:
-    """Additive sharing of the global MAC key among the servers."""
-
-    params: FieldParams
-    key_shares: list
+    return shares
 
 
 @dataclass
@@ -93,7 +78,7 @@ class Dealer:
         self.params = params
         self._rng = rng
         self.mac_key = rng.randrange(params.q)
-        self.key = MacKeySharing(params, share(self.mac_key, n, rng, params).shares)
+        self.key_shares = share(self.mac_key, n, rng, params)
         self._pool = None  # (r, shares) of masks drawn but not yet issued
 
     def issue_masks(self, client_id: list, count: int) -> MaskBatch:

@@ -140,11 +140,11 @@ def test_criterion_04_deviations_abort_no_false_aborts():
     xs, vs, ms = [], [], []
     for _ in range(10_000):
         xs.append(rng.randrange(BIG.q))
-        vs.extend(share(xs[-1], 3, rng, BIG).shares)
-        ms.extend(share(dealer.mac_key * xs[-1] % BIG.q, 3, rng, BIG).shares)
+        vs.extend(share(xs[-1], 3, rng, BIG))
+        ms.extend(share(dealer.mac_key * xs[-1] % BIG.q, 3, rng, BIG))
     opened, sigmas = check_openings(
         from_ints(vs).reshape(10_000, 3, 1, 2), from_ints(ms).reshape(10_000, 3, 1, 2),
-        from_ints(dealer.key.key_shares), from_ints([1]), BIG)
+        from_ints(dealer.key_shares), from_ints([1]), BIG)
     totals = to_ints(vec_sum(sigmas, BIG, axis=-2))
     false_aborts = sum(y != x or t != 0 for y, x, t in zip(to_ints(opened[:, 0]), xs, totals))
     ok = aborts == trials == 1000 and false_aborts == 0
@@ -164,8 +164,8 @@ def _forge_rate(params, trials, seed):
     rng = Random(seed)
     dealer = Dealer(3, rng, params)
     x = rng.randrange(q)
-    vs = share(x, 3, rng, params).shares
-    ms = share(dealer.mac_key * x % q, 3, rng, params).shares
+    vs = share(x, 3, rng, params)
+    ms = share(dealer.mac_key * x % q, 3, rng, params)
     deltas, adjs = [], []
     for _ in range(trials):
         deltas.append(rng.randrange(1, q))
@@ -173,7 +173,7 @@ def _forge_rate(params, trials, seed):
     value_shares = np.broadcast_to(from_ints(vs)[:, None], (trials, 3, 1, 2)).copy()
     value_shares[:, 0, 0] = vec_add(value_shares[:, 0, 0], from_ints(deltas), params)
     _, sigmas = check_openings(value_shares, from_ints(ms)[:, None],
-                               from_ints(dealer.key.key_shares), from_ints([1]), params)
+                               from_ints(dealer.key_shares), from_ints([1]), params)
     sigmas[:, 0] = vec_add(sigmas[:, 0], from_ints(adjs), params)
     hits = to_ints(vec_sum(sigmas, params, axis=-2)).count(0)
     return hits / trials
@@ -191,7 +191,7 @@ def test_criterion_06_share_privacy():
     secret = 7
     counts = np.zeros(23 * 23, dtype=np.int64)
     for _ in range(100_000):
-        s = share(secret, 3, rng, P23).shares
+        s = share(secret, 3, rng, P23)
         counts[s[0] * 23 + s[1]] += 1
     p_value = chisquare(counts).pvalue
     # Any fixed pair of n-1 shares is consistent with every candidate secret.

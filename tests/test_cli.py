@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from privateyes import cli
+from privateyes import cli, protocol
 from privateyes.cli import (
     ConfigError,
     ExperimentConfig,
@@ -15,7 +15,7 @@ from privateyes.cli import (
     measure_communication,
 )
 from privateyes.protocol import SCHEME_ADAPTIVE_FL, client_wire_id, server_wire_id
-from privateyes.simnet import overhead_ratio
+from privateyes.simnet import MsgType, Network, overhead_ratio
 
 
 def write_config(path, extra=""):
@@ -189,6 +189,59 @@ def test_leakage_command_abort_writes_a_failure_report(tmp_path, capsys, command
     assert report["abort_reason"] == "mac-failure"
     assert report["abort_phase"] == "opening"
     assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("command,status", [("run", 0), ("attack", 1), ("report", 1)])
+def test_leakage_commands_reject_the_mlp_model(tmp_path, capsys, command, status):
+    """The probe attacks the linear model only; an MLP run is valid."""
+    config = write_config(tmp_path / "exp.ini", extra="[model]\nkind = mlp\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == status
+    if status:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the leakage probe attacks the linear model only")
+        assert _failure_report(out, err) == "config"
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def _flip_first_byte(payload):
+    return bytes([payload[0] ^ 1]) + payload[1:]
+
+
+@pytest.mark.parametrize("msg_type,round_index,fault,message", [
+    (MsgType.OPEN_SHARE, 1, lambda payload: payload[:-1],
+     "FieldError: payload is not a vector of 18 field elements"),
+    (MsgType.MASK_DELIVERY, 0, _flip_first_byte,
+     "KeyShareError: server 0 did not receive its MAC key share intact"),
+    (MsgType.BROADCAST_MODEL, 1, _flip_first_byte,
+     "FrameError: a client did not receive the round 1 model intact"),
+], ids=["truncated-vector", "flipped-key-share", "flipped-model"])
+def test_malformed_frames_are_protocol_failures(tmp_path, capsys, monkeypatch, msg_type,
+                                                round_index, fault, message):
+    class FaultyNetwork(Network):
+        def _hooked(self, point, k, endpoints):
+            return point == msg_type and k == round_index
+
+        def _mutate(self, msg):
+            return msg._replace(payload=fault(msg.payload))
+
+    monkeypatch.setattr(protocol, "Network", FaultyNetwork)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_config(tmp_path / "exp.ini")),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"protocol failure: {message}\n"
+    assert _failure_report(out, err) == "protocol"
+
+
+def test_single_server_secure_run_completes(tmp_path):
+    config = write_config(tmp_path / "exp.ini")
+    config.write_text(config.read_text().replace("servers = 3", "servers = 1"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["aborted"] is False
+    assert report["rounds_completed"] == 4
 
 
 def test_determinism_byte_identical(tmp_path):

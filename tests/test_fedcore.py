@@ -13,11 +13,9 @@ from privateyes.fedcore import (
     angular_error,
     angular_errors_deg,
     evaluate_model,
-    export_population_csv,
     fairness_spread,
     gaze_to_vecs,
     gen_synthetic_population,
-    import_population_csv,
     init_weights,
     local_train,
     loss_and_grad,
@@ -381,17 +379,6 @@ def test_evaluate_and_fairness():
     assert mean_err > 0
     assert set(per_client) == {0, 1, 2}
     assert fairness_spread(per_client) == max(per_client.values()) - min(per_client.values())
-
-
-def test_csv_roundtrip(tmp_path):
-    pop = gen_synthetic_population(2, seed=7, rounds=2, samples_per_round=3)
-    path = tmp_path / "pop.csv"
-    export_population_csv(pop, path)
-    groups = import_population_csv(path)
-    assert set(groups) == {(j, k) for j in (0, 1) for k in (1, 2)}
-    X, G = groups[(0, 1)]
-    assert np.array_equal(X, pop.features[0, 0])
-    assert np.array_equal(G, pop.gaze[0, 0])
 
 
 def test_select_cohort():

@@ -51,7 +51,7 @@ def test_leak_set_counts():
     assert "iu" not in leak_pe.leak
     leak_mpc = build_leak_set(SCHEME_GENERIC_MPC, pe.transcript, pop)
     assert leak_mpc.leak == {}
-    assert "om_final" in leak_mpc.pub
+    assert set(leak_mpc.pub) == {"config", "om0", "mixing_map", "priors"}
     with pytest.raises(LeakprobeError):
         build_leak_set("unknown", pe.transcript, pop)
 

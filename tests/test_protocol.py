@@ -437,6 +437,46 @@ def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_
     assert len(res.transcript.om_history) == 2  # om0 plus round 1
 
 
+def test_dropped_commit_to_a_corrupted_server_is_not_checked(monkeypatch):
+    """Only honest servers check the coin's commit-then-reveal frames: a
+    round-2 COMMIT dropped on its way to a passive corrupted server changes
+    nothing, and the corrupted server still takes the rest off the wire."""
+
+    class DroppingNetwork(Network):
+        dropped_commit = None
+
+        def _hooked(self, point, round_index, endpoints):
+            return point == MsgType.COMMIT and round_index == 2
+
+        def _mutate(self, msg):
+            if self.dropped_commit is None and msg.receiver == server_wire_id(2):
+                self.dropped_commit = msg
+                return None
+            return msg
+
+    pop = gen_synthetic_population(4, seed=12, rounds=3)
+    cfg = TrainConfig(rounds=3)
+    honest = run_training(pop, cfg, ModelSpec(), "privateyes", seed=12)
+    nets = _capture_networks(monkeypatch, DroppingNetwork)
+    adv = AdversarySpec(corrupted_servers=frozenset({server_wire_id(2)}),
+                        behavior="passive-record")
+    res = run_training(pop, cfg, ModelSpec(), "privateyes", seed=12, adversary=adv)
+    assert nets[0].dropped_commit.sender == server_wire_id(0)
+    assert len(nets[0].dropped) == 1
+    assert not res.aborted
+    for a, b in zip(res.transcript.om_history, honest.transcript.om_history, strict=True):
+        assert np.array_equal(a, b)
+    assert all(not inbox for inbox in nets[0].inboxes.values())
+
+
+def test_single_server_secure_round():
+    """With n = 1 there are no peers: the server's own sigma must sum to 0."""
+    res = run_secure_aggregation({0: [3], 1: [10], 2: [8]}, 1, P23)
+    assert res.abort_reason is None
+    assert to_ints(res.opened) == [21]
+    assert [to_ints(s) for s in res.client_sums.values()] == [[21]] * 3
+
+
 def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
     """A round-1 opening share re-injected into a server's inbox ahead of
     round 2's opening is never taken as round 2's share."""

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from privateyes.field import FieldParams, from_ints, to_ints, vec_add, vec_sum
 from privateyes.sharing import (
     MASK_POOL_SIZE,
-    AdditiveSharing,
     Dealer,
-    MacKeySharing,
     batch_coefficients,
     check_openings,
     commit,
@@ -23,31 +21,30 @@ P23 = FieldParams(q=23, f_bits=0)
 BIG = FieldParams()
 
 
-def _open(s: AdditiveSharing) -> int:
+def _open(shares: list, params: FieldParams) -> int:
     """The value of a sharing, summed by vec_sum as the protocol opens it."""
-    return to_ints(vec_sum(from_ints(s.shares)[:, None], s.params))[0]
+    return to_ints(vec_sum(from_ints(shares)[:, None], params))[0]
 
 
 def test_worked_sharing_of_three():
     # 5 + 17 + 4 = 26 = 3 mod 23
-    s = AdditiveSharing(P23, [5, 17, 4])
-    assert _open(s) == 3
+    assert _open([5, 17, 4], P23) == 3
 
 
 def test_share_reconstruct_roundtrip():
     rng = Random(0)
     for x in range(23):
-        assert _open(share(x, 3, rng, P23)) == x
+        assert _open(share(x, 3, rng, P23), P23) == x
     for _ in range(20):
         x = rng.randrange(BIG.q)
-        assert _open(share(x, 5, rng, BIG)) == x
+        assert _open(share(x, 5, rng, BIG), BIG) == x
 
 
 def test_share_sum_example():
     # (1, 9, 11) in Z_23 opens to 21, and 21 / 3 = 7 client-side.
-    s = AdditiveSharing(P23, [1, 9, 11])
-    assert _open(s) == 21
-    assert _open(s) / 3 == 7.0
+    s = [1, 9, 11]
+    assert _open(s, P23) == 21
+    assert _open(s, P23) / 3 == 7.0
 
 
 def _check(value_shares, mac_shares, kappa_shares, coeffs, params):
@@ -62,17 +59,17 @@ def _check(value_shares, mac_shares, kappa_shares, coeffs, params):
 def test_mac_sigma_worked_example():
     # kappa = 5, y = 3 with value shares (5, 17, 4), mac shares (10, 2, 3),
     # key shares (2, 2, 1): sigma = (4, 19, 0), summing to 0 mod 23.
-    key = MacKeySharing(P23, [2, 2, 1])
-    opened, sigmas, total = _check([[5], [17], [4]], [[10], [2], [3]], key.key_shares, [1], P23)
+    key_shares = [2, 2, 1]
+    opened, sigmas, total = _check([[5], [17], [4]], [[10], [2], [3]], key_shares, [1], P23)
     assert opened == [3]
     assert sigmas == [4, 19, 0]
     assert total == [0]
 
 
 def test_mac_sigma_detects_tamper():
-    key = MacKeySharing(P23, [2, 2, 1])
+    key_shares = [2, 2, 1]
     # Opened value shifted from 3 to 4: sigma = (2, 17, 22), sum 18 != 0.
-    opened, sigmas, total = _check([[6], [17], [4]], [[10], [2], [3]], key.key_shares, [1], P23)
+    opened, sigmas, total = _check([[6], [17], [4]], [[10], [2], [3]], key_shares, [1], P23)
     assert opened == [4]
     assert sigmas == [2, 17, 22]
     assert total == [18]
@@ -81,9 +78,9 @@ def test_mac_sigma_detects_tamper():
 def test_open_with_mac_check_honest_and_tampered():
     # The honest opening (5, 17, 4) and the tampered one (6, 17, 4), stacked
     # in one call: the first passes (sigmas sum to 0), the second aborts.
-    key = MacKeySharing(P23, [2, 2, 1])
+    key_shares = [2, 2, 1]
     opened, sigmas = check_openings(from_ints([5, 17, 4, 6, 17, 4]).reshape(2, 3, 1, 2),
-                                    from_ints([10, 2, 3])[:, None], from_ints(key.key_shares),
+                                    from_ints([10, 2, 3])[:, None], from_ints(key_shares),
                                     from_ints([1]), P23)
     assert to_ints(opened.reshape(2, 2)) == [3, 4]
     assert to_ints(vec_sum(sigmas, P23, axis=-2)) == [0, 18]
@@ -105,14 +102,14 @@ def test_check_openings_matches_python_ints(params, lead, n, d, seed):
     q = params.q
     rng = Random(seed)
     # A nonzero key and nonzero coefficients, so any one-element shift shows.
-    kappa_shares = share(rng.randrange(1, q), n, rng, params).shares
+    kappa_shares = share(rng.randrange(1, q), n, rng, params)
     mac_key = sum(kappa_shares) % q
     coeffs = [rng.randrange(1, q) for _ in range(d)]
     count = int(np.prod(lead))
     value_shares, mac_shares = [], []
     for _ in range(count):
         xs = [rng.randrange(q) for _ in range(d)]
-        per_t = [(share(x, n, rng, params).shares, share(mac_key * x, n, rng, params).shares)
+        per_t = [(share(x, n, rng, params), share(mac_key * x, n, rng, params))
                  for x in xs]
         value_shares.append([[v[i] for v, _ in per_t] for i in range(n)])
         mac_shares.append([[m[i] for _, m in per_t] for i in range(n)])
@@ -145,7 +142,7 @@ def test_check_openings_matches_python_ints(params, lead, n, d, seed):
 def test_dealer_key_and_mask_relations():
     rng = Random(7)
     dealer = Dealer(3, rng, BIG)
-    assert sum(dealer.key.key_shares) % BIG.q == dealer.mac_key
+    assert sum(dealer.key_shares) % BIG.q == dealer.mac_key
     batch = dealer.issue_masks([42], 1)
     assert batch.client_id == [42]
     vals, macs = zip(*(to_ints(shares) for shares in batch.server_shares[0]))
@@ -278,16 +275,16 @@ def test_open_vector_with_mac_check():
     value_vecs = [[None] * 5 for _ in range(3)]
     mac_vecs = [[None] * 5 for _ in range(3)]
     for t, x in enumerate(xs):
-        vs = share(x, 3, rng, BIG).shares
-        ms = share(dealer.mac_key * x % BIG.q, 3, rng, BIG).shares
+        vs = share(x, 3, rng, BIG)
+        ms = share(dealer.mac_key * x % BIG.q, 3, rng, BIG)
         for i in range(3):
             value_vecs[i][t] = vs[i]
             mac_vecs[i][t] = ms[i]
     coeffs = batch_coefficients(public_coin(0, [rng.randbytes(16)]), 5, BIG)
-    opened, _, total = _check(value_vecs, mac_vecs, dealer.key.key_shares, coeffs, BIG)
+    opened, _, total = _check(value_vecs, mac_vecs, dealer.key_shares, coeffs, BIG)
     assert (opened, total) == (xs, [0])
     value_vecs[0][2] = (value_vecs[0][2] + 1) % BIG.q
-    assert _check(value_vecs, mac_vecs, dealer.key.key_shares, coeffs, BIG)[2] != [0]
+    assert _check(value_vecs, mac_vecs, dealer.key_shares, coeffs, BIG)[2] != [0]
 
 
 def test_forgery_succeeds_iff_adjustment_matches():
@@ -296,11 +293,11 @@ def test_forgery_succeeds_iff_adjustment_matches():
     rng = Random(17)
     dealer = Dealer(3, rng, P23)
     x = 7
-    vs = share(x, 3, rng, P23).shares
-    ms = share(dealer.mac_key * x % 23, 3, rng, P23).shares
+    vs = share(x, 3, rng, P23)
+    ms = share(dealer.mac_key * x % 23, 3, rng, P23)
     delta = 4
     opened, sigmas = check_openings(from_ints([(vs[0] + delta) % 23] + vs[1:])[:, None],
-                                    from_ints(ms)[:, None], from_ints(dealer.key.key_shares),
+                                    from_ints(ms)[:, None], from_ints(dealer.key_shares),
                                     from_ints([1]), P23)
     assert to_ints(opened) == [(x + delta) % 23]
     forged = np.broadcast_to(sigmas, (23, 3, 2)).copy()
