@@ -24,7 +24,7 @@ from .fedcore import (
     local_train,
     select_cohort,
 )
-from .util import derive_seed
+from .util import derive_seed, derive_seeds
 
 COHORT_BLOCK = 128  # clients trained per stacked local_train call
 OPTIMIZER_MODES = ("adaptive", "fedavg")
@@ -115,7 +115,7 @@ def train_cohort_updates(
         block = cohort[lo : lo + COHORT_BLOCK]
         updates[lo : lo + len(block)] = local_train(
             om_prev, population.features[block, k], population.gaze[block, k], cfg, spec,
-            [derive_seed(seed, "train", round_index, j) for j in block],
+            derive_seeds((seed, "train", round_index), block),
         )
     return updates
 

@@ -16,8 +16,9 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from random import Random
 from types import SimpleNamespace
+
+import numpy as np
 
 from .aggregation import OPTIMIZER_MODES, OptimizerState
 from .fedcore import (
@@ -32,6 +33,7 @@ from .field import (
     FieldError,
     FieldParams,
     FixedPointCodec,
+    random_vector,
     vector_to_bytes,
 )
 from .leakprobe import (
@@ -373,14 +375,18 @@ def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+class BenchAbort(RuntimeError):
+    """The communication benchmark's secure round aborted: args (reason, phase)."""
+
+
 def measure_communication(n_servers: int, d: int, seed: int = 0):
-    """One secure aggregation round vs the single-server baseline, 1 client."""
+    """One secure round of uniform random field inputs vs the single-server baseline, 1 client."""
     params = FieldParams()
-    rng = Random(derive_seed(seed, "bench", n_servers, d))
-    inputs = {0: [rng.randrange(params.q) for _ in range(d)]}
+    gen = np.random.default_rng(derive_seed(seed, "bench", n_servers, d))
+    inputs = {0: random_vector(gen, (d,), params)}
     secure = run_secure_aggregation(inputs, n_servers, params, seed=seed)
     if secure.opened is None:
-        raise RuntimeError("benchmark round aborted")
+        raise BenchAbort(secure.abort_reason, secure.abort_phase)
 
     baseline_net = Network({0: "server", 1: "client"}, params)
     payload = vector_to_bytes(inputs[0])
@@ -393,7 +399,12 @@ def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in BENCH_SERVERS:
-        secure, baseline = measure_communication(n, BENCH_DIM, seed=cfg.seed)
+        try:
+            secure, baseline = measure_communication(n, BENCH_DIM, seed=cfg.seed)
+        except BenchAbort as exc:
+            reason, phase = exc.args
+            return _fail(outdir, "protocol", f"protocol abort: the n = {n} benchmark round "
+                         f"aborted in {phase}: {reason}", 2, abort_reason=reason, abort_phase=phase)
         ratio = overhead_ratio(secure, baseline)
         rows.append((n, secure.total_bytes(), baseline.total_bytes(), ratio))
     with open(outdir / "bench.csv", "w") as fh:
@@ -414,11 +425,7 @@ def cmd_report(cfg: ExperimentConfig, outdir: Path) -> int:
         for scheme, (_, result) in runs.items():
             done = [f"{r['test_mae_deg']:.6f}" for r in result.round_metrics if not r["abort"]]
             fh.write(f"{scheme},{done[-1] if done else ''}\n")
-    status = cmd_attack(cfg, outdir, runs)
-    if status:
-        return status
-    cmd_bench(cfg, outdir)
-    return 0
+    return cmd_attack(cfg, outdir, runs) or cmd_bench(cfg, outdir)
 
 
 # ---------------------------------------------------------------------------

@@ -453,11 +453,6 @@ def angular_error(pred, truth) -> float:
     return math.degrees(math.acos(max(-1.0, min(1.0, d))))
 
 
-def angular_errors_deg(pred_angles: np.ndarray, true_angles: np.ndarray) -> np.ndarray:
-    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays."""
-    return _angles_deg(gaze_to_vecs(pred_angles), gaze_to_vecs(true_angles))
-
-
 def _angles_deg(pred_vecs: np.ndarray, true_vecs: np.ndarray) -> np.ndarray:
     """Elementwise angle in degrees between (3, ...) unit vectors.
 

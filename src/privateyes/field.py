@@ -10,6 +10,7 @@ arrays whose bytes are the wire encoding (see "Limb vectors" below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ class DecodeOverflowError(FieldError):
     """Centered representative too large; signals aggregation wraparound."""
 
 
+@lru_cache(maxsize=None)  # every FieldParams tests its modulus; most share one
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

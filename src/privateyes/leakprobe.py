@@ -300,6 +300,8 @@ def _chain_estimates(leak: LeakageTranscript, cfg: AttackConfig, num_clients: in
     enabled. Clients without a chain keep the zero estimate.
     """
     pub = leak.pub
+    if (kind := pub["config"]["model_kind"]) != "linear":
+        raise LeakprobeError(f"the attack inverts the linear model only, not {kind!r}")
     d_in = pub["mixing_map"].shape[0]
     prior_std = _prior_std(pub, d_in)
     chains = _attack_units(leak, cfg.rounds)
@@ -431,11 +433,13 @@ def kde_kl_divergence(samples_p, samples_q):
     axes = np.linspace(lo - pad, hi + pad, GRID_BINS, axis=-1)
     kls = np.zeros(len(P))
     rows = [j for j in range(len(P)) if not np.array_equal(P[j], Q[j])]
-    # The (G, n) work runs row by row; the (2, G^d) densities of a row are
+    # The kernels of all rows come from one stacked call per side, and the
+    # (G, n) work runs row by row; the (2, G^d) densities of a row are
     # floored, normalized and summed with all rows at once.
+    kp, kq = (list(zip(*_kde_kernel(X[rows]))) for X in (P, Q))
     dens = np.empty((len(rows), 2, GRID_BINS ** P.shape[2]))
     for i, j in enumerate(rows):
-        dens[i] = grid_kde_density(P[j], axes[j]), grid_kde_density(Q[j], axes[j])
+        dens[i] = grid_kde_density(P[j], axes[j], kp[i]), grid_kde_density(Q[j], axes[j], kq[i])
     np.maximum(dens, DENSITY_FLOOR, out=dens)
     dens /= dens.sum(axis=-1, keepdims=True)
     p, q = dens[:, 0], dens[:, 1]
@@ -444,7 +448,8 @@ def kde_kl_divergence(samples_p, samples_q):
 
 
 def _kde_kernel(data):
-    """(centre, L, norm) of the Scott's-rule KDE of ``data`` (n, d).
+    """(centre, L, norm) of the Scott's-rule KDE of ``data`` (n, d), or of each
+    set of a stack (..., n, d), byte-equal to its one-set call.
 
     The kernel covariance is the data covariance times n^(-2/(d+4)), as in
     ``scipy.stats.gaussian_kde``. L is the upper Cholesky factor of the
@@ -452,26 +457,27 @@ def _kde_kernel(data):
     lower factor), so the kernel exponent is -||(x - x_i) L||^2 / 2 around
     the data mean ``centre``; ``norm`` is the kernel's normalizer over n.
     """
-    n, d = data.shape
+    n, d = data.shape[-2:]
     # The covariance in np.cov(data, rowvar=False, aweights=w)'s operations,
     # with w uniform: weighted that way it rounds like scipy's, and the KDE
     # differs from scipy's by up to 2e-12 relative at rho = 0.99 without it.
     w = np.full(n, 1.0 / n)
     w_sum = w.sum()
-    X = data - (data * w[:, None]).sum(axis=0) / w_sum
-    data_cov = X.T @ (X * w[:, None])
+    X = data - (data * w[:, None]).sum(axis=-2, keepdims=True) / w_sum
+    data_cov = np.swapaxes(X, -1, -2) @ (X * w[:, None])
     data_cov *= np.true_divide(1, w_sum - np.sum(w * w) / w_sum)
     try:
         lower = np.linalg.cholesky(data_cov)
     except np.linalg.LinAlgError as exc:
         raise LeakprobeError("KDE sample covariance is singular") from exc
-    L = np.linalg.inv(lower * float(n) ** (-1.0 / (d + 4))).T
-    norm = np.prod(np.diag(L)) / ((2.0 * np.pi) ** (d / 2.0) * n)
-    return data.mean(axis=0), L, norm
+    L = np.swapaxes(np.linalg.inv(lower * float(n) ** (-1.0 / (d + 4))), -1, -2)
+    norm = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1) / ((2.0 * np.pi) ** (d / 2.0) * n)
+    return data.mean(axis=-2), L, norm
 
 
-def gaussian_kde_density(data, points) -> np.ndarray:
-    """Scott's-rule Gaussian KDE of ``data`` (n, d) evaluated at ``points`` (m, d).
+def gaussian_kde_density(data, points, kernel) -> np.ndarray:
+    """Scott's-rule Gaussian KDE of ``data`` (n, d), with ``kernel`` its
+    ``_kde_kernel``, evaluated at ``points`` (m, d).
 
     Both sets are centred on the data mean and whitened by the kernel's L
     (see ``_kde_kernel``), so every exponent -||(x - x_i) L||^2 / 2 comes out
@@ -479,7 +485,7 @@ def gaussian_kde_density(data, points) -> np.ndarray:
     Points are evaluated KDE_BLOCK at a time to bound the temporary.
     """
     n = data.shape[0]
-    centre, L, norm = _kde_kernel(data)
+    centre, L, norm = kernel
     zd = (data - centre) @ L
     right = np.vstack([zd.T, np.ones(n), -0.5 * np.sum(zd * zd, axis=1)])
     out = np.empty(points.shape[0])
@@ -496,9 +502,10 @@ def gaussian_kde_density(data, points) -> np.ndarray:
     return out * norm
 
 
-def grid_kde_density(data, axes) -> np.ndarray:
-    """The KDE of ``data`` (n, d) on the tensor grid of ``axes`` (d 1-D arrays),
-    in ``np.meshgrid(*axes, indexing="ij")`` ravel order.
+def grid_kde_density(data, axes, kernel) -> np.ndarray:
+    """The KDE of ``data`` (n, d), with ``kernel`` its ``_kde_kernel``, on the
+    tensor grid of ``axes`` (d 1-D arrays), in ``np.meshgrid(*axes,
+    indexing="ij")`` ravel order.
 
     Every kernel shares one precision matrix S = L L^T, so for 2-D data the
     exponent at grid point (a_u, b_v) and sample i (all centred on the data
@@ -534,10 +541,10 @@ def grid_kde_density(data, axes) -> np.ndarray:
     through ``gaussian_kde_density`` directly.
     """
     if data.shape[1] != 2:
-        return gaussian_kde_density(data, _mesh_points(axes))
-    centre, L, norm = _kde_kernel(data)
+        return gaussian_kde_density(data, _mesh_points(axes), kernel)
+    centre, L, norm = kernel
     S = L @ L.T
-    x0, x1 = (data - centre).T
+    x0, x1 = np.ascontiguousarray((data - centre).T)
     a = (axes[0] - centre[0])[:, None]
     b = (axes[1] - centre[1])[:, None]
     # A and B in four (G, n) buffers, each term in the order the formulas
@@ -555,7 +562,7 @@ def grid_kde_density(data, axes) -> np.ndarray:
     C = -S[0, 1] * (a * b.T)
     phi = mA + mB.T + C
     if phi.max() > 600.0 or np.abs(C).max() > 1000.0:
-        return gaussian_kde_density(data, _mesh_points(axes))
+        return gaussian_kde_density(data, _mesh_points(axes), kernel)
     np.subtract(A, mA, out=A)
     np.subtract(B, mB, out=B)
     dens = np.exp(A, out=A) @ np.exp(B, out=B).T

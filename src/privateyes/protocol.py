@@ -308,7 +308,7 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     if reason:
         return None, reason
     coin = public_coin(k, nonces)
-    coeffs = from_ints(batch_coefficients(coin, d, params))
+    coeffs = batch_coefficients(coin, d, params)
 
     # Open the aggregate value shares.
     net.send_many(MsgType.OPEN_SHARE, k, owners, peers, value_vecs, own)

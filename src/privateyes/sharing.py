@@ -16,7 +16,8 @@ from random import Random
 
 import numpy as np
 
-from .field import LIMB_DTYPE, FieldParams, from_ints, random_vector, vec_mul, vec_sub, vec_sum
+from .field import (DEFAULT_MODULUS, LIMB_DTYPE, FieldParams, _reduce32, from_ints, random_vector,
+                    vec_mul, vec_sub, vec_sum)
 
 MASK_POOL_SIZE = 1 << 10  # masks per bulk draw; a draw's cost per mask flattens from here
 
@@ -143,13 +144,15 @@ def public_coin(round_index: int, nonces: list) -> bytes:
     return h.digest()
 
 
-def batch_coefficients(coin: bytes, count: int, params: FieldParams) -> list:
-    """Public random coefficients for batching a vector into one MAC check."""
-    coeffs = []
-    for i in range(count):
-        digest = hashlib.sha256(coin + i.to_bytes(4, "little")).digest()
-        coeffs.append(int.from_bytes(digest, "little") % params.q)
-    return coeffs
+def batch_coefficients(coin: bytes, count: int, params: FieldParams) -> np.ndarray:
+    """Public coefficients (count, 2) for one batched MAC check: SHA-256(coin + i) mod q."""
+    digests = b"".join(hashlib.sha256(coin + i.to_bytes(4, "little")).digest()
+                       for i in range(count))
+    if params.q == DEFAULT_MODULUS:
+        s = np.frombuffer(digests, dtype="<u4").reshape(count, 8).astype(np.uint64)
+        return _reduce32(s[:, :4] + (s[:, 4:] << np.uint64(1)))  # 2^128 = 2
+    return from_ints([int.from_bytes(digests[k : k + 32], "little") % params.q
+                      for k in range(0, len(digests), 32)])
 
 
 def check_openings(value_shares, mac_shares, kappa_shares, coeffs, params: FieldParams):

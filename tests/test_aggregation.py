@@ -1,3 +1,4 @@
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from privateyes.fedcore import (
     select_cohort,
 )
 from privateyes.field import FixedPointCodec
-from privateyes.util import derive_seed
+from privateyes.util import derive_seed, derive_seeds
 
 
 def test_adaptive_step_scalar_example():
@@ -122,6 +123,19 @@ def test_cohort_blocks_match_per_client_loop():
         expected = local_train(om, pop.features[j, 1], pop.gaze[j, 1], cfg, spec,
                                derive_seed(8, "train", 2, j))
         assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 12345])
+def test_cohort_seeds_equal_derive_seed(seed):
+    """The training seeds of a 600-client round, hashed from their shared
+    prefix, are derive_seed's: the first 8 bytes of SHA-256 of the joined
+    label path."""
+    cohort = select_cohort(600, 1.0, 3, seed)
+    assert cohort == list(range(600))
+    expected = [int.from_bytes(hashlib.sha256(f"{seed}/train/3/{j}".encode()).digest()[:8],
+                               "little") for j in cohort]
+    assert [derive_seed(seed, "train", 3, j) for j in cohort] == expected
+    assert derive_seeds((seed, "train", 3), cohort) == expected
 
 
 def test_datacentre_single_client_equals_local_train():

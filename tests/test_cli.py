@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -189,6 +190,23 @@ def test_leakage_command_abort_writes_a_failure_report(tmp_path, capsys, command
     assert report["abort_reason"] == "mac-failure"
     assert report["abort_phase"] == "opening"
     assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("command", ["bench", "report"])
+def test_bench_abort_writes_a_failure_report(tmp_path, capsys, monkeypatch, command):
+    def aborted(*args, **kwargs):
+        return SimpleNamespace(opened=None, abort_reason="mac-failure", abort_phase="opening")
+
+    monkeypatch.setattr(cli, "run_secure_aggregation", aborted)
+    config = write_config(tmp_path / "exp.ini")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "protocol abort: the n = 2 benchmark round aborted in opening: mac-failure\n"
+    assert _failure_report(out, err) == "protocol"
+    report = json.loads((out / "report.json").read_text())
+    assert (report["abort_reason"], report["abort_phase"]) == ("mac-failure", "opening")
+    assert not (out / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("command,status", [("run", 0), ("attack", 1), ("report", 1)])

@@ -11,7 +11,6 @@ from privateyes.fedcore import (
     TrainConfig,
     TrainingDivergence,
     angular_error,
-    angular_errors_deg,
     evaluate_model,
     fairness_spread,
     gaze_to_vecs,
@@ -23,7 +22,13 @@ from privateyes.fedcore import (
     predict,
     select_cohort,
 )
-from privateyes.fedcore import _pcg64_states, _streams, _words
+from privateyes.fedcore import _angles_deg, _pcg64_states, _streams, _words
+
+
+def angular_errors_deg(pred_angles, true_angles):
+    """Elementwise angle in degrees between (..., 2) (pitch, yaw) arrays, on
+    the path ``evaluate_model`` runs."""
+    return _angles_deg(gaze_to_vecs(pred_angles), gaze_to_vecs(true_angles))
 
 
 def test_population_deterministic():

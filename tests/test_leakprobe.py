@@ -17,6 +17,7 @@ from privateyes.leakprobe import (
     AttackConfig,
     LeakprobeError,
     _expected_gradient_system,
+    _kde_kernel,
     _solve_gd,
     build_leak_set,
     conv_forward_count,
@@ -54,6 +55,18 @@ def test_leak_set_counts():
     assert set(leak_mpc.pub) == {"config", "om0", "mixing_map", "priors"}
     with pytest.raises(LeakprobeError):
         build_leak_set("unknown", pe.transcript, pop)
+
+
+@pytest.mark.parametrize("scheme", ["adaptive_fl", "privateyes"])
+def test_mlp_transcript_is_a_leakprobe_error(scheme):
+    """The attack inverts the linear model; an MLP transcript is refused
+    before any system is built."""
+    pop = gen_synthetic_population(3, seed=1, rounds=2)
+    result = run_training(pop, TrainConfig(rounds=2), ModelSpec(kind="mlp"), scheme, seed=1,
+                          codec=FixedPointCodec())
+    leak = build_leak_set(scheme, result.transcript, pop)
+    with pytest.raises(LeakprobeError, match="linear model only, not 'mlp'"):
+        dualview_lite_reconstruct(leak, AttackConfig(steps=10), pop)
 
 
 def test_privateyes_leak_rejects_iu_contamination():
@@ -287,7 +300,7 @@ def test_numpy_kde_matches_scipy(case):
     axes = [np.linspace(lo[t] - pad[t], hi[t] + pad[t], 64) for t in range(data.shape[1])]
     points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     ref = gaussian_kde(data.T)(points.T)
-    ours = gaussian_kde_density(data, points)
+    ours = gaussian_kde_density(data, points, _kde_kernel(data))
     above = ref > DENSITY_FLOOR
     assert above.sum() >= 40
     assert np.max(np.abs(ours[above] - ref[above]) / ref[above]) <= 1e-12
@@ -486,9 +499,9 @@ def _count_fallbacks(monkeypatch):
     calls = []
     original = leakprobe.gaussian_kde_density
 
-    def counted(data, points):
+    def counted(data, points, kernel):
         calls.append(points.shape[0])
-        return original(data, points)
+        return original(data, points, kernel)
 
     monkeypatch.setattr(leakprobe, "gaussian_kde_density", counted)
     return calls
@@ -517,7 +530,7 @@ def test_grid_kde_matches_scipy(rho, n, log_scales, shift, seed):
     data = rng.multivariate_normal([0.1, -0.2], cov, n)
     partner = data[: max(10, n // 4)] + np.array(shift) * scale
     axes = _grid_axes(data, partner)
-    _assert_matches_scipy(data, axes, grid_kde_density(data, axes))
+    _assert_matches_scipy(data, axes, grid_kde_density(data, axes, _kde_kernel(data)))
 
 
 def _guard_case(case):
@@ -548,7 +561,7 @@ def _guard_case(case):
 def test_grid_kde_guard_sides(monkeypatch, case, fallback):
     calls = _count_fallbacks(monkeypatch)
     data, axes = _guard_case(case)
-    ours = grid_kde_density(data, axes)
+    ours = grid_kde_density(data, axes, _kde_kernel(data))
     assert calls == ([4096] if fallback else [])
     _assert_matches_scipy(data, axes, ours)
 
@@ -558,9 +571,9 @@ def test_report_traffic_stays_on_the_fast_path(tmp_path, monkeypatch):
     grids = []
     original = leakprobe.grid_kde_density
 
-    def counted(data, axes):
+    def counted(data, axes, kernel):
         grids.append(data.shape)
-        return original(data, axes)
+        return original(data, axes, kernel)
 
     monkeypatch.setattr(leakprobe, "grid_kde_density", counted)
     cfg = cli.ExperimentConfig(clients=4, rounds=3, steps=40, seed=4)
@@ -580,8 +593,8 @@ def _np_cov_kernel(data):
 def _kl_per_row(P, Q):
     """KL(P || Q) of one pair of sample sets, with a linspace per grid axis."""
     axes = _grid_axes(P, Q)
-    p = np.maximum(grid_kde_density(P, axes), DENSITY_FLOOR)
-    q = np.maximum(grid_kde_density(Q, axes), DENSITY_FLOOR)
+    p = np.maximum(grid_kde_density(P, axes, _kde_kernel(P)), DENSITY_FLOOR)
+    q = np.maximum(grid_kde_density(Q, axes, _kde_kernel(Q)), DENSITY_FLOOR)
     p /= p.sum()
     q /= q.sum()
     return np.sum(p * np.log(p / q))
@@ -598,8 +611,10 @@ def _kl_per_row(P, Q):
 def test_stacked_kls_match_per_row_calls(rho, n, m, log_scales, equal_row, seed):
     """Each row of a stacked KL equals, byte for byte, the one-set call and
     the per-row formula with its per-axis grid; every row's kernel equals the
-    np.cov one. The rows differ in scale, may repeat P in Q, and the last row
-    (rho = 0.99, Q shifted by twenty standard deviations) takes the fallback."""
+    np.cov one and the row of a stacked kernel call. The rows differ in scale,
+    may repeat P in Q, and the last row (rho = 0.99, Q shifted by twenty
+    standard deviations) takes the fallback. A repeated row whose samples are
+    all equal, so that it has no kernel, leaves the other rows as they were."""
     rng = np.random.default_rng(seed)
     m = n if equal_row else m
     P, Q = [], []
@@ -618,12 +633,21 @@ def test_stacked_kls_match_per_row_calls(rho, n, m, log_scales, equal_row, seed)
     assert kls.shape == (len(P),)
     for j in range(len(P)):
         for data in (P[j], Q[j]):
-            ours, ref = leakprobe._kde_kernel(data), _np_cov_kernel(data)
+            ours, ref = _kde_kernel(data), _np_cov_kernel(data)
             assert all(a.tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, ref))
         one = kde_kl_divergence(P[j], Q[j])
         assert type(one) is float and kls[j].tobytes() == np.float64(one).tobytes()
         ref = 0.0 if equal_row and j == 0 else _kl_per_row(P[j], Q[j])
         assert kls[j].tobytes() == np.float64(ref).tobytes()
+    for X in (P, Q):
+        stacked = _kde_kernel(X)
+        for j in range(len(X)):
+            one = _kde_kernel(X[j])
+            assert all(a[j].tobytes() == np.asarray(b).tobytes() for a, b in zip(stacked, one))
+    if equal_row:
+        P[0] = Q[0] = 0.3
+        singular = kde_kl_divergence(P, Q)
+        assert singular[0] == 0.0 and singular[1:].tobytes() == kls[1:].tobytes()
 
 
 def test_attack_per_client_values_are_pinned(tmp_path, monkeypatch):

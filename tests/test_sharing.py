@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from privateyes.field import FieldParams, from_ints, to_ints, vec_add, vec_sum
+from privateyes.field import LIMB_DTYPE, FieldParams, from_ints, to_ints, vec_add, vec_sum
 from privateyes.sharing import (
     MASK_POOL_SIZE,
     Dealer,
@@ -263,9 +264,23 @@ def test_public_coin_depends_on_all_nonces():
 
 def test_batch_coefficients_deterministic_in_range():
     coin = public_coin(3, [b"x" * 16])
-    coeffs = batch_coefficients(coin, 100, P23)
-    assert coeffs == batch_coefficients(coin, 100, P23)
+    coeffs = to_ints(batch_coefficients(coin, 100, P23))
+    assert coeffs == to_ints(batch_coefficients(coin, 100, P23))
     assert all(0 <= c < 23 for c in coeffs)
+
+
+@pytest.mark.parametrize("params", [BIG, P23, FieldParams(q=2**61 - 1, f_bits=0)],
+                         ids=["default", "P23", "M61"])
+@pytest.mark.parametrize("count", [0, 1, 100])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(coin=st.binary(min_size=32, max_size=32))
+def test_batch_coefficients_match_int_reference(params, count, coin):
+    """Limb coefficients equal int.from_bytes(sha256(coin + i)) mod q."""
+    coeffs = batch_coefficients(coin, count, params)
+    assert coeffs.dtype == LIMB_DTYPE and coeffs.shape == (count, 2)
+    assert to_ints(coeffs) == [
+        int.from_bytes(hashlib.sha256(coin + i.to_bytes(4, "little")).digest(), "little")
+        % params.q for i in range(count)]
 
 
 def test_open_vector_with_mac_check():
@@ -280,7 +295,7 @@ def test_open_vector_with_mac_check():
         for i in range(3):
             value_vecs[i][t] = vs[i]
             mac_vecs[i][t] = ms[i]
-    coeffs = batch_coefficients(public_coin(0, [rng.randbytes(16)]), 5, BIG)
+    coeffs = to_ints(batch_coefficients(public_coin(0, [rng.randbytes(16)]), 5, BIG))
     opened, _, total = _check(value_vecs, mac_vecs, dealer.key_shares, coeffs, BIG)
     assert (opened, total) == (xs, [0])
     value_vecs[0][2] = (value_vecs[0][2] + 1) % BIG.q
