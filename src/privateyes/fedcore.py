@@ -147,24 +147,30 @@ def gen_synthetic_population(
     for j, rng in enumerate(_streams([seed, 0xC11E27, j] for j in range(J))):
         mu[j] = _clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), 0.6)
         b[j] = rng.normal(0.0, 0.5 * heterogeneity, d_in)
+    # A stream's draws land where its two normal() calls put them, gaze first;
+    # normal(0, s) is s * z (+ 0.0, which changes no sum below).
     cells = [(j, k) for j in range(J) for k in range(rounds)]
     for (j, k), rng in zip(cells, _streams([seed, 0xDA7A, j, k] for j, k in cells)):
-        features[j, k], gaze[j, k] = _draw(rng, mu[j], b[j], A, sigma_gaze, sigma_noise, m)
+        rng.standard_normal(out=gaze[j, k])
+        rng.standard_normal(out=features[j, k])
     for j, rng in enumerate(_streams([seed, 0x7E57, j] for j in range(J))):
-        test_features[j], test_gaze[j] = _draw(rng, mu[j], b[j], A, sigma_gaze, sigma_noise, T)
+        rng.standard_normal(out=test_gaze[j])
+        rng.standard_normal(out=test_features[j])
+    # Then gaze around mu, clipped to the valid angles, and features mixed from
+    # it, offset by b and noised, in blocks of clients that keep each temporary
+    # below glibc's 128 KiB mmap threshold (freeing larger ones raises it).
+    step = max(1, ((1 << 17) - 1) // features[0].nbytes)
+    for G, F in ((gaze, features), (test_gaze, test_features)):
+        for s in (slice(lo, lo + step) for lo in range(0, J, step)):
+            lead = (s,) + (None,) * (G.ndim - 2)
+            G[s] = _clip(sigma_gaze * G[s] + mu[lead], GAZE_LIMITS)
+            F[s] = sigma_noise * F[s] + (G[s] @ A.T + b[lead])
     return Population(
         seed=seed, heterogeneity=heterogeneity, samples_per_round=samples_per_round,
         rounds=rounds, d_in=d_in, sigma_gaze=sigma_gaze, sigma_noise=sigma_noise, A=A,
         mu=mu, b=b, features=features, gaze=gaze,
         test_features=test_features, test_gaze=test_gaze,
     )
-
-
-def _draw(rng, mu, b, A, sigma_gaze, sigma_noise, count):
-    """``count`` (features, gaze) samples of one client: gaze drawn around mu
-    and clipped to the valid angles, then mixed, offset by b and noised."""
-    G = _clip(mu + rng.normal(0.0, sigma_gaze, (count, GAZE_DIM)), GAZE_LIMITS)
-    return G @ A.T + b + rng.normal(0.0, sigma_noise, (count, len(b))), G
 
 
 def _clip(x, bound):
@@ -409,13 +415,13 @@ def local_train(
     w = np.array(np.broadcast_to(w, (J, w.shape[-1])), dtype=np.float64, order="C")
     # Batches are taken from the client-major rows with one flat index each.
     # Each client's stream draws only its epochs' shuffles, one after the
-    # other, as permutation(m) would draw them; a shuffle moves positions
+    # other, as permutation(m) would draw them (permuted shuffles the rows in
+    # turn, as one shuffle per epoch would); a shuffle moves positions
     # whatever the values, so client j's rows start out as j*m .. j*m + m-1.
     orders = np.empty((J, cfg.epochs, m), dtype=np.intp)
     orders[...] = np.arange(J * m).reshape(J, 1, m)
     for order, rng in zip(orders, _streams([s, 0x10CA1] for s in seed)):
-        for epoch_order in order:
-            rng.shuffle(epoch_order)
+        rng.permuted(order, axis=1, out=order)
     X, G = X.reshape(J * m, d_in), G.reshape(J * m, GAZE_DIM)
     for epoch in range(cfg.epochs):
         order = orders[:, epoch]

@@ -128,15 +128,20 @@ class FixedPointCodec:
             and self.params.f_bits + MAGNITUDE_BITS <= 63
         )
 
-    def encode_vector(self, xs) -> np.ndarray:
-        """Limb array of ``encode(x)`` for every x of a real array of any
-        shape, raising the error ``encode`` raises for the first bad x."""
+    def _in_range(self, xs) -> np.ndarray:
+        """xs as float64, raising the error ``encode`` raises for its first bad x."""
         xs = np.asarray(xs, dtype=np.float64)
         bad = ~np.isfinite(xs) | (np.abs(xs) >= 2.0**MAGNITUDE_BITS)
         if not self.signed:
             bad |= xs < 0
         if bad.any():
             self.encode(float(xs.reshape(-1)[np.argmax(bad)]))
+        return xs
+
+    def encode_vector(self, xs) -> np.ndarray:
+        """Limb array of ``encode(x)`` for every x of a real array of any
+        shape, raising the error ``encode`` raises for the first bad x."""
+        xs = self._in_range(xs)
         if not self._vectorised:
             ints = [self.encode(x) for x in xs.reshape(-1).tolist()]
             return from_ints(ints).reshape(xs.shape + (2,))
@@ -168,7 +173,11 @@ class FixedPointCodec:
 
     def quantize(self, xs) -> np.ndarray:
         """Snap a real vector onto the codec grid (encode then decode)."""
-        return self.decode_vector(self.encode_vector(xs))
+        # Exact from f_bits = 13 on, where x * scale near decode's bound is an
+        # integer already; + 0.0 turns -0.0 into the 0.0 that decode gives.
+        if not self._vectorised or self.params.f_bits + MAGNITUDE_BITS < 53:
+            return self.decode_vector(self.encode_vector(xs))
+        return (np.rint(self._in_range(xs) * self.scale) + 0.0) / self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +193,7 @@ class FixedPointCodec:
 
 LIMB_DTYPE = np.dtype("<u8")
 _LOW64 = 2**64 - 1
-_M32 = np.uint64(2**32 - 1)
+_M16, _M32 = np.uint64(2**16 - 1), np.uint64(2**32 - 1)
 _M63 = np.uint64(2**63 - 1)
 _MAX = np.uint64(2**64 - 1)
 _ONE, _S16, _S32, _S63 = (np.uint64(k) for k in (1, 16, 32, 63))
@@ -273,12 +282,35 @@ _QM1_32 = np.array([2**32 - 2, 2**32 - 1, 2**32 - 1, 2**31 - 1], dtype=np.uint64
 
 def _mul_mersenne(a, b):
     if np.size(a) < np.size(b):
-        a, b = b, a  # b is expanded 8-fold below, so make it the smaller operand
-    A = _sublimbs(a, "<u2").astype(np.uint64)
-    B = _sublimbs(b, "<u2").astype(np.uint64)
-    digits = (A[..., None, :] @ (B[..., _ROT] * _ROT_WEIGHT))[..., 0, :]  # each < 2^36
-    # Pairs of 16-bit digits as 32-bit sublimbs, each < 2^53; _reduce32 carries.
-    return _reduce32(digits[..., 0::2] + (digits[..., 1::2] << _S16))
+        a, b = b, a  # b is expanded 16-fold below, so make it the smaller operand
+    W = _sublimbs(b, "<u2").astype(np.uint64)[..., _ROT] * _ROT_WEIGHT
+    # a @ W[..., k] is sublimb k of a*b, digit 2k + 2^16 digit 2k+1 (each < 2^36):
+    # every partial sum is an integer < 2^53, exact in any float64 BLAS order.
+    W = (W[..., 0::2] + (W[..., 1::2] << _S16)).astype(np.float64)
+    A = _sublimbs(a, "<u2").astype(np.float64)
+    if np.ndim(b) == 1 or np.shape(b)[-2] == 1:  # a scalar per vector: one matmul
+        s = np.atleast_2d(A) @ W.reshape(np.shape(b)[:-2] + (8, 4))
+    else:
+        s = (A[..., None, :] @ W)[..., 0, :]
+    out = _reduce32(s.astype(np.uint64))
+    return out[0] if np.ndim(a) == np.ndim(b) == 1 else out
+
+
+_DOT_BLOCK = 1 << 20  # coordinates per matmul: digit-pair sums < 2^52 are exact in float64
+
+
+def _dot_mersenne(c, x):
+    C = _sublimbs(c, "<u2").astype(np.float64)
+    X = _sublimbs(x, "<u2").astype(np.float64)
+    # M[v, i, j] = sum_e c_ei x_vej over the vectors v of x, each < d 2^32.
+    M = (C.T @ X.reshape((np.prod(X.shape[:-2], dtype=int),) + X.shape[-2:])).astype(np.uint64)
+    digits = (np.take_along_axis(M, _ROT[None], 2) * _ROT_WEIGHT).sum(axis=1)  # each < 2^56
+    # Carry each digit's top above 16 bits into the next (digit 7's: 2^128 = 2).
+    carry = digits >> _S16
+    digits &= _M16
+    digits[:, 1:] += carry[:, :7]
+    digits[:, 0] += carry[:, 7] << _ONE
+    return _reduce32(digits[:, 0::2] + (digits[:, 1::2] << _S16)).reshape(X.shape[:-2] + (2,))
 
 
 def _as_objects(a) -> np.ndarray:
@@ -325,6 +357,16 @@ def vec_mul(a, b, params: FieldParams) -> np.ndarray:
     if params.q == DEFAULT_MODULUS:
         return _mul_mersenne(a, b)
     return _from_objects(_as_objects(a) * _as_objects(b), params.q)
+
+
+def vec_dot(c, x, params: FieldParams) -> np.ndarray:
+    """Inner products sum_e c[e] * x[..., e] mod q of a (d, 2) limb vector
+    with each vector of a (..., d, 2) stack, as a (..., 2) limb array."""
+    if params.q != DEFAULT_MODULUS:
+        return vec_sum(vec_mul(c, x, params), params, axis=-2)
+    parts = [_dot_mersenne(c[k : k + _DOT_BLOCK], x[..., k : k + _DOT_BLOCK, :])
+             for k in range(0, max(len(c), 1), _DOT_BLOCK)]
+    return parts[0] if len(parts) == 1 else vec_sum(np.stack(parts), params)
 
 
 # ---------------------------------------------------------------------------

@@ -145,39 +145,31 @@ def invert_optimizer_history(om_history: list, config: dict) -> dict:
 
 def _invert_adaptive_coordinates(obs, m, v, beta1, beta2, tau, eta):
     a1 = (1.0 - beta2) / (1.0 - beta1) ** 2
-    delta = np.empty_like(obs)
-    for i in range(obs.size):
-        o = obs[i]
-        if abs(o) < 1e-15:
-            delta[i] = -beta1 * m[i] / (1.0 - beta1)
-            continue
-        r = eta / o
+    idle = -beta1 * m / (1.0 - beta1)  # the update of a coordinate that did not move
+    m2 = np.array([x**2 for x in m.tolist()])  # libm pow per element, not x * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = eta / obs
         qa = a1 - r * r
-        qb = -2.0 * a1 * beta1 * m[i] + 2.0 * tau * r
-        qc = a1 * beta1**2 * m[i] ** 2 + beta2 * v[i] - tau * tau
-        if abs(qa) < 1e-18:
-            roots = [-qc / qb] if qb != 0 else []
-        else:
-            disc = max(qb * qb - 4.0 * qa * qc, 0.0)
-            s = np.sqrt(disc)
-            roots = [(-qb + s) / (2.0 * qa), (-qb - s) / (2.0 * qa)]
+        qb = -2.0 * a1 * beta1 * m + 2.0 * tau * r
+        qc = a1 * beta1**2 * m2 + beta2 * v - tau * tau
+        disc = qb * qb - 4.0 * qa * qc
+        s = np.sqrt(np.where(disc < 0.0, 0.0, disc))
+        linear = np.abs(qa) < 1e-18  # then the one root -qc / qb, or none if qb == 0
+        u0 = np.where(linear, -qc / qb, (-qb + s) / (2.0 * qa))
+        u1 = (-qb - s) / (2.0 * qa)
         # Both quadratic roots can reproduce the observed step exactly, so
         # forward error alone cannot separate them; among near-exact roots
-        # prefer the smaller update, which is how real deltas behave.
-        candidates = []
-        for u in roots:
-            d = (u - beta1 * m[i]) / (1.0 - beta1)
-            v_new = beta2 * v[i] + (1.0 - beta2) * d * d
-            pred = eta * u / (np.sqrt(v_new) + tau)
-            candidates.append((abs(pred - o), abs(d), d))
-        if not candidates:
-            delta[i] = -beta1 * m[i] / (1.0 - beta1)
-            continue
-        best_err = min(c[0] for c in candidates)
-        tol = max(10.0 * best_err, 1e-9 * max(1.0, abs(o)))
-        plausible = [c for c in candidates if c[0] <= tol]
-        delta[i] = min(plausible, key=lambda c: c[1])[2]
-    return delta
+        # prefer the smaller update (the first on a tie), which is how real
+        # deltas behave.
+        d0, d1 = ((u - beta1 * m) / (1.0 - beta1) for u in (u0, u1))
+        e0, e1 = (np.abs(eta * u / (np.sqrt(beta2 * v + (1.0 - beta2) * d * d) + tau) - obs)
+                  for u, d in ((u0, d0), (u1, d1)))
+    abs_obs = np.abs(obs)
+    best = np.where(linear | ~(e1 < e0), e0, e1)
+    floor = 1e-9 * np.where(abs_obs > 1.0, abs_obs, 1.0)
+    tol = np.where(floor > 10.0 * best, floor, 10.0 * best)
+    second = ~linear & (e1 <= tol) & (~(e0 <= tol) | (np.abs(d1) < np.abs(d0)))
+    return np.where((abs_obs < 1e-15) | (linear & (qb == 0)), idle, np.where(second, d1, d0))
 
 
 # ---------------------------------------------------------------------------

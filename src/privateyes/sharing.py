@@ -17,7 +17,7 @@ from random import Random
 import numpy as np
 
 from .field import (DEFAULT_MODULUS, LIMB_DTYPE, FieldParams, _reduce32, from_ints, random_vector,
-                    vec_mul, vec_sub, vec_sum)
+                    vec_dot, vec_mul, vec_sub, vec_sum)
 
 MASK_POOL_SIZE = 1 << 10  # masks per bulk draw; a draw's cost per mask flattens from here
 
@@ -168,6 +168,6 @@ def check_openings(value_shares, mac_shares, kappa_shares, coeffs, params: Field
     probability 1/q.
     """
     opened = vec_sum(value_shares, params, axis=-3)
-    combined = vec_sum(vec_mul(coeffs, opened, params), params, axis=-2)
-    tags = vec_sum(vec_mul(coeffs, mac_shares, params), params, axis=-2)
+    combined = vec_dot(coeffs, opened, params)
+    tags = vec_dot(coeffs, mac_shares, params)
     return opened, vec_sub(tags, vec_mul(kappa_shares, combined[..., None, :], params), params)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privateyes import fedcore
 from privateyes.fedcore import (
     GAZE_DIM,
     ModelSpec,
@@ -281,6 +282,33 @@ def test_stacked_local_train_matches_per_client_loop(kind, epochs, batch_size):
         one = local_train(w0, X[j], G[j], cfg, spec, seeds[j])
         assert np.array_equal(stacked[j], one)
         assert np.array_equal(one, _reference_local_train(spec, w0, X[j], G[j], cfg, seeds[j]))
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3, 10])
+def test_batch_orders_are_one_shuffle_per_epoch(epochs, monkeypatch):
+    """Each client's batches follow one shuffle of its rows per epoch, drawn
+    in turn from its own stream."""
+    J, m, batch = 3, 12, 5
+    X = np.arange(J * m, dtype=np.float64).reshape(J, m, 1)  # a row's feature is its flat index
+    seen = []
+    real = fedcore.loss_and_grad
+
+    def spy(spec, w, Xb, Gb):
+        seen.append(Xb[..., 0].astype(np.intp))
+        return real(spec, w, Xb, Gb)
+
+    monkeypatch.setattr(fedcore, "loss_and_grad", spy)
+    spec, seeds = ModelSpec(d_in=1), [7, 2**40, 9]
+    cfg = TrainConfig(epochs=epochs, lr=1e-9, batch_size=batch)
+    local_train(init_weights(spec, 0), X, np.zeros((J, m, 2)), cfg, spec, seeds)
+    assert len(seen) == epochs * -(-m // batch)
+    orders = np.concatenate(seen, axis=1).reshape(J, epochs, m) if seen else []
+    for j, s in enumerate(seeds):
+        rng = np.random.default_rng([s, 0x10CA1])
+        for e in range(epochs):
+            expected = np.arange(j * m, (j + 1) * m)
+            rng.shuffle(expected)
+            assert orders[j][e].tolist() == expected.tolist()
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]

@@ -17,6 +17,7 @@ from privateyes.leakprobe import (
     AttackConfig,
     LeakprobeError,
     _expected_gradient_system,
+    _invert_adaptive_coordinates,
     _kde_kernel,
     _solve_gd,
     build_leak_set,
@@ -97,6 +98,91 @@ def test_invert_fedavg_history():
     for k in range(1, 4):
         true_avg = np.mean([tr.ground_truth_iu[(j, k)] for j in range(4)], axis=0)
         assert np.abs(averages[k] - true_avg).max() < 1e-3
+
+
+def _invert_reference(obs, m, v, beta1, beta2, tau, eta):
+    """The per-coordinate loop the vectorised inversion replaced."""
+    a1 = (1.0 - beta2) / (1.0 - beta1) ** 2
+    delta = np.empty_like(obs)
+    for i in range(obs.size):
+        o = obs[i]
+        if abs(o) < 1e-15:
+            delta[i] = -beta1 * m[i] / (1.0 - beta1)
+            continue
+        r = eta / o
+        qa = a1 - r * r
+        qb = -2.0 * a1 * beta1 * m[i] + 2.0 * tau * r
+        qc = a1 * beta1**2 * m[i] ** 2 + beta2 * v[i] - tau * tau
+        if abs(qa) < 1e-18:
+            roots = [-qc / qb] if qb != 0 else []
+        else:
+            disc = max(qb * qb - 4.0 * qa * qc, 0.0)
+            s = np.sqrt(disc)
+            roots = [(-qb + s) / (2.0 * qa), (-qb - s) / (2.0 * qa)]
+        candidates = []
+        for u in roots:
+            d = (u - beta1 * m[i]) / (1.0 - beta1)
+            v_new = beta2 * v[i] + (1.0 - beta2) * d * d
+            pred = eta * u / (np.sqrt(v_new) + tau)
+            candidates.append((abs(pred - o), abs(d), d))
+        if not candidates:
+            delta[i] = -beta1 * m[i] / (1.0 - beta1)
+            continue
+        best_err = min(c[0] for c in candidates)
+        tol = max(10.0 * best_err, 1e-9 * max(1.0, abs(o)))
+        plausible = [c for c in candidates if c[0] <= tol]
+        delta[i] = min(plausible, key=lambda c: c[1])[2]
+    return delta
+
+
+def _assert_inversions_equal(obs, m, v, *hyper):
+    got = _invert_adaptive_coordinates(obs, m, v, *hyper)
+    assert got.tobytes() == _invert_reference(obs, m, v, *hyper).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vectorised_inversion_matches_the_loop_on_random_inputs(seed):
+    rng = np.random.default_rng(seed)
+    size = 2000
+    scale = np.exp(rng.uniform(-20, 5, (3, size)))
+    obs, m = rng.standard_normal((2, size)) * scale[:2]
+    v = np.abs(rng.standard_normal(size)) * scale[2]
+    # Forward steps of known deltas too: both roots then often fit exactly.
+    hyper = (0.9, 0.99, 1e-3, 0.1)
+    beta1, beta2, tau, eta = hyper
+    delta = rng.standard_normal(size) * scale[0]
+    u = beta1 * m + (1.0 - beta1) * delta
+    exact = eta * u / (np.sqrt(beta2 * v + (1.0 - beta2) * delta**2) + tau)
+    _assert_inversions_equal(np.concatenate([obs, exact]), np.tile(m, 2), np.tile(v, 2), *hyper)
+
+
+def test_vectorised_inversion_matches_the_loop_on_its_branches():
+    # beta1 = 1/2, beta2 = 3/4 make a1 = 1 exactly, so obs = eta gives qa = 0.
+    beta1, beta2, tau, eta = 0.5, 0.75, 0.25, 0.1
+    m = np.array([0.3, -0.2, 0.5, 0.7, 0.1, 0.2, 0.0, 0.4])
+    v = np.array([0.01, 0.02, 0.03, 0.04, 0.0, 1e-4, 0.5, 2.0])
+    obs = np.array([
+        0.0,        # |o| < 1e-15
+        -1e-16,     # |o| < 1e-15, negative
+        eta,        # qa == 0 and qb == -m + 2 tau == 0: no root
+        eta,        # qa == 0, qb != 0: the one root -qc / qb
+        -0.05,      # two roots
+        1e-3,       # two roots
+        3.0,        # |o| > 1 scales the tolerance floor, and the discriminant
+        -7.5,       # is negative, so it is clamped to 0: one double root
+    ])
+    got = _assert_inversions_equal(obs, m, v, beta1, beta2, tau, eta)
+    idle = -beta1 * m / (1.0 - beta1)
+    assert got[[0, 1, 2]].tolist() == idle[[0, 1, 2]].tolist()
+    assert got[3] != idle[3]
+    # tau = 0 and m = 0 make qb = 0: the roots are +-u with the same |d|,
+    # both within the floor for a tiny step, and the tie goes to the first
+    # root, (-qb + s) / (2 qa), negative as qa < 0.
+    obs = np.array([1e-12, -1e-12, 3e-13])
+    zeros = np.zeros(3)
+    got = _assert_inversions_equal(obs, zeros, np.array([1e-6, 2e-6, 3e-6]), 0.9, 0.99, 0.0, 0.1)
+    assert (got < 0).all()
 
 
 def test_invert_rejects_unknown_optimizer_mode():

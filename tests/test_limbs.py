@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privateyes import field
 from privateyes.field import (
     ELEMENT_BYTES,
     DecodeOverflowError,
@@ -18,6 +19,7 @@ from privateyes.field import (
     random_vector,
     to_ints,
     vec_add,
+    vec_dot,
     vec_mul,
     vec_sub,
     vec_sum,
@@ -75,6 +77,79 @@ def test_scalar_multiply_matches_python_ints(kappa, b):
     k = from_ints([kappa])[0]
     assert to_ints(vec_mul(k, from_ints(b), BIG)) == [kappa * y % Q for y in b]
     assert to_ints(vec_mul(from_ints(b), k, BIG)) == [kappa * y % Q for y in b]
+
+
+def _dot_reference(c, x, q):
+    """sum_e c[e] * x[..., e] mod q in Python ints, for nested lists x."""
+    if x and isinstance(x[0], list):
+        return [_dot_reference(c, row, q) for row in x]
+    return sum(a * b for a, b in zip(c, x)) % q
+
+
+def _limbs(values) -> np.ndarray:
+    """Limb array of a nested list of ints of any depth."""
+    arr = np.array(values, dtype=object)
+    return from_ints(arr.reshape(-1).tolist()).reshape(arr.shape + (2,))
+
+
+def _ints(limbs) -> list:
+    return np.array(to_ints(limbs.reshape(-1, 2)), dtype=object).reshape(limbs.shape[:-1]).tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([0, 1, 18, 1000, 2**11 + 1]), st.sampled_from([(), (3,), (2, 3)]),
+       st.integers(0, 2**32), st.sampled_from(["random", "wire", "0xFFFF", "q-1"]))
+def test_dot_matches_python_ints(d, lead, seed, fill):
+    rng = Random(seed)
+    draw = {"random": lambda: rng.randrange(Q), "wire": lambda: rng.randrange(2**128),
+            "0xFFFF": lambda: 2**128 - 1, "q-1": lambda: Q - 1}[fill]
+    c = [draw() for _ in range(d)]
+    x = np.array([draw() for _ in range(int(np.prod(lead, dtype=int)) * d)],
+                 dtype=object).reshape(lead + (d,)).tolist()
+    got = vec_dot(from_ints(c), _limbs(x), BIG)
+    assert got.shape == lead + (2,)
+    assert _ints(got) == _dot_reference(c, x, Q)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 12, 13])
+def test_dot_across_blocks_matches_python_ints(d, monkeypatch):
+    # Blocks of 6 coordinates: d on both sides of one and two block edges.
+    monkeypatch.setattr(field, "_DOT_BLOCK", 6)
+    rng = Random(d)
+    c = [rng.choice([Q - 1, 2**128 - 1, rng.randrange(Q)]) for _ in range(d)]
+    x = [[rng.choice([Q - 1, 2**128 - 1, rng.randrange(Q)]) for _ in range(d)] for _ in range(3)]
+    assert _ints(vec_dot(from_ints(c), _limbs(x), BIG)) == _dot_reference(c, x, Q)
+
+
+@relaxed
+@given(pairs_of(st.integers(0, 22)))
+def test_dot_small_field_fallback_matches_python_ints(ab):
+    a, b = ab
+    x = [b, a, b]
+    assert _ints(vec_dot(from_ints(a), _limbs(x), P23)) == _dot_reference(a, x, 23)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((), (7,)),          # (2,) x (d, 2): the dealer's kappa * r
+    ((7,), ()),
+    ((1,), ()),          # (1, 2) x (2,)
+    ((), (1,)),          # (2,) x (1, 2): the broadcast keeps the vector axis
+    ((), ()),
+    ((3, 1), (3, 7)),    # (n, 1, 2) x (n, d, 2): kappa_i * sum of offsets
+    ((3,), (3, 1)),      # (n, 2) x (n, 1, 2): kappa_i * <c, opened_k>
+    ((3, 7), (3, 7)),    # elementwise, no scalar operand
+    ((2, 1, 7), (3, 7)),
+])
+def test_scalar_products_broadcast_like_python_ints(a_shape, b_shape):
+    rng = Random(str((a_shape, b_shape)))
+    a = np.array([rng.choice([Q - 1, 2**128 - 1, rng.randrange(Q)])
+                  for _ in range(int(np.prod(a_shape, dtype=int)))], dtype=object).reshape(a_shape)
+    b = np.array([rng.choice([Q - 1, 2**128 - 1, rng.randrange(Q)])
+                  for _ in range(int(np.prod(b_shape, dtype=int)))], dtype=object).reshape(b_shape)
+    got = vec_mul(_limbs(a.tolist()), _limbs(b.tolist()), BIG)
+    expected = np.asarray((a * b) % Q, dtype=object)
+    assert got.shape == expected.shape + (2,)
+    assert _ints(got) == expected.tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,6 +250,24 @@ def test_encode_decode_quantize_match_scalar(xs):
     expected = np.array([CODEC.decode(CODEC.encode(x)) for x in xs], dtype=np.float64)
     assert decoded.tobytes() == expected.tobytes()
     assert CODEC.quantize(xs).tobytes() == expected.tobytes()
+
+
+@relaxed
+@given(st.lists(reals, max_size=24), st.sampled_from([0, 12, 13, 16, 23]),
+       st.sampled_from([None, 2.0**40, -(2.0**40), float("nan"), float("-inf")]))
+def test_quantize_is_decode_of_encode(xs, f_bits, bad):
+    # quantize skips the field round trip from f_bits = 13 on; ties, +-0 and
+    # the range edges must still come out as decode(encode(x)), bit for bit,
+    # or raise what it raises (below 13, x near 2^40 rounds onto the bound).
+    codec = FixedPointCodec(FieldParams(f_bits=f_bits))
+    expected = _raised(lambda: codec.decode_vector(codec.encode_vector(xs)).tobytes())
+    assert _raised(codec.quantize, xs) == expected
+    if expected is None:
+        expected = codec.decode_vector(codec.encode_vector(xs))
+        assert codec.quantize(xs).tobytes() == expected.tobytes()
+        assert codec.quantize(np.reshape(xs, (-1, 1))).tobytes() == expected.tobytes()
+    if bad is not None:
+        assert _raised(codec.quantize, xs + [bad]) == _raised(codec.encode_vector, xs + [bad])
 
 
 def test_encode_ties_round_half_to_even():
