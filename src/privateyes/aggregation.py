@@ -161,8 +161,8 @@ def plaintext_datacentre_oracle(
     seed: int,
 ) -> np.ndarray:
     """Pooled-data training run; the accuracy upper-line baseline."""
-    X = population.features.reshape(-1, population.d_in)
-    G = population.gaze.reshape(-1, GAZE_DIM)
+    X = population.features.reshape(1, -1, population.d_in)
+    G = population.gaze.reshape(1, -1, GAZE_DIM)
     pooled_cfg = replace(cfg, epochs=cfg.epochs * cfg.rounds)
     w0 = init_weights(spec, derive_seed(seed, "init"))
-    return local_train(w0, X, G, pooled_cfg, spec, derive_seed(seed, "datacentre"))
+    return local_train(w0, X, G, pooled_cfg, spec, [derive_seed(seed, "datacentre")])[0]

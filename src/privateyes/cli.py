@@ -90,6 +90,15 @@ class ConfigError(ValueError):
     """Invalid or unparseable experiment configuration."""
 
 
+class ProtocolAbort(RuntimeError):
+    """A run of ``attack``, ``report`` or ``bench`` aborted; ``main`` reports it
+    as a protocol failure, with ``fields``."""
+
+    def __init__(self, run: str, reason: str, phase: str, **fields):
+        super().__init__(f"protocol abort: {run} aborted in {phase}: {reason}")
+        self.fields = {"abort_reason": reason, "abort_phase": phase, **fields}
+
+
 # Valid configurations whose numbers break down during a run. Named one by one:
 # ConfigError is a ValueError too, so catching a base class would mix the two.
 NUMERICAL_FAILURES = (TrainingDivergence, EncodingRangeError, DecodeOverflowError,
@@ -138,6 +147,11 @@ class ExperimentConfig:
     sigma_noise: float = 0.05
 
     def validate(self):
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, not {value}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.scheme not in VALID_SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.mode not in OPTIMIZER_MODES:
@@ -322,23 +336,20 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
 LEAKAGE_SCHEMES = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES)
 
 
-def _train_leakage_schemes(cfg: ExperimentConfig, outdir: Path):
+def _train_leakage_schemes(cfg: ExperimentConfig):
     """One run per scheme of the leakage table on one shared population:
-    {scheme: (population, result)}, or None once a run aborts, after that
-    abort is reported as a protocol failure in ``outdir``."""
+    {scheme: (population, result)}. A run that aborts raises ProtocolAbort."""
     if cfg.kind != "linear":
         raise ConfigError(f"the leakage probe attacks the linear model only, not {cfg.kind!r}")
+    if cfg.epochs < 1:
+        raise ConfigError("the leakage probe reads gradients off local steps: it needs epochs >= 1")
     population = _population(cfg)
     runs = {}
     for scheme in LEAKAGE_SCHEMES:
         result = _run_scheme(cfg, scheme, population)
         if result.aborted:
-            _fail(outdir, "protocol",
-                  f"protocol abort: the {scheme} run aborted in {result.abort_phase}: "
-                  f"{result.abort_reason}", 2,
-                  scheme=scheme, abort_reason=result.abort_reason,
-                  abort_phase=result.abort_phase)
-            return None
+            raise ProtocolAbort(f"the {scheme} run", result.abort_reason, result.abort_phase,
+                                scheme=scheme)
         runs[scheme] = (population, result)
     return runs
 
@@ -346,19 +357,14 @@ def _train_leakage_schemes(cfg: ExperimentConfig, outdir: Path):
 def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
     """Leakage table; ``runs`` reuses trainings from ``_train_leakage_schemes``."""
     outdir.mkdir(parents=True, exist_ok=True)
-    if runs is None:
-        runs = _train_leakage_schemes(cfg, outdir)
-        if runs is None:
-            return 2
+    runs = runs or _train_leakage_schemes(cfg)
     attack = cfg.build(cfg.servers).attack
     reports = {}
-    for scheme, (population, result) in runs.items():
+    for scheme in (*runs, SCHEME_GENERIC_MPC):
+        # Generic MPC leaks nothing; its prior is scored against the same population.
+        population, result = runs.get(scheme, runs[SCHEME_PRIVATEYES])
         leak = build_leak_set(scheme, result.transcript, population)
         reports[scheme] = dualview_lite_reconstruct(leak, attack, population)
-    # Generic MPC leaks nothing; score the prior against the same population.
-    population, result = runs[SCHEME_PRIVATEYES]
-    leak = build_leak_set(SCHEME_GENERIC_MPC, result.transcript, population)
-    reports[SCHEME_GENERIC_MPC] = dualview_lite_reconstruct(leak, attack, population)
     write_leakage_csv(reports, outdir / "leakage.csv")
     payload = {
         scheme: {"mean_mae_deg": round(r.mean_mae_deg, 6), "mean_kl": round(r.mean_kl, 6)}
@@ -375,10 +381,6 @@ def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-class BenchAbort(RuntimeError):
-    """The communication benchmark's secure round aborted: args (reason, phase)."""
-
-
 def measure_communication(n_servers: int, d: int, seed: int = 0):
     """One secure round of uniform random field inputs vs the single-server baseline, 1 client."""
     params = FieldParams()
@@ -386,7 +388,8 @@ def measure_communication(n_servers: int, d: int, seed: int = 0):
     inputs = {0: random_vector(gen, (d,), params)}
     secure = run_secure_aggregation(inputs, n_servers, params, seed=seed)
     if secure.opened is None:
-        raise BenchAbort(secure.abort_reason, secure.abort_phase)
+        raise ProtocolAbort(f"the n = {n_servers} benchmark round", secure.abort_reason,
+                            secure.abort_phase)
 
     baseline_net = Network({0: "server", 1: "client"}, params)
     payload = vector_to_bytes(inputs[0])
@@ -399,12 +402,7 @@ def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     for n in BENCH_SERVERS:
-        try:
-            secure, baseline = measure_communication(n, BENCH_DIM, seed=cfg.seed)
-        except BenchAbort as exc:
-            reason, phase = exc.args
-            return _fail(outdir, "protocol", f"protocol abort: the n = {n} benchmark round "
-                         f"aborted in {phase}: {reason}", 2, abort_reason=reason, abort_phase=phase)
+        secure, baseline = measure_communication(n, BENCH_DIM, seed=cfg.seed)
         ratio = overhead_ratio(secure, baseline)
         rows.append((n, secure.total_bytes(), baseline.total_bytes(), ratio))
     with open(outdir / "bench.csv", "w") as fh:
@@ -417,9 +415,7 @@ def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:
 def cmd_report(cfg: ExperimentConfig, outdir: Path) -> int:
     """Accuracy, leakage, and communication comparison tables."""
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = _train_leakage_schemes(cfg, outdir)
-    if runs is None:
-        return 2
+    runs = _train_leakage_schemes(cfg)
     with open(outdir / "accuracy.csv", "w") as fh:
         fh.write("scheme,test_mae_deg\n")
         for scheme, (_, result) in runs.items():
@@ -454,6 +450,8 @@ def main(argv=None) -> int:
         return command[args.command](load_config(args.config), outdir)
     except ConfigError as exc:
         return _fail(outdir, "config", f"config error: {exc}", 1)
+    except ProtocolAbort as exc:
+        return _fail(outdir, "protocol", str(exc), 2, **exc.fields)
     except NUMERICAL_FAILURES as exc:
         return _fail(outdir, "numerical", f"numerical failure: {type(exc).__name__}: {exc}", 3)
     except (FrameError, KeyShareError, FieldError) as exc:  # after the FieldErrors above

@@ -397,20 +397,16 @@ def local_train(
     G: np.ndarray,
     cfg: TrainConfig,
     spec: ModelSpec,
-    seed: int | list[int],
+    seeds: list[int],
 ) -> np.ndarray:
     """E epochs of mini-batch gradient descent; batch order is a seeded shuffle.
 
-    One client trains from w on X (m, d_in), G (m, 2) with an int seed and
-    gets a (dim,) model back. A block of J clients that start from the same w
-    passes X (J, m, d_in), G (J, m, 2) and J seeds and gets (J, dim) back,
-    each row bit-identical to that client's one-client call: every client
-    shuffles with its own stream, the one np.random.default_rng([seed,
-    0x10CA1]) starts, and the steps run in lockstep.
+    A block of J clients that start from the same w passes X (J, m, d_in),
+    G (J, m, 2) and J seeds and gets (J, dim) back, each row bit-identical to
+    that client's call in a block of one: every client shuffles with its own
+    stream, the one np.random.default_rng([seed, 0x10CA1]) starts, and the
+    steps run in lockstep.
     """
-    stacked = X.ndim == 3
-    if not stacked:
-        X, G, seed = X[None], G[None], [seed]
     J, m, d_in = X.shape
     w = np.array(np.broadcast_to(w, (J, w.shape[-1])), dtype=np.float64, order="C")
     # Batches are taken from the client-major rows with one flat index each.
@@ -420,7 +416,7 @@ def local_train(
     # whatever the values, so client j's rows start out as j*m .. j*m + m-1.
     orders = np.empty((J, cfg.epochs, m), dtype=np.intp)
     orders[...] = np.arange(J * m).reshape(J, 1, m)
-    for order, rng in zip(orders, _streams([s, 0x10CA1] for s in seed)):
+    for order, rng in zip(orders, _streams([s, 0x10CA1] for s in seeds)):
         rng.permuted(order, axis=1, out=order)
     X, G = X.reshape(J * m, d_in), G.reshape(J * m, GAZE_DIM)
     for epoch in range(cfg.epochs):
@@ -432,7 +428,7 @@ def local_train(
             if not finite.all():
                 raise TrainingDivergence(f"non-finite loss {loss[~finite][0]}")
             w -= cfg.lr * grad
-    return w if stacked else w[0]
+    return w
 
 
 # ---------------------------------------------------------------------------

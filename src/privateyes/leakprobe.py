@@ -83,15 +83,14 @@ class ReconstructionReport:
 # ---------------------------------------------------------------------------
 
 
-def build_leak_set(scheme: str, transcript: Transcript, population: Population = None) -> LeakageTranscript:
+def build_leak_set(scheme: str, transcript: Transcript, population: Population) -> LeakageTranscript:
     """The adversary's view for one scheme, exactly the per-scheme sets."""
     pub = {
         "config": dict(transcript.config),
         "om0": transcript.om_history[0],
+        "mixing_map": population.A,
+        "priors": population.priors(),
     }
-    if population is not None:
-        pub["mixing_map"] = population.A
-        pub["priors"] = population.priors()
     oms = {k: om for k, om in enumerate(transcript.om_history) if k >= 1}
     if scheme == SCHEME_PRIVATEYES:
         # The aggregate-only view: no individual update may appear anywhere.
@@ -101,8 +100,6 @@ def build_leak_set(scheme: str, transcript: Transcript, population: Population =
     if scheme == SCHEME_ADAPTIVE_FL:
         return LeakageTranscript(scheme, pub, {"iu": dict(transcript.server_view_iu), "om": oms})
     if scheme == SCHEME_DATACENTRE:
-        if population is None:
-            raise LeakprobeError("datacentre leak view needs the raw datasets")
         raw = population.gaze.reshape(population.num_clients, -1, GAZE_DIM)
         return LeakageTranscript(scheme, pub, {"raw": raw, "om": oms})
     if scheme == SCHEME_GENERIC_MPC:
@@ -181,6 +178,8 @@ def observed_gradient(w_prev: np.ndarray, update: np.ndarray, config: dict) -> n
     """Average per-step gradient implied by a leaked local update."""
     nb = int(np.ceil(config["samples_per_round"] / config["batch_size"]))
     steps = config["epochs"] * nb
+    if steps < 1:
+        raise LeakprobeError("a leaked update of zero local steps implies no gradient")
     return (w_prev - update) / (config["lr"] * steps)
 
 
@@ -401,23 +400,15 @@ def kde_kl_divergence(samples_p, samples_q):
     a fixed-resolution grid covering both supports, floored, normalized,
     and summed discretely. Equal sample sets give exactly 0. A sample set
     with a singular covariance (e.g. all samples equal) has no KDE and
-    raises ``LeakprobeError``. Stacks (J, n, d) of sample sets give the J
-    divergences of their rows as an array; one set, (n, d) or (n,) for
-    d = 1, gives a float.
+    raises ``LeakprobeError``. Takes stacks (J, n, d) of sample sets and
+    gives the (J,) divergences of their rows.
     """
     P = np.asarray(samples_p, dtype=float)
     Q = np.asarray(samples_q, dtype=float)
-    single = P.ndim < 3
-    if P.ndim == 1:
-        P = P[:, None]
-    if Q.ndim == 1:
-        Q = Q[:, None]
-    if single:
-        P, Q = P[None], Q[None]
+    if P.ndim != 3 or Q.ndim != 3 or P.shape[::2] != Q.shape[::2]:
+        raise LeakprobeError("need (J, n, d) sample stacks of equal J and d")
     if P.shape[1] < 10 or Q.shape[1] < 10:
         raise LeakprobeError("need at least 10 samples per side")
-    if P.shape[::2] != Q.shape[::2]:
-        raise LeakprobeError("sample stack or dimensionality mismatch")
     both = np.concatenate([P, Q], axis=1)
     lo = both.min(axis=1)
     hi = both.max(axis=1)
@@ -436,7 +427,7 @@ def kde_kl_divergence(samples_p, samples_q):
     dens /= dens.sum(axis=-1, keepdims=True)
     p, q = dens[:, 0], dens[:, 1]
     kls[rows] = np.sum(p * np.log(p / q), axis=-1)
-    return float(kls[0]) if single else kls
+    return kls
 
 
 def _kde_kernel(data):
@@ -624,19 +615,9 @@ def estimate_generic_mpc_cost(layers) -> int:
 # ---------------------------------------------------------------------------
 
 
-def leakage_table(reports: dict) -> list:
-    """Rows (scheme, mean MAE degrees, mean KL), fixed scheme order."""
-    order = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES, SCHEME_GENERIC_MPC)
-    rows = []
-    for scheme in order:
-        if scheme in reports:
-            rep = reports[scheme]
-            rows.append((scheme, rep.mean_mae_deg, rep.mean_kl))
-    return rows
-
-
 def write_leakage_csv(reports: dict, path) -> None:
+    """One row (scheme, mean MAE degrees, mean KL) per report, in dict order."""
     with open(path, "w") as fh:
         fh.write("scheme,mae_deg,kl\n")
-        for scheme, mae, kl in leakage_table(reports):
-            fh.write(f"{scheme},{mae:.6f},{kl:.6f}\n")
+        for scheme, rep in reports.items():
+            fh.write(f"{scheme},{rep.mean_mae_deg:.6f},{rep.mean_kl:.6f}\n")

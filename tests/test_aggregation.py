@@ -120,8 +120,8 @@ def test_cohort_blocks_match_per_client_loop():
     updates = train_cohort_updates(pop, cfg, spec, om, 2, cohort, 8)
     assert updates.shape == (len(cohort), spec.dim)
     for row, j in zip(updates, cohort):
-        expected = local_train(om, pop.features[j, 1], pop.gaze[j, 1], cfg, spec,
-                               derive_seed(8, "train", 2, j))
+        expected = local_train(om, pop.features[[j], 1], pop.gaze[[j], 1], cfg, spec,
+                               [derive_seed(8, "train", 2, j)])[0]
         assert np.array_equal(row, expected)
 
 
@@ -143,10 +143,11 @@ def test_datacentre_single_client_equals_local_train():
     cfg = TrainConfig(rounds=2, epochs=1)
     spec = ModelSpec()
     w = plaintext_datacentre_oracle(pop, cfg, spec, seed=2)
-    X = np.concatenate(pop.features[0])
-    G = np.concatenate(pop.gaze[0])
+    X = np.concatenate(pop.features[0])[None]
+    G = np.concatenate(pop.gaze[0])[None]
     pooled = TrainConfig(epochs=2, lr=cfg.lr, batch_size=cfg.batch_size, rounds=2)
     expected = local_train(
-        init_weights(spec, derive_seed(2, "init")), X, G, pooled, spec, derive_seed(2, "datacentre")
-    )
+        init_weights(spec, derive_seed(2, "init")), X, G, pooled, spec,
+        [derive_seed(2, "datacentre")],
+    )[0]
     assert np.array_equal(w, expected)

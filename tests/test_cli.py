@@ -222,6 +222,20 @@ def test_leakage_commands_reject_the_mlp_model(tmp_path, capsys, command, status
         assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("command,status", [("run", 0), ("attack", 1), ("report", 1)])
+def test_leakage_commands_reject_zero_epochs(tmp_path, capsys, command, status):
+    """The probe reads gradients off local steps; a run of zero epochs is valid."""
+    config = write_config(tmp_path / "exp.ini")
+    config.write_text(config.read_text().replace("epochs = 1", "epochs = 0"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == status
+    if status:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the leakage probe reads gradients off local steps")
+        assert _failure_report(out, err) == "config"
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
 def _flip_first_byte(payload):
     return bytes([payload[0] ^ 1]) + payload[1:]
 
@@ -329,15 +343,25 @@ def test_attack_subcommand(tmp_path):
     ("optimizer", "tau = -1"),
     ("optimizer", "beta1 = 1.5"),
     ("optimizer", "beta2 = -0.1"),
+    ("experiment", "seed = -1"),
+    ("experiment", "cohort_fraction = nan"),
+    ("train", "lr = inf"),
+    ("optimizer", "eta = nan"),
+    ("optimizer", "tau = inf"),
+    ("attack", "alpha = nan"),
+    ("data", "heterogeneity = nan"),
+    ("data", "sigma_gaze = inf"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, line):
     config = tmp_path / "exp.ini"
-    config.write_text(f"[experiment]\nrounds = 2\nclients = 3\n[{section}]\n{line}\n")
+    header = "" if section == "experiment" else f"[{section}]\n"
+    config.write_text(f"[experiment]\nrounds = 2\nclients = 3\n{header}{line}\n")
     status = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert _failure_report(tmp_path / "o", err) == "config"
 
 
 @pytest.mark.parametrize("command,text,message", [

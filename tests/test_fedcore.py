@@ -134,8 +134,8 @@ def test_local_train_deterministic_and_moves():
     cfg = TrainConfig(epochs=2, lr=0.1, batch_size=8)
     w0 = init_weights(spec, 0)
     X, G = pop.features[0, 0], pop.gaze[0, 0]
-    w1 = local_train(w0, X, G, cfg, spec, seed=5)
-    w2 = local_train(w0, X, G, cfg, spec, seed=5)
+    w1 = local_train(w0, X[None], G[None], cfg, spec, [5])[0]
+    w2 = local_train(w0, X[None], G[None], cfg, spec, [5])[0]
     assert np.array_equal(w1, w2)
     assert not np.array_equal(w1, w0)
     l0, _ = loss_and_grad(spec, w0, X, G)
@@ -148,8 +148,8 @@ def test_zero_epochs_is_identity():
     w0 = init_weights(spec, 0)
     pop = gen_synthetic_population(1, seed=4)
     cfg = TrainConfig(epochs=0)
-    X, G = pop.features[0, 0], pop.gaze[0, 0]
-    assert np.array_equal(local_train(w0, X, G, cfg, spec, 0), w0)
+    X, G = pop.features[:, 0], pop.gaze[:, 0]
+    assert np.array_equal(local_train(w0, X, G, cfg, spec, [0]), w0[None])
 
 
 def _reference_local_train(spec, w, X, G, cfg, seed):
@@ -279,7 +279,7 @@ def test_stacked_local_train_matches_per_client_loop(kind, epochs, batch_size):
     stacked = local_train(w0, X, G, cfg, spec, seeds)
     assert stacked.shape == (7, spec.dim) and stacked.dtype == np.float64
     for j in range(7):
-        one = local_train(w0, X[j], G[j], cfg, spec, seeds[j])
+        one = local_train(w0, X[j : j + 1], G[j : j + 1], cfg, spec, seeds[j : j + 1])[0]
         assert np.array_equal(stacked[j], one)
         assert np.array_equal(one, _reference_local_train(spec, w0, X[j], G[j], cfg, seeds[j]))
 

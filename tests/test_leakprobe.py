@@ -28,7 +28,6 @@ from privateyes.leakprobe import (
     grid_kde_density,
     invert_optimizer_history,
     kde_kl_divergence,
-    leakage_table,
     observed_gradient,
     write_leakage_csv,
 )
@@ -67,6 +66,18 @@ def test_mlp_transcript_is_a_leakprobe_error(scheme):
                           codec=FixedPointCodec())
     leak = build_leak_set(scheme, result.transcript, pop)
     with pytest.raises(LeakprobeError, match="linear model only, not 'mlp'"):
+        dualview_lite_reconstruct(leak, AttackConfig(steps=10), pop)
+
+
+def test_zero_local_steps_is_a_leakprobe_error():
+    """An update of zero epochs implies no gradient: the attack refuses it
+    instead of dividing by zero steps."""
+    pop = gen_synthetic_population(3, seed=1, rounds=2)
+    result = _run(pop, "adaptive_fl", 1, rounds=2, epochs=0)
+    leak = build_leak_set("adaptive_fl", result.transcript, pop)
+    with pytest.raises(LeakprobeError, match="zero local steps"):
+        observed_gradient(leak.pub["om0"], leak.leak["iu"][(0, 1)], leak.pub["config"])
+    with pytest.raises(LeakprobeError, match="zero local steps"):
         dualview_lite_reconstruct(leak, AttackConfig(steps=10), pop)
 
 
@@ -253,15 +264,20 @@ def test_attack_config_validation():
         AttackConfig(steps=0)
 
 
+def _kl(p, q):
+    """KL of one pair of sample sets, (n,) or (n, d), as a one-row stack."""
+    return kde_kl_divergence(*(np.reshape(x, (1, len(x), -1)) for x in (p, q)))[0]
+
+
 def test_kl_identical_samples_is_zero():
     rng = np.random.default_rng(0)
     x = rng.normal(0, 1, (200, 2))
-    assert abs(kde_kl_divergence(x, x)) < 1e-6
+    assert abs(_kl(x, x)) < 1e-6
 
 
 def test_kl_gaussian_shift_matches_analytic():
     rng = np.random.default_rng(1)
-    kl = kde_kl_divergence(rng.normal(0, 1, 10000), rng.normal(1, 1, 10000))
+    kl = _kl(rng.normal(0, 1, 10000), rng.normal(1, 1, 10000))
     assert kl == pytest.approx(0.5, abs=0.05)
 
 
@@ -269,7 +285,7 @@ def test_kl_monotone_in_separation():
     rng = np.random.default_rng(2)
     base = rng.normal(0, 0.5, 2000)
     kls = [
-        kde_kl_divergence(base, base + shift)
+        _kl(base, base + shift)
         for shift in (1.0, 2.0, 4.0)
     ]
     assert kls[0] < kls[1] < kls[2]
@@ -278,9 +294,16 @@ def test_kl_monotone_in_separation():
 
 def test_kl_needs_samples():
     with pytest.raises(LeakprobeError):
-        kde_kl_divergence(np.zeros(5), np.zeros(20))
+        _kl(np.zeros(5), np.zeros(20))
     with pytest.raises(LeakprobeError):
-        kde_kl_divergence(np.zeros((20, 2)), np.zeros((20, 3)))
+        _kl(np.zeros((20, 2)), np.zeros((20, 3)))
+
+
+@pytest.mark.parametrize("shape", [(20,), (20, 2), (1, 1, 20, 2)])
+def test_kl_takes_stacks_only(shape):
+    rng = np.random.default_rng(4)
+    with pytest.raises(LeakprobeError, match="sample stacks"):
+        kde_kl_divergence(rng.normal(size=shape), rng.normal(size=shape))
 
 
 def test_conv_forward_count_example():
@@ -308,8 +331,6 @@ def test_leakage_table_and_csv(tmp_path):
     res = _run(pop, "privateyes", 8, rounds=2)
     leak = build_leak_set(SCHEME_GENERIC_MPC, res.transcript, pop)
     report = dualview_lite_reconstruct(leak, AttackConfig(seed=8), pop)
-    rows = leakage_table({"mpc": report})
-    assert rows[0][0] == "mpc"
     path = tmp_path / "leakage.csv"
     write_leakage_csv({"mpc": report}, path)
     lines = path.read_text().splitlines()
@@ -396,7 +417,7 @@ def test_numpy_kde_matches_scipy(case):
 def test_kl_equal_arrays_is_exactly_zero():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, (50, 2))
-    assert kde_kl_divergence(x, x.copy()) == 0.0
+    assert _kl(x, x.copy()) == 0.0
 
 
 def _count_solves(monkeypatch):
@@ -721,8 +742,8 @@ def test_stacked_kls_match_per_row_calls(rho, n, m, log_scales, equal_row, seed)
         for data in (P[j], Q[j]):
             ours, ref = _kde_kernel(data), _np_cov_kernel(data)
             assert all(a.tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, ref))
-        one = kde_kl_divergence(P[j], Q[j])
-        assert type(one) is float and kls[j].tobytes() == np.float64(one).tobytes()
+        one = _kl(P[j], Q[j])
+        assert kls[j].tobytes() == np.float64(one).tobytes()
         ref = 0.0 if equal_row and j == 0 else _kl_per_row(P[j], Q[j])
         assert kls[j].tobytes() == np.float64(ref).tobytes()
     for X in (P, Q):
@@ -759,4 +780,4 @@ def test_attack_per_client_values_are_pinned(tmp_path, monkeypatch):
 def test_kl_singular_sample_set_raises(shape):
     rng = np.random.default_rng(9)
     with pytest.raises(LeakprobeError, match="singular"):
-        kde_kl_divergence(np.full(shape, 0.3), rng.normal(size=shape))
+        _kl(np.full(shape, 0.3), rng.normal(size=shape))
