@@ -164,6 +164,9 @@ class ExperimentConfig:
             raise ConfigError("corrupted client count must be in [0, clients]")
         if self.samples_per_round < 1:
             raise ConfigError("samples_per_round must be >= 1")
+        if not 0 <= self.target_round <= self.rounds:
+            raise ConfigError(f"target_round must be in [0, rounds = {self.rounds}] (0 = every "
+                              f"round), not {self.target_round}")
         if min(self.heterogeneity, self.sigma_gaze, self.sigma_noise) < 0:
             raise ConfigError("heterogeneity, sigma_gaze and sigma_noise must be >= 0")
         self.build(self.servers)
@@ -343,6 +346,9 @@ def _train_leakage_schemes(cfg: ExperimentConfig):
         raise ConfigError(f"the leakage probe attacks the linear model only, not {cfg.kind!r}")
     if cfg.epochs < 1:
         raise ConfigError("the leakage probe reads gradients off local steps: it needs epochs >= 1")
+    if cfg.rounds * cfg.samples_per_round < 10:
+        raise ConfigError("the leakage probe needs rounds x samples_per_round >= 10 samples, not "
+                          f"{cfg.rounds} x {cfg.samples_per_round}")
     population = _population(cfg)
     runs = {}
     for scheme in LEAKAGE_SCHEMES:

@@ -18,7 +18,7 @@ import numpy as np
 from .aggregation import (
     OPTIMIZER_MODES,
     OptimizerState,
-    aggregate_encoded,
+    aggregate_encoded,  # perfbench/spans.py wraps it here
     client_average,
     plaintext_datacentre_oracle,
     train_cohort_updates,
@@ -198,14 +198,14 @@ def run_secure_aggregation_round(
     params = dealer.params
     n = dealer.n
     J, d = inputs.shape[:2]
-    clients = [client_wire_id(n, j) for j in cohort]
+    clients = client_wire_id(n, np.asarray(cohort, dtype=np.intp))
     servers = [server_wire_id(i) for i in range(n)]
     kappa_shares = from_ints(dealer.key_shares)
 
     _send_masks(net, dealer, round_index, clients, servers, d)
 
     # Clients: publish epsilon = x - r to every server, the cohort at once.
-    r = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index, clients, [DEALER_ID] * J, d)
+    r = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index, clients, np.full(J, DEALER_ID), d)
     if r is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "mask delivery")
     eps = vec_sub(inputs, r, params)
@@ -213,18 +213,18 @@ def run_secure_aggregation_round(
                   eps, np.repeat(np.arange(J), n))
 
     # Servers: derive authenticated shares from the offsets, sum locally.
-    # Every dealer frame precedes every offset in a server's inbox, so taking
-    # all masks first keeps each receive at the head of the inbox.
-    by_server = np.repeat(servers, J).tolist()
-    masks = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index, by_server,
-                          [DEALER_ID] * (n * J), 2 * d)
-    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET, round_index, by_server, clients * n, d)
+    # Both phases are taken client-major, in send order.
+    to_servers = np.tile(servers, J)
+    masks = _recv_vectors(net, MsgType.MASK_DELIVERY, round_index, to_servers,
+                          np.full(n * J, DEALER_ID), 2 * d)
+    offsets = _recv_vectors(net, MsgType.INPUT_OFFSET, round_index, to_servers,
+                            np.repeat(clients, n), d)
     if masks is None or offsets is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "input phase")
     # Per server i: sum_j (r_j + kappa_i eps_j) = sum_j r_j + kappa_i sum_j eps_j,
     # with server 0 also absorbing sum_j eps_j into its value share.
-    r_sums = vec_sum(masks.reshape(n, J, 2 * d, 2), params, axis=1)
-    eps_sums = vec_sum(offsets.reshape(n, J, d, 2), params, axis=1)
+    r_sums = vec_sum(masks.reshape(J, n, 2 * d, 2), params)
+    eps_sums = vec_sum(offsets.reshape(J, n, d, 2), params)
     value_vecs = r_sums[:, :d].copy()
     value_vecs[0] = vec_add(value_vecs[0], eps_sums[0], params)
     mac_vecs = vec_add(r_sums[:, d:], vec_mul(kappa_shares[:, None], eps_sums, params), params)
@@ -237,11 +237,11 @@ def run_secure_aggregation_round(
     # Share return: every server sends its aggregate share to every client.
     net.send_many(MsgType.SHARE_UPLOAD, round_index, np.repeat(servers, J), np.tile(clients, n),
                   value_vecs, np.repeat(np.arange(n), J))
-    returned = _recv_vectors(net, MsgType.SHARE_UPLOAD, round_index,
-                             np.repeat(clients, n).tolist(), servers * J, d)
+    returned = _recv_vectors(net, MsgType.SHARE_UPLOAD, round_index, np.tile(clients, n),
+                             np.repeat(servers, J), d)
     if returned is None:
         return _abort(net, round_index, n, clients, ABORT_TIMEOUT, "share return")
-    sums = vec_sum(returned.reshape(J, n, d, 2), params, axis=1)
+    sums = vec_sum(returned.reshape(n, J, d, 2), params)
 
     return SimpleNamespace(
         opened=opened,
@@ -256,7 +256,7 @@ def _abort(net, round_index, n, clients, reason, phase):
     # Detecting party notifies everyone; the run is over.
     payload = reason.encode()
     sid = server_wire_id(0)
-    receivers = [server_wire_id(i) for i in range(1, n)] + clients
+    receivers = [server_wire_id(i) for i in range(1, n)] + list(clients)
     net.send_many(MsgType.ABORT, round_index, [sid] * len(receivers), receivers,
                   [payload] * len(receivers))
     return SimpleNamespace(opened=None, abort_reason=reason, abort_phase=phase,
@@ -271,12 +271,15 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
     rngs = [Random(derive_seed(seed, "open", k, i)) for i in range(n)]
     servers = [server_wire_id(i) for i in range(n)]
     corrupted = net.corrupted_servers(k)
-    # Every ordered pair of distinct servers, grouped by the first: frame f
-    # of a broadcast goes from owners[f] = servers[own[f]] to peers[f], and a
-    # receive takes at owners[f] the frame from peers[f].
+    # Every ordered pair of distinct servers, grouped by the first: frame f of
+    # a broadcast goes from owners[f] = servers[own[f]] to peers[f], which take
+    # them in send order; owners[g] takes from peers[g] the frame back[g].
     own = [i for i in range(n) for _ in range(n - 1)]
-    owners = [servers[i] for i in own]
-    peers = [peer for sid in servers for peer in servers if peer != sid]
+    owners = np.array([servers[i] for i in own], dtype=np.intp)
+    peers = np.array([peer for sid in servers for peer in servers if peer != sid], dtype=np.intp)
+    back = [p * (n - 1) + i - (i > p) for i in range(n) for p in range(n) if p != i]
+    # Honest servers take and check their frames; corrupted ones take theirs.
+    checked = np.array([peer not in corrupted for peer in peers.tolist()], dtype=bool)
 
     def exchange(tag, blinds, committed, revealed):
         """Server i commits to committed[i] under blinds[i] + tag, then reveals
@@ -287,20 +290,19 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
         digests = [commit(payload, blind + tag) for blind, payload in zip(blinds, committed)]
         net.send_many(MsgType.COMMIT, k, owners, peers, [digests[i] for i in own])
         net.send_many(MsgType.REVEAL, k, owners, peers, [blinds[i] + revealed[i] for i in own])
-        received = [(rid, net.recv(rid, MsgType.COMMIT, sid, k),
-                     net.recv(rid, MsgType.REVEAL, sid, k)) for rid, sid in zip(owners, peers)]
-        opened = []
-        for rid, cm, rv in received:
-            if rid in corrupted:
-                opened.append(None)
-                continue
-            if cm is None or rv is None:
-                return None, ABORT_TIMEOUT
-            blind, payload = rv.payload[:len(blinds[0])], rv.payload[len(blinds[0]):]
-            if not verify_commit(cm.payload, payload, blind + tag):
+        for t in (MsgType.COMMIT, MsgType.REVEAL) if corrupted else ():
+            net.recv_many(t, k, peers[~checked], owners[~checked])
+        cms, rvs = (net.recv_many(t, k, peers[checked], owners[checked])
+                    for t in (MsgType.COMMIT, MsgType.REVEAL))
+        if cms is None or rvs is None:
+            return None, ABORT_TIMEOUT
+        opened = [None] * len(own)
+        for f, cm, rv in zip(np.flatnonzero(checked).tolist(), cms, rvs):
+            blind, payload = rv[:len(blinds[0])], rv[len(blinds[0]):]
+            if not verify_commit(cm, payload, blind + tag):
                 return None, ABORT_EQUIVOCATION
-            opened.append(payload)
-        return opened, None
+            opened[f] = payload
+        return [opened[f] for f in back], None
 
     # Public coin: commit-then-reveal of per-server nonces.
     nonces = [rngs[i].randbytes(16) for i in range(n)]
@@ -312,12 +314,12 @@ def _open_among_servers(net, k, value_vecs, mac_vecs, kappa_shares, params, seed
 
     # Open the aggregate value shares.
     net.send_many(MsgType.OPEN_SHARE, k, owners, peers, value_vecs, own)
-    others = _recv_vectors(net, MsgType.OPEN_SHARE, k, owners, peers, d)
+    others = _recv_vectors(net, MsgType.OPEN_SHARE, k, peers, owners, d)
     if others is None:
         return None, ABORT_TIMEOUT
     # Per server: its own share plus the n - 1 it received open its view of
     # the vector, and its sigma is checked against that view.
-    others = others.reshape(n, n - 1, d, 2)
+    others = others[back].reshape(n, n - 1, d, 2)
     views, sigmas = check_openings(np.concatenate([value_vecs[:, None], others], axis=1),
                                    mac_vecs, kappa_shares, coeffs, params)
     sigmas = to_ints(sigmas[np.arange(n), np.arange(n)])
@@ -449,15 +451,13 @@ def run_training(
             else:
                 average = client_average(result.opened, len(cohort), codec)
         else:
-            sid = server_wire_id(0)
-            clients = [client_wire_id(n, j) for j in cohort]
-            net.send_many(MsgType.SHARE_UPLOAD, k, clients, [sid] * len(clients),
-                          stacked, range(len(clients)))
-            received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k, [sid] * len(clients), clients,
-                                     spec.dim)
+            to_server = np.full(len(cohort), server_wire_id(0))
+            clients = client_wire_id(n, np.asarray(cohort, dtype=np.intp))
+            net.send_many(MsgType.SHARE_UPLOAD, k, clients, to_server, stacked, range(len(cohort)))
+            received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k, to_server, clients, spec.dim)
             for j, iu in zip(cohort, codec.decode_vector(received)):
                 transcript.server_view_iu[(j, k)] = iu
-            total = aggregate_encoded(list(received), codec.params)
+            total = vec_sum(received, codec.params)
             average = client_average(total, len(cohort), codec)
 
         record = {"round": k, "cohort": list(cohort), "aborted": aborted,

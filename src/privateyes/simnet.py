@@ -6,23 +6,21 @@ type in one ``send_many`` call; delivery order is the send order, so
 identical seeds give identical transcripts and byte counts. A frame's
 metered size is its encoded length, ``FRAME_OVERHEAD + len(payload)``.
 
-An honest vector frame is a reference to one row of a stacked
-(frames, length, 2) limb array: the inbox holds (type, round, sender,
-receiver, array, row), and ``recv_many`` gathers a phase's rows in one
+A ``send_many`` call is kept as one batch record; an honest vector frame
+is a reference to one row of a stacked (frames, length, 2) limb array, and
+a phase's ``recv_many`` takes a whole record, gathering its rows in one
 step. A frame exists as a WireMessage with payload bytes only where bytes
 are needed: in a hooked batch, whose frames ``_mutate`` sees one by one;
-in the adversary view of a watched endpoint; and for the small byte
-frames (coin, sigma, key share, abort, model broadcast).
+in the adversary view of a watched endpoint; in ``pending()``; and for the
+small byte frames (coin, sigma, key share, abort, model broadcast).
 """
 
 from __future__ import annotations
 
 import struct
-from collections import Counter, defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
-from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -179,6 +177,7 @@ def overhead_ratio(secure: CommMetrics, baseline: CommMetrics) -> float:
 ROLE_DEALER = "dealer"
 ROLE_SERVER = "server"
 ROLE_CLIENT = "client"
+_ROLES = (ROLE_DEALER, ROLE_SERVER, ROLE_CLIENT)  # a role pair's code is 3 * sender + receiver
 
 
 def edge_class(sender_role: str, receiver_role: str) -> str:
@@ -191,12 +190,29 @@ def edge_class(sender_role: str, receiver_role: str) -> str:
     return EDGE_SERVER_TO_SERVER
 
 
-class Network:
-    """Single-threaded scheduler: FIFO inboxes, live metering, adversary hooks.
+@dataclass(slots=True, eq=False)
+class _Batch:
+    """Frames of one ``send_many`` call, of one type and round (the slot),
+    in send order: frame f goes from ``keys[f] % width`` to ``keys[f] //
+    width`` with the payload ``source[f]``, or row ``rows[f]`` of the array
+    ``source``."""
 
-    An inbox entry is a WireMessage or a row reference (see the module
-    docstring); both hold the type, round and sender at positions 0-2. With
-    ``log_frames`` set, ``log`` keeps one summary per delivered frame.
+    slot: tuple
+    keys: np.ndarray
+    source: object
+    rows: np.ndarray
+    taken: np.ndarray
+
+    def payload(self, f) -> bytes:
+        return self.source[f] if self.rows is None else self.source[self.rows[f]].tobytes()
+
+
+class Network:
+    """Single-threaded scheduler: batch records, live metering, adversary hooks.
+
+    A ``send_many`` call is kept as a ``_Batch`` record until all its
+    frames are taken. With ``log_frames`` set, ``log`` keeps one summary per
+    delivered frame.
     """
 
     def __init__(self, roles: dict, params: FieldParams, adversary: AdversarySpec = None,
@@ -205,13 +221,15 @@ class Network:
         self.params = params
         self.adversary = adversary
         self.log_frames = log_frames
-        self.inboxes = defaultdict(deque)
         self.metrics = CommMetrics()
         self.log = []  # frame summaries, in delivery order
         self.adversary_view = []  # full frames visible to corrupted parties
         self.dropped = []
         self._watched = frozenset() if adversary is None else (
             adversary.corrupted_servers | adversary.corrupted_clients)
+        self._batches = []  # records with untaken frames, in send order
+        self._width = max(self.roles) + 1  # an edge's key is receiver * width + sender
+        self._codes = np.array([_ROLES.index(self.roles[p]) for p in range(self._width)])
 
     def corrupted_servers(self, round_index: int) -> frozenset:
         """Wire ids of the servers the adversary controls in this round."""
@@ -254,113 +272,120 @@ class Network:
         columns: frame f goes from ``senders[f]`` to ``receivers[f]``. Its
         payload is the bytes ``payloads[f]``, or, with ``rows``, row
         ``rows[f]`` of ``payloads``: a stacked (frames, length, 2) limb array,
-        or a tuple of them taken as concatenated. The inbox then references
+        or a tuple of them taken as concatenated. The record then references
         the row, so those arrays are made read-only.
         """
         if msg_type not in _MSG_TYPES:
             raise FrameError(f"unknown message type {msg_type}")
-        senders = np.asarray(senders, dtype=np.intp).tolist()
-        receivers = np.asarray(receivers, dtype=np.intp).tolist()
+        senders = np.asarray(senders, dtype=np.intp)
+        receivers = np.asarray(receivers, dtype=np.intp)
         hooked = self._hooked(msg_type, round_index, (senders, receivers))
-        if rows is not None:
+        if rows is None:
+            payloads = list(payloads)
+        else:
             arrays = payloads if isinstance(payloads, tuple) else (payloads,)
             for a in arrays:
                 a.flags.writeable = False
             starts = np.cumsum([0] + [len(a) for a in arrays])
             part = np.searchsorted(starts, rows, side="right") - 1
-            sources = list(map(arrays.__getitem__, part.tolist()))
-            rows = (np.asarray(rows) - starts[part]).tolist()
-            sizes = (np.array([a.shape[1] for a in arrays])[part] * ELEMENT_BYTES).tolist()
-            if hooked:  # _mutate sees WireMessages; a changed row is a changed copy
-                payloads = [source[row].tobytes() for source, row in zip(sources, rows)]
-        if rows is None or hooked:
-            entries = [WireMessage(msg_type, round_index, sender, receiver, payload)
-                       for sender, receiver, payload in zip(senders, receivers, payloads)]
-            if hooked:
-                outs = [self._mutate(msg) for msg in entries]
-                self.dropped += [{"round": round_index, "type": int(msg_type), "sender": msg.sender,
-                                  "receiver": msg.receiver}
-                                 for msg, out in zip(entries, outs) if out is None]
-                kept = [f for f, out in enumerate(outs) if out is not None]
-                senders, receivers = [senders[f] for f in kept], [receivers[f] for f in kept]
-                entries = [outs[f] for f in kept]
-            sizes = [len(msg.payload) for msg in entries]
-        else:
-            entries = list(zip(repeat(msg_type), repeat(round_index), senders, receivers, sources,
-                               rows))
-        self._meter(round_index, senders, receivers, sizes)
+            rows = np.asarray(rows, dtype=np.intp) - starts[part]
+            sizes = (np.array([a.shape[1] for a in arrays]) * ELEMENT_BYTES)[part]
+        payload = payloads.__getitem__ if rows is None else (
+            lambda f: arrays[part[f]][rows[f]].tobytes())
+        if hooked:  # _mutate sees WireMessages; a changed row is a changed copy
+            edges = list(zip(senders.tolist(), receivers.tolist()))
+            outs = [self._mutate(WireMessage(msg_type, round_index, *edge, payload(f)))
+                    for f, edge in enumerate(edges)]
+            self.dropped += [{"round": round_index, "type": int(msg_type), "sender": sender,
+                              "receiver": receiver}
+                             for (sender, receiver), out in zip(edges, outs) if out is None]
+            kept = [f for f, out in enumerate(outs) if out is not None]
+            senders, receivers, rows = senders[kept], receivers[kept], None
+            payloads = [outs[f].payload for f in kept]
+            payload = payloads.__getitem__
+        if rows is None:
+            sizes = [len(p) for p in payloads]
+        # Metering: one add per (sender role, receiver role) pair, in the order
+        # of each pair's first frame.
+        codes = self._codes[receivers]
+        pairs = self._codes[senders] * 3 + codes
+        counts, nbytes = np.bincount(pairs).tolist(), np.bincount(pairs, sizes).tolist()
+        present = [pair for pair, count in enumerate(counts) if count]
+        if len(present) > 1:
+            present.sort(key=lambda pair: np.argmax(pairs == pair))
+        for pair in present:
+            self.metrics.add(round_index, edge_class(_ROLES[pair // 3], _ROLES[pair % 3]),
+                             int(nbytes[pair]) + FRAME_OVERHEAD * counts[pair], counts[pair])
         roles, watched = self.roles, self._watched
         if self.log_frames or watched:
-            for sender, receiver, size, entry in zip(senders, receivers, sizes, entries):
+            for f, (sender, receiver) in enumerate(zip(senders.tolist(), receivers.tolist())):
                 record = {"round": round_index, "type": int(msg_type), "sender": sender,
-                          "receiver": receiver, "bytes": FRAME_OVERHEAD + size,
+                          "receiver": receiver, "bytes": FRAME_OVERHEAD + int(sizes[f]),
                           "edge": edge_class(roles[sender], roles[receiver])}
                 if self.log_frames:
                     self.log.append(record)
                 if sender in watched or receiver in watched:
-                    self.adversary_view.append({**record, "payload": _payload(entry)})
-        inboxes = self.inboxes
-        for receiver, entry in zip(receivers, entries):
-            inboxes[receiver].append(entry)
-
-    def _meter(self, round_index: int, senders, receivers, sizes) -> None:
-        """One metrics add per (sender role, receiver role) pair of a batch's
-        frames, in the order of each pair's first frame."""
-        roles = self.roles.__getitem__
-        metered = defaultdict(lambda: [0, 0])  # (sender role, receiver role) -> [frames, bytes]
-        for (sender_role, receiver_role, size), count in Counter(
-                zip(map(roles, senders), map(roles, receivers), sizes)).items():
-            tally = metered[sender_role, receiver_role]
-            tally[0] += count
-            tally[1] += count * (FRAME_OVERHEAD + size)
-        for pair, (count, size) in metered.items():
-            self.metrics.add(round_index, edge_class(*pair), size, count)
+                    self.adversary_view.append({**record, "payload": payload(f)})
+        # Rows of several arrays: one record per receiver role, in the order of
+        # their first frames; a stable split, so each edge keeps its send order.
+        # A record whose rows still span several arrays holds their bytes.
+        keys = receivers * self._width + senders
+        to_roles = list(dict.fromkeys(pair % 3 for pair in present))
+        split = len(to_roles) > 1 and rows is not None and (part != part[0]).any()
+        for role in to_roles if split else to_roles[:1]:
+            at = np.flatnonzero(codes == role) if split else slice(None)
+            if rows is None:
+                source, at_rows = payloads, None
+            elif len(arrays) == 1 or (part[at] == part[at][0]).all():
+                source, at_rows = arrays[part[at][0]], rows[at]
+            else:
+                source, at_rows = [payload(f) for f in np.arange(len(keys))[at].tolist()], None
+            self._batches.append(_Batch((msg_type, round_index), keys[at], source, at_rows,
+                                        np.zeros(len(keys[at]), bool)))
 
     def recv(self, receiver: int, msg_type: MsgType, sender: int, round_index: int):
-        """The receiver's first frame of this type, sender and round, taken
-        out of its inbox as a WireMessage, or None (timeout)."""
-        inbox = self.inboxes[receiver]
-        for i, entry in enumerate(inbox):
-            if entry[0] == msg_type and entry[2] == sender and entry[1] == round_index:
-                del inbox[i]
-                return entry if isinstance(entry, WireMessage) else WireMessage(
-                    *entry[:4], _payload(entry))
-        return None
+        """``recv_many`` of one edge: the first untaken frame of this type,
+        sender, receiver and round, taken as a WireMessage, or None (timeout)."""
+        got = self.recv_many(msg_type, round_index, (receiver,), (sender,))
+        return None if got is None else WireMessage(msg_type, round_index, sender, receiver,
+                                                    bytes(got[0]))
 
     def recv_many(self, msg_type: MsgType, round_index: int, receivers, senders):
         """Take one frame of this type and round per (receivers[f],
-        senders[f]) edge: the frame ``recv`` would take, found at the head of
-        the inbox when the sends were in the same order.
+        senders[f]) edge: the frame ``recv`` would take, edge by edge.
 
-        Returns the rows stacked into one (edges, length, 2) limb array,
-        gathered in one step, when every frame is a row of one array taken at
-        the head of its inbox; else (a hooked, injected or out-of-order
-        frame) the payload bytes, in edge order; None if a frame is missing.
+        The edges of the first pending record, in its send order, take it
+        whole: a row record's rows come back stacked into one writable
+        (edges, length, 2) limb array. Any other request (a hooked, injected
+        or out-of-order frame) gets the payload bytes, in edge order. None if
+        a frame is missing; the frames that are there are taken all the same.
         """
-        inboxes = self.inboxes
-        taken = []
-        for receiver, sender in zip(receivers, senders):
-            inbox = inboxes[receiver]
-            if inbox:
-                head = inbox[0]
-                if head[2] == sender and head[0] == msg_type and head[1] == round_index:
-                    taken.append(inbox.popleft())
-                    continue
-            taken.append(self.recv(receiver, msg_type, sender, round_index))
-        if None in taken:
-            return None
-        if taken and type(taken[0]) is tuple:  # a row entry; a WireMessage is not
-            source = taken[0][4]
-            if all(entry[4] is source for entry in taken):
-                rows = np.fromiter(map(itemgetter(5), taken), np.intp, len(taken))
-                return source.take(rows, axis=0)
-        return [_payload(entry) for entry in taken]
+        keys = (np.asarray(receivers, dtype=np.intp) * self._width
+                + np.asarray(senders, dtype=np.intp))
+        batches = [b for b in self._batches if b.slot == (msg_type, round_index)]
+        if batches and len(batches[0].keys) == len(keys) and not batches[0].taken.any() and (
+                batches[0].keys == keys).all():
+            b = batches[0]
+            self._batches.remove(b)
+            return b.source if b.rows is None else b.source.take(b.rows, axis=0)
+        payloads = []
+        for key in keys.tolist():  # each edge's first untaken frame, in send order
+            for b in batches:
+                f = np.flatnonzero((b.keys == key) & ~b.taken)[:1]
+                if len(f):
+                    b.taken[f] = True
+                    payloads.append(b.payload(f[0]))
+                    break
+            else:
+                payloads.append(None)
+        self._batches = [b for b in self._batches if not b.taken.all()]
+        return None if None in payloads else payloads
 
-
-def _payload(entry) -> bytes:
-    """The payload of an inbox entry: a WireMessage's, or the bytes of the
-    row a (type, round, sender, receiver, array, row) entry references."""
-    return entry.payload if isinstance(entry, WireMessage) else entry[4][entry[5]].tobytes()
+    def pending(self) -> list:
+        """Every frame sent and not yet taken, as a WireMessage; the frames of
+        each edge in send order."""
+        return [WireMessage(*b.slot, *divmod(int(b.keys[f]), self._width)[::-1], b.payload(f))
+                for b in self._batches for f in np.flatnonzero(~b.taken).tolist()]
 
 
 def _bump_first_element(payload: bytes, q: int) -> bytes:

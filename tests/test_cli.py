@@ -132,14 +132,13 @@ def test_zero_rounds_header_only(tmp_path):
     assert len(report["final_model"]) == 18
 
 
-def test_zero_rounds_report_leaves_accuracy_empty(tmp_path):
+def test_zero_rounds_report_is_a_config_error(tmp_path):
+    """A report of zero rounds would score the prior alone, with empty
+    accuracy cells; it is rejected before any training."""
     out = tmp_path / "r"
-    assert cmd_report(ExperimentConfig(**{**SMALL, "rounds": 0}), out) == 0
-    rows = (out / "accuracy.csv").read_text().splitlines()
-    assert rows[0] == "scheme,test_mae_deg"
-    assert rows[2:] == ["adaptive_fl,", "privateyes,"]
-    scheme, mae = rows[1].split(",")
-    assert scheme == "datacentre" and float(mae) > 0
+    with pytest.raises(ConfigError, match=r"rounds x samples_per_round >= 10 samples, not 0 x"):
+        cmd_report(ExperimentConfig(**{**SMALL, "rounds": 0}), out)
+    assert not (out / "accuracy.csv").exists()
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -234,6 +233,56 @@ def test_leakage_commands_reject_zero_epochs(tmp_path, capsys, command, status):
         assert err.startswith("config error: the leakage probe reads gradients off local steps")
         assert _failure_report(out, err) == "config"
         assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("command", ["attack", "report"])
+@pytest.mark.parametrize("rounds,samples", [(0, 20), (2, 1), (3, 3)])
+def test_leakage_commands_reject_too_few_samples(tmp_path, capsys, monkeypatch, command, rounds,
+                                                 samples):
+    """The probe scores rounds x samples_per_round samples per client; fewer
+    than 10 is a config error, raised before any training."""
+    trained = []
+    monkeypatch.setattr(cli, "_run_scheme", lambda *args: trained.append(args))
+    config = write_config(tmp_path / "exp.ini", extra=f"[data]\nsamples_per_round = {samples}\n")
+    config.write_text(config.read_text().replace("rounds = 4", f"rounds = {rounds}"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: the leakage probe needs rounds x samples_per_round >= 10 "
+                   f"samples, not {rounds} x {samples}\n")
+    assert "Traceback" not in err
+    assert _failure_report(out, err) == "config"
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    assert trained == []
+
+
+@pytest.mark.parametrize("target_round", [-1, 3])
+def test_out_of_range_target_round_is_a_config_error(tmp_path, capsys, target_round):
+    """A deviation scripted for a round the run does not have would never
+    fire, and the run would read as honest."""
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nrounds = 2\nclients = 3\n[adversary]\ncorrupted_servers = 1\n"
+                      f"behavior = tamper-share\ntarget_round = {target_round}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: target_round must be in [0, rounds = 2] (0 = every round), "
+                   f"not {target_round}\n")
+    assert "Traceback" not in err
+    assert _failure_report(out, err) == "config"
+
+
+@pytest.mark.parametrize("target_round", [0, 2])
+def test_in_range_target_round_fires(tmp_path, target_round):
+    """Round 0 means every round; round 2 is the run's last."""
+    config = tmp_path / "exp.ini"
+    config.write_text("[experiment]\nrounds = 2\nclients = 3\n[adversary]\ncorrupted_servers = 1\n"
+                      f"behavior = tamper-share\ntarget_round = {target_round}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert (report["aborted"], report["abort_reason"]) == (True, "mac-failure")
+    assert report["rounds_completed"] == (0 if target_round == 0 else 1)
 
 
 def _flip_first_byte(payload):

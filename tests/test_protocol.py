@@ -466,7 +466,7 @@ def test_dropped_commit_to_a_corrupted_server_is_not_checked(monkeypatch):
     assert not res.aborted
     for a, b in zip(res.transcript.om_history, honest.transcript.om_history, strict=True):
         assert np.array_equal(a, b)
-    assert all(not inbox for inbox in nets[0].inboxes.values())
+    assert nets[0].pending() == []
 
 
 def test_single_server_secure_round():
@@ -478,8 +478,8 @@ def test_single_server_secure_round():
 
 
 def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
-    """A round-1 opening share re-injected into a server's inbox ahead of
-    round 2's opening is never taken as round 2's share."""
+    """A round-1 opening share sent again ahead of round 2's opening is never
+    taken as round 2's share."""
 
     class ReplayingNetwork(Network):
         stale = None
@@ -491,7 +491,7 @@ def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
             if self.stale is None:
                 self.stale = msg
             elif msg.round == 2 and msg[2:4] == self.stale[2:4]:
-                self.inboxes[msg.receiver].append(self.stale)
+                self.send(self.stale)
             return msg
 
     pop = gen_synthetic_population(4, seed=13, rounds=3)
@@ -501,7 +501,7 @@ def test_replayed_earlier_round_frame_is_ignored(monkeypatch):
     replayed = run_training(pop, cfg, ModelSpec(), "privateyes", seed=13)
     stale = nets[0].stale
     assert stale.round == 1
-    assert list(nets[0].inboxes[stale.receiver]) == [stale]  # still there, never taken
+    assert nets[0].pending() == [stale]  # still there, never taken
     assert not replayed.aborted
     for a, b in zip(replayed.transcript.om_history, honest.transcript.om_history, strict=True):
         assert np.array_equal(a, b)
@@ -538,8 +538,8 @@ def test_honest_run_leaves_every_inbox_empty(monkeypatch, scheme):
     cfg = TrainConfig(rounds=3, cohort_fraction=0.5)
     res = run_training(pop, cfg, ModelSpec(), scheme, seed=14)
     assert not res.aborted
-    assert nets[0].inboxes
-    assert all(not inbox for inbox in nets[0].inboxes.values())
+    assert sum(nets[0].metrics.message_counts.values())
+    assert nets[0].pending() == []
 
 
 def test_codec_headroom_scales_with_cohort():

@@ -198,7 +198,7 @@ def test_send_many_bookkeeping_matches_single_sends(adversary):
         single.send(WireMessage(MsgType.OPEN_SHARE, 3, sender, receiver, payload))
     for net in (batched, single):
         # Arithmetic metering agrees with the encoded size of what was delivered.
-        delivered = [m for inbox in net.inboxes.values() for m in inbox]
+        delivered = net.pending()
         assert net.metrics.total_bytes() == sum(len(encode_message(m)) for m in delivered)
         assert sum(net.metrics.message_counts.values()) == len(delivered) == len(net.log)
     assert batched.metrics.per_round == single.metrics.per_round
@@ -208,8 +208,7 @@ def test_send_many_bookkeeping_matches_single_sends(adversary):
     assert batched.log == single.log
     assert batched.adversary_view == single.adversary_view
     assert batched.dropped == single.dropped
-    assert {r: list(q) for r, q in batched.inboxes.items()} == {
-        r: list(q) for r, q in single.inboxes.items()}
+    assert batched.pending() == single.pending()
 
 
 def test_frame_log_is_opt_in():
@@ -235,8 +234,7 @@ def test_recv_many_takes_the_frames_recv_would():
     got = batched.recv_many(MsgType.OPEN_SHARE, 3, *zip(*edges))
     assert got == [single.recv(r, MsgType.OPEN_SHARE, s, 3).payload for r, s in edges]
     assert batched.recv_many(MsgType.OPEN_SHARE, 3, [1], [4]) is None  # nothing from 4 to 1
-    assert {r: list(q) for r, q in batched.inboxes.items()} == {
-        r: list(q) for r, q in single.inboxes.items()}
+    assert batched.pending() == single.pending()
 
 
 def test_recv_many_with_a_missing_edge_takes_the_present_frames():
@@ -250,8 +248,7 @@ def test_recv_many_with_a_missing_edge_takes_the_present_frames():
     assert batched.recv_many(MsgType.OPEN_SHARE, 3, *zip(*edges)) is None
     assert [single.recv(r, MsgType.OPEN_SHARE, s, 3) is None for r, s in edges] == [
         False, False, False, True, False, False, False]
-    assert {r: list(q) for r, q in batched.inboxes.items()} == {
-        r: list(q) for r, q in single.inboxes.items()}
+    assert batched.pending() == single.pending()
 
 
 def test_recv_many_gathers_rows_of_one_array():
@@ -267,7 +264,7 @@ def test_recv_many_gathers_rows_of_one_array():
     # Out of send order, the frames are still found, as bytes.
     got = nets[1].recv_many(MsgType.INPUT_OFFSET, 3, receivers[::-1], senders[::-1])
     assert got == [row.tobytes() for row in rows]
-    assert all(not inbox for net in nets for inbox in net.inboxes.values())
+    assert all(net.pending() == [] for net in nets)
 
 
 def test_recv_matches_the_round():
@@ -347,7 +344,7 @@ def _check_row_and_single_sends_agree(msg_type, frames, arrays, adversary, log_f
               for m in (net.recv(r, msg_type, s, 1) for s, r, _, _ in frames)]
              for net in (rows_net, single)]
     assert taken[0] == taken[1]
-    assert all(not inbox for inbox in rows_net.inboxes.values())
+    assert rows_net.pending() == []
     # The batched receive takes the same bytes, stacked or not.
     rows_net, single = _sent_both_ways(msg_type, frames, arrays, adversary, log_frames)
     senders, receivers = [f[0] for f in frames], [f[1] for f in frames]
@@ -400,3 +397,141 @@ def test_one_hooked_frame_among_honest_neighbours(behavior, log_frames):
     else:
         assert got[1].payload == vector_to_bytes([3, 3])
     assert np.array_equal(arrays[0], from_ints(range(6)).reshape(3, 2, 2))
+
+
+# The delivery rule against a FIFO list model: a receive takes, per edge, the
+# first untaken frame of its type, sender, receiver and round, in send order.
+# OPEN_SHARE frames from server 3 are withheld, which hooks their batch.
+EDGE_POOL = [(0, 1), (0, 4), (0, 5), (1, 2), (2, 1), (4, 1), (5, 2), (1, 4), (3, 4), (3, 1)]
+SLOTS = [(MsgType.MASK_DELIVERY, 1), (MsgType.MASK_DELIVERY, 2), (MsgType.OPEN_SHARE, 1)]
+WITHHOLD_3 = AdversarySpec(corrupted_servers=frozenset({3}), behavior="withhold")
+
+
+@st.composite
+def _traffic(draw):
+    """Sends and receives, interleaved: ("send", slot, edges, kind, seed) with
+    edges as (sender, receiver), and ("recv_many" | "recv", slot, requests)
+    with requests as (receiver, sender)."""
+    ops, sent = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        if not sent or draw(st.integers(0, 2)) == 0:
+            slot = draw(st.sampled_from(SLOTS))
+            edges = draw(st.lists(st.sampled_from(EDGE_POOL), min_size=1, max_size=8))
+            kind = draw(st.sampled_from(["bytes", "rows", "two-arrays"]))
+            ops.append(("send", slot, edges, kind, draw(st.integers(0, 2**32 - 1))))
+            sent.append((slot, edges))
+            continue
+        slot, edges = draw(st.sampled_from(sent))
+        requests = [(r, s) for s, r in edges]
+        how = draw(st.sampled_from(["whole", "shuffled", "some", "missing", "one"]))
+        if how == "shuffled":
+            requests = draw(st.permutations(requests))
+        elif how == "some":
+            requests = draw(st.lists(st.sampled_from(requests), min_size=1, max_size=len(requests)))
+        elif how == "missing":
+            requests = requests + [(6, draw(st.sampled_from([0, 1, 2])))]  # nothing goes to 6
+        elif how == "one":
+            ops.append(("recv", slot, [draw(st.sampled_from(requests))]))
+            continue
+        ops.append(("recv_many", slot, requests))
+    return ops
+
+
+def _send_batch(net, model, slot, edges, kind, seed):
+    gen = np.random.default_rng(seed)
+    senders, receivers = [s for s, _ in edges], [r for _, r in edges]
+    hooked = slot[0] == MsgType.OPEN_SHARE and 3 in senders
+    if kind == "bytes":
+        payloads = [gen.bytes(int(gen.integers(0, 5))) for _ in edges]
+        net.send_many(*slot, senders, receivers, payloads)
+        stacked = False
+    else:
+        arrays = [random_vector(gen, (len(edges), 2), P)]
+        if kind == "two-arrays":
+            arrays.append(random_vector(gen, (len(edges), 1), P))
+        rows = gen.integers(0, len(arrays) * len(edges), len(edges))
+        sources = [divmod(int(row), len(edges)) for row in rows]
+        payloads = [arrays[a][i].tobytes() for a, i in sources]
+        net.send_many(*slot, senders, receivers, tuple(arrays) if len(arrays) > 1 else arrays[0],
+                      rows)
+        stacked = len({a for a, _ in sources}) == 1 and not hooked
+    batch = object()
+    model += [{"slot": slot, "edge": edge, "payload": payload, "batch": batch, "taken": False,
+               "stacked": stacked, "hooked": hooked}
+              for edge, payload in zip(edges, payloads)
+              if not (hooked and edge[0] == 3)]
+
+
+def _model_take(model, slot, requests):
+    taken = []
+    for receiver, sender in requests:
+        frame = next((f for f in model if f["slot"] == slot and f["edge"] == (sender, receiver)
+                      and not f["taken"]), None)
+        if frame is not None:
+            frame["taken"] = True
+        taken.append(frame)
+    return taken
+
+
+def _whole_first_batch(model, slot, requests):
+    """Whether the request is, in send order, every frame of a batch whose
+    frames are the first untaken ones of the slot."""
+    pending = [f for f in model if f["slot"] == slot and not f["taken"]]
+    if not pending:
+        return False
+    batch = [f for f in model if f["batch"] is pending[0]["batch"]]
+    return (all(not f["taken"] for f in batch) and pending[:len(batch)] == batch
+            and [(r, s) for s, r in (f["edge"] for f in batch)] == list(requests))
+
+
+def _edge_order(frames):
+    return sorted(frames, key=lambda f: (int(f[0]), f[1], f[2], f[3]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_traffic())
+def test_delivery_matches_a_fifo_model(ops):
+    net, model = Network(ROLES7, P, WITHHOLD_3), []
+    for op in ops:
+        if op[0] == "send":
+            _send_batch(net, model, *op[1:])
+            continue
+        _, slot, requests = op
+        whole = _whole_first_batch(model, slot, requests)
+        expected = _model_take(model, slot, requests)
+        if op[0] == "recv":
+            (receiver, sender), = requests
+            got = net.recv(receiver, slot[0], sender, slot[1])
+            assert (None if got is None else [got.payload]) == (
+                None if None in expected else [f["payload"] for f in expected])
+            continue
+        got = net.recv_many(*slot, *zip(*requests))
+        if None in expected:
+            assert got is None
+            continue
+        assert _taken_bytes(got) == [f["payload"] for f in expected]
+        if whole and all(f["stacked"] for f in expected):
+            assert isinstance(got, np.ndarray) and got.flags.writeable
+        if any(f["hooked"] for f in expected):
+            assert isinstance(got, list)
+    left = [(f["slot"][0], f["slot"][1], *f["edge"], f["payload"]) for f in model if not f["taken"]]
+    assert _edge_order(tuple(m) for m in net.pending()) == _edge_order(left)
+
+
+def test_whole_batch_receives_are_stacked_and_hooked_ones_are_bytes():
+    """The dealer's mask batch splits by receiver role: the clients' and the
+    servers' receives each take one record as a stacked array. A hooked
+    batch comes back as bytes."""
+    r, shares = from_ints(range(2)).reshape(2, 1, 2), from_ints(range(10, 14)).reshape(4, 1, 2)
+    net = Network(ROLES7, P, WITHHOLD_3)
+    # Client 4's r, servers 1 and 2's shares of it; then client 5's.
+    net.send_many(MsgType.MASK_DELIVERY, 1, [0] * 6, [4, 1, 2, 5, 1, 2], (r, shares),
+                  [0, 2, 3, 1, 4, 5])
+    got = net.recv_many(MsgType.MASK_DELIVERY, 1, [4, 5], [0, 0])
+    assert isinstance(got, np.ndarray) and np.array_equal(got, r)
+    got = net.recv_many(MsgType.MASK_DELIVERY, 1, [1, 2, 1, 2], [0] * 4)
+    assert isinstance(got, np.ndarray) and np.array_equal(got, shares)
+    net.send_many(MsgType.OPEN_SHARE, 1, [1, 3, 2], [2, 1, 1], shares, [0, 1, 2])
+    got = net.recv_many(MsgType.OPEN_SHARE, 1, [2, 1], [1, 2])
+    assert got == [shares[0].tobytes(), shares[2].tobytes()]
+    assert net.pending() == [] and len(net.dropped) == 1
