@@ -4,7 +4,7 @@ Subcommands: run (one scheme, metrics + transcript), attack (leakage
 probe across schemes), report (comparison tables), bench (communication
 scaling). Exit codes: 0 success, 1 usage/config error, 2 protocol abort or
 damaged frame, 3 numerical failure (diverged training, a value outside the
-codec's range, a degenerate leakage-probe sample set).
+codec's range, a degenerate leakage-probe sample set), 4 out of memory.
 """
 
 from __future__ import annotations
@@ -164,6 +164,8 @@ class ExperimentConfig:
             raise ConfigError("corrupted client count must be in [0, clients]")
         if self.samples_per_round < 1:
             raise ConfigError("samples_per_round must be >= 1")
+        if self.rounds < 0:
+            raise ConfigError(f"rounds must be >= 0, not {self.rounds}")
         if not 0 <= self.target_round <= self.rounds:
             raise ConfigError(f"target_round must be in [0, rounds = {self.rounds}] (0 = every "
                               f"round), not {self.target_round}")
@@ -462,6 +464,8 @@ def main(argv=None) -> int:
         return _fail(outdir, "numerical", f"numerical failure: {type(exc).__name__}: {exc}", 3)
     except (FrameError, KeyShareError, FieldError) as exc:  # after the FieldErrors above
         return _fail(outdir, "protocol", f"protocol failure: {type(exc).__name__}: {exc}", 2)
+    except MemoryError as exc:
+        return _fail(outdir, "resource", f"resource failure: out of memory: {exc}", 4)
 
 
 def _fail(outdir: Path, failure_class: str, message: str, code: int, **fields) -> int:

@@ -9,6 +9,7 @@ arrays whose bytes are the wire encoding (see "Limb vectors" below).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -190,6 +191,16 @@ class FixedPointCodec:
 # cohort. For q = 2^127 - 1 the kernels below work on 32- and 16-bit sublimbs
 # in uint64 and fold with 2^127 = 1 and 2^128 = 2 (mod q); for any other
 # modulus the same functions fall back to Python-int arithmetic.
+#
+# A kernel adds up unreduced sublimbs and reduces once: a sum of at most 2^32
+# sublimbs stays below 2^64 - 2^32, which ``_reduce_block`` takes, so a
+# difference with a sum (``vec_sub_sum``, the dealer's last shares) is one
+# reduction, not three. Past two blocks of _BLOCK elements the add, sub and
+# sum kernels and the reduction run block by block along the leading axes,
+# so their temporaries stay the size of a block whatever J and d are. Inputs
+# may hold any 128-bit pattern (a tampered frame can carry limbs >= q); every
+# result is canonical, so neither the blocks nor the order of reduction can
+# change a bit.
 
 LIMB_DTYPE = np.dtype("<u8")
 _LOW64 = 2**64 - 1
@@ -221,54 +232,112 @@ def as_limbs(values) -> np.ndarray:
 
 
 def random_vector(gen: np.random.Generator, shape: tuple, params: FieldParams) -> np.ndarray:
-    """Limb array of the given leading shape, uniform on [0, q): draws
-    q.bit_length() random bits per element and redraws those >= q."""
+    """Limb array of the given leading shape, uniform on [0, q).
+
+    Each element is two raw 64-bit words of ``gen``'s bit generator (lo,
+    then hi), masked to q.bit_length() bits; elements >= q are redrawn, in
+    order, from further words. For PCG64 the words are the bytes
+    ``gen.bytes`` would return, and for a non-empty shape the generator ends
+    where ``gen.bytes`` would leave it.
+    """
     q = params.q
     top = (1 << q.bit_length()) - 1
-    mask = np.array([top & _LOW64, top >> 64], dtype=LIMB_DTYPE)
-    count = int(np.prod(shape))
-    out = np.frombuffer(gen.bytes(ELEMENT_BYTES * count), dtype=LIMB_DTYPE).reshape(count, 2) & mask
     q_lo, q_hi = np.uint64(q & _LOW64), np.uint64(q >> 64)
-    while True:
+
+    def draw(count):
+        words = gen.bit_generator.random_raw(2 * count).astype(LIMB_DTYPE, copy=False)
+        words = words.reshape(count, 2)
+        words[:, 1] &= np.uint64(top >> 64)
+        if top < _LOW64:
+            words[:, 0] &= np.uint64(top)
+        return words
+
+    out = draw(math.prod(shape))
+    # One compare screens for elements >= q: for q = 2^127 - 1 only hi = q_hi can be.
+    while (out[:, 1] >= q_hi).any():
         reject = (out[:, 1] > q_hi) | ((out[:, 1] == q_hi) & (out[:, 0] >= q_lo))
         redo = int(np.count_nonzero(reject))
         if not redo:
-            return out.reshape(shape + (2,))
-        redrawn = np.frombuffer(gen.bytes(ELEMENT_BYTES * redo), dtype=LIMB_DTYPE)
-        out[reject] = redrawn.reshape(redo, 2) & mask
+            break
+        out[reject] = draw(redo)
+    return out.reshape(shape + (2,))
 
 
 def _sublimbs(a, width: str) -> np.ndarray:
     """Little-endian sublimbs of a limb array (a view where possible)."""
-    return np.ascontiguousarray(a, dtype=LIMB_DTYPE).view(width)
+    a = np.asarray(a, dtype=LIMB_DTYPE)
+    if a.strides[-1:] != (LIMB_DTYPE.itemsize,):
+        a = np.ascontiguousarray(a)
+    return a.view(width)
 
 
-def _fold(lo, hi, extra):
-    """Canonical limbs of hi*2^64 + lo + extra mod 2^127 - 1, for extra < 2^62."""
-    add = (hi >> _S63) + extra  # 2^127 = 1
-    hi = hi & _M63
-    lo = lo + add
-    hi = hi + (lo < add)  # carry; hi <= 2^63 now
-    top = hi >> _S63  # set only after a carry out of lo, so lo + top cannot carry
+_BLOCK = 4096  # elements per block of a kernel whose result is larger than two blocks
+
+
+def _blockwise(kernel, shape: tuple) -> np.ndarray:
+    """The limb array of leading shape ``shape`` that ``kernel(index)``
+    gives block by block: ``index`` is a tuple of slices over those axes,
+    () for all of it. Up to two blocks it is one call; past that, blocks
+    of at most _BLOCK elements (whole rows of the axes after the first
+    where they fit), so no temporary of the kernel grows with the result."""
+    if math.prod(shape) <= 2 * _BLOCK:
+        return kernel(())
+    out = np.empty(shape + (2,), LIMB_DTYPE)
+    for index in _blocks(shape):
+        out[index] = kernel(index)
+    return out
+
+
+def _blocks(shape: tuple, prefix: tuple = ()):
+    inner = math.prod(shape[1:])
+    if inner > _BLOCK:
+        for i in range(shape[0]):
+            yield from _blocks(shape[1:], prefix + (slice(i, i + 1),))
+    else:
+        step = _BLOCK // inner
+        for i in range(0, shape[0], step):
+            yield prefix + (slice(i, i + step),)
+
+
+def _reduce_block(s):
+    """Canonical limbs of sum_k s[..., k] * 2^(32k) mod 2^127 - 1, for each
+    s[..., k] < 2^64 - 2^32 (a sum of at most 2^32 sublimbs)."""
+    if s.ndim == 1:  # one element: the in-place steps below need arrays
+        return _reduce_block(s[None])[0]
+    # With carries t1 = s1 + (s0 >> 32), t2 = s2 + (t1 >> 32) and
+    # t3 = s3 + (t2 >> 32): lo is s0 + s1 2^32 and hi is t2 + s3 2^32, both
+    # mod 2^64, and t3 >> 32 counts multiples of 2^128 = 2.
+    lo = s[..., 1] << _S32
+    lo += s[..., 0]
+    t = s[..., 0] >> _S32
+    t += s[..., 1]
+    t >>= _S32
+    t += s[..., 2]
+    hi = s[..., 3] << _S32
+    hi += t
+    t >>= _S32
+    t += s[..., 3]
+    t >>= _S32
+    t <<= _ONE
+    # Fold with 2^127 = 1: the addend t stays below 2^35, so lo carries at
+    # most once; then hi <= 2^63, and hi = 2^63 only after that carry, so
+    # lo + (hi >> 63) cannot carry.
+    t += hi >> _S63
     hi &= _M63
-    lo += top
+    lo += t
+    hi += lo < t
     out = np.empty(lo.shape + (2,), dtype=LIMB_DTYPE)
-    out[..., 0] = lo
-    out[..., 1] = hi
-    out[(lo == _MAX) & (hi == _M63)] = 0  # q itself
+    np.right_shift(hi, _S63, out=t)
+    np.bitwise_and(hi, _M63, out=out[..., 1])
+    np.add(lo, t, out=out[..., 0])
+    if (out[..., 1] == _M63).any():
+        out[(out[..., 0] == _MAX) & (out[..., 1] == _M63)] = 0  # q itself
     return out
 
 
 def _reduce32(s):
-    """Canonical limbs of sum_k s[..., k] * 2^(32k) mod 2^127 - 1, for each
-    s[..., k] < 2^64 - 2^32 (a sum of at most 2^32 sublimbs)."""
-    t0 = s[..., 0]
-    t1 = s[..., 1] + (t0 >> _S32)
-    t2 = s[..., 2] + (t1 >> _S32)
-    t3 = s[..., 3] + (t2 >> _S32)
-    lo = (t0 & _M32) | (t1 << _S32)
-    hi = (t2 & _M32) | (t3 << _S32)
-    return _fold(lo, hi, (t3 >> _S32) << _ONE)  # 2^128 = 2
+    """``_reduce_block`` of uint64 sublimb sums s (..., 4), block by block."""
+    return _blockwise(lambda i: _reduce_block(s[i]), s.shape[:-1])
 
 
 # 16-bit sublimb products a_i * b_j land on digit (i + j) mod 8, and digits
@@ -276,11 +345,14 @@ def _reduce32(s):
 # sum_i a_i * b_{(m - i) mod 8} * (2 if i > m else 1).
 _ROT = np.array([[(m - i) % 8 for m in range(8)] for i in range(8)])
 _ROT_WEIGHT = np.array([[1 + (i > m) for m in range(8)] for i in range(8)], dtype=np.uint64)
-# q - 1 as 32-bit sublimbs: a - b = a + ~b + (q - 1) mod q, as ~b = 2^128 - 1 - b.
-_QM1_32 = np.array([2**32 - 2, 2**32 - 1, 2**32 - 1, 2**31 - 1], dtype=np.uint64)
+# a - b = a + ~b + (q - 1) mod q, as ~b = 2^128 - 1 - b. In 32-bit sublimbs
+# ~b is 2^32 - 1 - b, so a - b is a + _SUB_BIAS - b, with _SUB_BIAS the
+# sublimbs of q - 1 plus 2^32 - 1 each; subtracting m terms takes m biases.
+_SUB_BIAS = np.array([2**32 - 2, 2**32 - 1, 2**32 - 1, 2**31 - 1], dtype=np.uint64) + _M32
 
 
-def _mul_mersenne(a, b):
+def _mul_sums(a, b):
+    """Unreduced 32-bit sublimb sums (..., 4) of a * b, each below 2^53."""
     if np.size(a) < np.size(b):
         a, b = b, a  # b is expanded 16-fold below, so make it the smaller operand
     W = _sublimbs(b, "<u2").astype(np.uint64)[..., _ROT] * _ROT_WEIGHT
@@ -292,8 +364,7 @@ def _mul_mersenne(a, b):
         s = np.atleast_2d(A) @ W.reshape(np.shape(b)[:-2] + (8, 4))
     else:
         s = (A[..., None, :] @ W)[..., 0, :]
-    out = _reduce32(s.astype(np.uint64))
-    return out[0] if np.ndim(a) == np.ndim(b) == 1 else out
+    return s.astype(np.uint64)
 
 
 _DOT_BLOCK = 1 << 20  # coordinates per matmul: digit-pair sums < 2^52 are exact in float64
@@ -326,18 +397,37 @@ def _from_objects(values, q: int) -> np.ndarray:
     return out
 
 
+def _broadcast32(a, b):
+    """32-bit sublimb views of two broadcastable limb arrays and their
+    broadcast vector shape; past two blocks both are broadcast to it (as
+    views), so that one block index applies to each."""
+    a, b = _sublimbs(a, "<u4"), _sublimbs(b, "<u4")
+    if a.shape == b.shape:
+        return a.shape[:-1], a, b
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if math.prod(shape[:-1]) > 2 * _BLOCK:
+        a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    return shape[:-1], a, b
+
+
+def _summed(s, axis: int, index: tuple):
+    """uint64 sums of sublimbs s over ``axis`` at a block index of the result."""
+    return s[index[:axis] + (slice(None),) + index[axis:]].sum(axis=axis, dtype=np.uint64)
+
+
 def vec_add(a, b, params: FieldParams) -> np.ndarray:
     """Elementwise a + b mod q of broadcastable limb arrays."""
     if params.q == DEFAULT_MODULUS:
-        return _reduce32(np.add(_sublimbs(a, "<u4"), _sublimbs(b, "<u4"), dtype=np.uint64))
+        shape, a, b = _broadcast32(a, b)
+        return _blockwise(lambda i: _reduce_block(np.add(a[i], b[i], dtype=np.uint64)), shape)
     return _from_objects(_as_objects(a) + _as_objects(b), params.q)
 
 
 def vec_sub(a, b, params: FieldParams) -> np.ndarray:
     """Elementwise a - b mod q of broadcastable limb arrays."""
     if params.q == DEFAULT_MODULUS:
-        s = np.add(_sublimbs(a, "<u4"), _sublimbs(np.invert(b), "<u4"), dtype=np.uint64)
-        return _reduce32(s + _QM1_32)
+        shape, a, b = _broadcast32(a, b)
+        return _blockwise(lambda i: _reduce_block(np.add(a[i], _SUB_BIAS - b[i])), shape)
     return _from_objects(_as_objects(a) - _as_objects(b), params.q)
 
 
@@ -347,15 +437,41 @@ def vec_sum(a, params: FieldParams, axis: int = 0) -> np.ndarray:
     is the last vector axis."""
     axis = range(np.ndim(a))[axis]  # the fallback below drops the limb axis
     if params.q == DEFAULT_MODULUS:
-        return _reduce32(_sublimbs(a, "<u4").sum(axis=axis, dtype=np.uint64))
+        s = _sublimbs(a, "<u4")
+        return _blockwise(lambda i: _reduce_block(_summed(s, axis, i)),
+                          s.shape[:axis] + s.shape[axis + 1 : -1])
     return _from_objects(_as_objects(a).sum(axis=axis), params.q)
+
+
+def vec_sub_sum(a, b, params: FieldParams, axis: int = 0, scale=None) -> np.ndarray:
+    """a - (the sum of b over ``axis``) mod q, reduced once, where a has the
+    shape of b without that axis; with ``scale`` (one element per vector, as
+    ``vec_mul`` takes it), scale * a - sum, whose product has that shape.
+    Exact for up to 2^30 terms; ``axis`` counts as in ``vec_sum``."""
+    axis = range(np.ndim(b))[axis]
+    if params.q != DEFAULT_MODULUS:
+        if scale is not None:
+            a = vec_mul(scale, a, params)
+        return _from_objects(_as_objects(a) - _as_objects(b).sum(axis=axis), params.q)
+    # Each sum stays below 2^53 + 2^30 * 2^33, the product's sums included.
+    a = _sublimbs(a, "<u4") if scale is None else _mul_sums(scale, a)
+    s = _sublimbs(b, "<u4")
+    bias = s.shape[axis] * _SUB_BIAS
+
+    def kernel(i):
+        total = np.subtract(bias, _summed(s, axis, i))
+        total += a[i]
+        return _reduce_block(total)
+
+    return _blockwise(kernel, a.shape[:-1])
 
 
 def vec_mul(a, b, params: FieldParams) -> np.ndarray:
     """Elementwise a * b mod q of broadcastable limb arrays; a (2,) operand
     is a scalar."""
     if params.q == DEFAULT_MODULUS:
-        return _mul_mersenne(a, b)
+        out = _reduce32(_mul_sums(a, b))
+        return out[0] if np.ndim(a) == np.ndim(b) == 1 else out
     return _from_objects(_as_objects(a) * _as_objects(b), params.q)
 
 

@@ -441,7 +441,7 @@ def run_training(
 
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
         stacked = codec.encode_vector(updates)
-        for j, iu in zip(cohort, codec.decode_vector(stacked)):
+        for j, iu in zip(cohort, codec.quantize(updates)):
             transcript.ground_truth_iu[(j, k)] = iu
 
         if scheme == SCHEME_PRIVATEYES:

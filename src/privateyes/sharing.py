@@ -17,7 +17,7 @@ from random import Random
 import numpy as np
 
 from .field import (DEFAULT_MODULUS, LIMB_DTYPE, FieldParams, _reduce32, from_ints, random_vector,
-                    vec_dot, vec_mul, vec_sub, vec_sum)
+                    vec_dot, vec_mul, vec_sub, vec_sub_sum, vec_sum)
 
 MASK_POOL_SIZE = 1 << 10  # masks per bulk draw; a draw's cost per mask flattens from here
 
@@ -115,9 +115,10 @@ class Dealer:
         gen = np.random.default_rng(self._rng.getrandbits(128))
         params = self.params
         r = random_vector(gen, (size,), params)
-        secrets = np.stack([r, vec_mul(r, from_ints([self.mac_key])[0], params)])
         head = random_vector(gen, (2, self.n - 1, size), params)
-        last = vec_sub(secrets, vec_sum(head, params, axis=1), params)
+        # The last shares of r and of kappa*r, from one reduction.
+        scale = from_ints([1, self.mac_key]).reshape(2, 1, 2)
+        last = vec_sub_sum(r, head, params, axis=1, scale=scale)
         shares = np.concatenate([head, last[:, None]], axis=1)  # (value/MAC, server, mask)
         self._pool = (r, shares.transpose(1, 0, 2, 3))
 

@@ -400,17 +400,42 @@ def test_attack_subcommand(tmp_path):
     ("attack", "alpha = nan"),
     ("data", "heterogeneity = nan"),
     ("data", "sigma_gaze = inf"),
+    ("experiment", "rounds = -2"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, section, line):
     config = tmp_path / "exp.ini"
     header = "" if section == "experiment" else f"[{section}]\n"
-    config.write_text(f"[experiment]\nrounds = 2\nclients = 3\n{header}{line}\n")
+    key = line.split(" = ")[0]
+    base = "".join(f"{k} = {v}\n" for k, v in (("rounds", 2), ("clients", 3))
+                   if (section, key) != ("experiment", k))
+    config.write_text(f"[experiment]\n{base}{header}{line}\n")
     status = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert status == 1
     assert err.startswith("config error:")
     assert "Traceback" not in err
     assert _failure_report(tmp_path / "o", err) == "config"
+    if key == "rounds":  # named itself, not through the target_round range
+        assert err == "config error: rounds must be >= 0, not -2\n"
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_out_of_memory_is_a_resource_failure(tmp_path, capsys, monkeypatch, command):
+    """An allocation the machine cannot make exits 4 with a report, not a
+    traceback; the failing allocation is a stand-in, so nothing is allocated."""
+    message = "Unable to allocate 1.16 TiB for an array with shape (100000000, 10, 20, 8)"
+
+    def allocation(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "gen_synthetic_population", allocation)
+    config = write_config(tmp_path / "exp.ini")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"resource failure: out of memory: {message}\n"
+    assert _failure_report(out, err) == "resource"
+    assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 @pytest.mark.parametrize("command,text,message", [

@@ -2,6 +2,7 @@
 Python-int arithmetic and the scalar codec."""
 
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from privateyes.field import (
     vec_dot,
     vec_mul,
     vec_sub,
+    vec_sub_sum,
     vec_sum,
     vector_from_bytes,
     vector_to_bytes,
@@ -175,6 +177,114 @@ def test_sum_of_1000_maximal_words():
     assert to_ints(vec_sum(stacked, BIG)) == [1000 * (2**128 - 1) % Q] * 3
 
 
+# ---------------------------------------------------------------------------
+# Blocked kernels: results past two blocks, against Python ints
+# ---------------------------------------------------------------------------
+
+# Vector lengths around one and two blocks of 4 (the block size in these
+# tests): B - 1, B, B + 1 and 2B - 1, 2B, 2B + 1.
+_EDGES = [3, 4, 5, 7, 8, 9]
+
+
+def _draw(rng, shape, canonical):
+    """Object array of ints: uniform below q, or any 128-bit pattern with
+    the limb and carry edges, as a tampered frame may carry."""
+    pick = (lambda: rng.randrange(Q)) if canonical else (
+        lambda: rng.choice([rng.randrange(2**128), 2**128 - 1, Q, Q - 1, 2**127]))
+    return np.array([pick() for _ in range(int(np.prod(shape, dtype=int)))],
+                    dtype=object).reshape(shape)
+
+
+def _limbs_of(values) -> np.ndarray:
+    return from_ints(values.reshape(-1).tolist()).reshape(values.shape + (2,))
+
+
+def _ints_of(limbs) -> np.ndarray:
+    return np.array(to_ints(limbs.reshape(-1, 2)), dtype=object).reshape(limbs.shape[:-1])
+
+
+# (a, b) leading shapes: equal, b broadcast along rows, a broadcast either way.
+_PAIRS = st.sampled_from(_EDGES).flatmap(lambda length: st.sampled_from([
+    ((length,), (length,)),
+    ((3, length), (3, length)),
+    ((3, length), (length,)),
+    ((1, length), (3, length)),
+    ((3, 1), (3, length)),
+    ((2, 3, length), (3, 1)),
+    ((length, 3), (length, 3)),
+]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_PAIRS, st.booleans(), st.integers(0, 2**32))
+def test_blocked_add_sub_match_python_ints(shapes, canonical, seed):
+    rng = Random(seed)
+    a, b = (_draw(rng, shape, canonical) for shape in shapes)
+    with mock.patch.object(field, "_BLOCK", 4):
+        added = vec_add(_limbs_of(a), _limbs_of(b), BIG)
+        subtracted = vec_sub(_limbs_of(a), _limbs_of(b), BIG)
+    assert _ints_of(added).tolist() == ((a + b) % Q).tolist()
+    assert _ints_of(subtracted).tolist() == ((a - b) % Q).tolist()
+
+
+# (shape, axis) of a sum: the summed axis first, between the result's
+# axes, and last, with results on both sides of two blocks.
+_SUMS = st.sampled_from(_EDGES).flatmap(lambda length: st.sampled_from([
+    ((3, length), 0),
+    ((5, 2, length), 0),
+    ((2, 3, length), 1),
+    ((length, 2, 3), -2),
+    ((2, length, 3), -2),
+    ((length, 3), -3),
+    ((0, length), 0),
+]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_SUMS, st.booleans(), st.booleans(), st.integers(0, 2**32))
+def test_blocked_sums_match_python_ints(case, canonical, scaled, seed):
+    (shape, axis), rng = case, Random(seed)
+    b = _draw(rng, shape, canonical)
+    sum_axis = range(len(shape))[axis if axis >= 0 else axis + 1]  # axis counts the limb axis
+    rest = shape[:sum_axis] + shape[sum_axis + 1:]
+    a = _draw(rng, rest, canonical)
+    kappa = rng.choice([1, Q - 1, rng.randrange(2**128)])
+    with mock.patch.object(field, "_BLOCK", 4):
+        summed = vec_sum(_limbs_of(b), BIG, axis=axis)
+        if scaled:
+            last = vec_sub_sum(_limbs_of(a), _limbs_of(b), BIG, axis=axis,
+                               scale=from_ints([kappa]))
+        else:
+            last = vec_sub_sum(_limbs_of(a), _limbs_of(b), BIG, axis=axis)
+    total = b.sum(axis=sum_axis) if shape[sum_axis] else np.zeros(rest, dtype=object) + 0
+    assert _ints_of(summed).tolist() == (total % Q).tolist()
+    assert _ints_of(last).tolist() == (((kappa if scaled else 1) * a - total) % Q).tolist()
+
+
+@pytest.mark.parametrize("length", [2 * field._BLOCK - 1, 2 * field._BLOCK,
+                                    2 * field._BLOCK + 1])
+def test_kernels_at_the_block_size_match_python_ints(length):
+    # The module's own block size, around the two blocks past which it cuts.
+    rng = Random(length)
+    a, b = _draw(rng, (2, length), False), _draw(rng, (length,), False)
+    A, B = _limbs_of(a), _limbs_of(b)
+    assert _ints_of(vec_add(A, B, BIG)).tolist() == ((a + b) % Q).tolist()
+    assert _ints_of(vec_sub(B, A, BIG)).tolist() == ((b - a) % Q).tolist()
+    assert _ints_of(vec_sum(A, BIG)).tolist() == (a.sum(axis=0) % Q).tolist()
+    assert _ints_of(vec_sub_sum(B, A, BIG)).tolist() == ((b - a.sum(axis=0)) % Q).tolist()
+    assert _ints_of(vec_mul(A[0], B, BIG)).tolist() == ((a[0] * b) % Q).tolist()
+
+
+@relaxed
+@given(pairs_of(st.integers(0, 22)), st.booleans())
+def test_sub_sum_small_field_fallback_matches_python_ints(ab, scaled):
+    a, b = ab
+    stack = np.stack([from_ints(b), from_ints(a)])
+    scale = from_ints([5]) if scaled else None
+    got = vec_sub_sum(from_ints(a), stack, P23, scale=scale)
+    assert to_ints(got) == [((5 if scaled else 1) * x - x - y) % 23 for x, y in zip(a, b)]
+
+
 @relaxed
 @given(st.lists(wire_values, max_size=24))
 def test_wire_bytes_are_the_int_encoding(values):
@@ -198,22 +308,76 @@ def test_small_field_fallback_matches_python_ints(ab):
     ]
 
 
-class _ScriptedBytes:
-    """Generator stand-in returning scripted random bytes."""
+class _ScriptedWords:
+    """Generator stand-in whose bit generator returns scripted raw 64-bit words."""
 
     def __init__(self, *chunks):
-        self.chunks = list(chunks)
+        self.chunks = [np.array(chunk, dtype=np.uint64) for chunk in chunks]
+        self.bit_generator = self
 
-    def bytes(self, n):
+    def random_raw(self, size):
         chunk = self.chunks.pop(0)
-        assert len(chunk) == n
+        assert len(chunk) == size
         return chunk
 
 
 def test_random_vector_rejects_q():
     # 2^128 - 1 masks to 2^127 - 1 = q, which is redrawn.
-    gen = _ScriptedBytes(b"\xff" * 16 + b"\x01" + b"\x00" * 15, b"\x07" + b"\x00" * 15)
+    gen = _ScriptedWords([2**64 - 1, 2**64 - 1, 1, 0], [7, 0])
     assert to_ints(random_vector(gen, (2,), BIG)) == [7, 1]
+
+
+def _random_vector_from_bytes(gen, shape, params):
+    """random_vector as drawn through ``gen.bytes``: 16 bytes per element,
+    masked to q.bit_length() bits, elements >= q redrawn in order."""
+    q = params.q
+    top = (1 << q.bit_length()) - 1
+    mask = np.array([top & (2**64 - 1), top >> 64], dtype=np.uint64)
+    count = int(np.prod(shape, dtype=int))
+    out = np.frombuffer(gen.bytes(ELEMENT_BYTES * count), dtype="<u8").reshape(count, 2) & mask
+    q_lo, q_hi = np.uint64(q & (2**64 - 1)), np.uint64(q >> 64)
+    while True:
+        reject = (out[:, 1] > q_hi) | ((out[:, 1] == q_hi) & (out[:, 0] >= q_lo))
+        redo = int(np.count_nonzero(reject))
+        if not redo:
+            return out.reshape(shape + (2,))
+        redrawn = np.frombuffer(gen.bytes(ELEMENT_BYTES * redo), dtype="<u8")
+        out[reject] = redrawn.reshape(redo, 2) & mask
+
+
+def _same_stream_position(a, b):
+    # gen.bytes may leave a spent half-word in the buffer; has_uint32 = 0 ignores it.
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return (sa["state"], sa["has_uint32"]) == (sb["state"], sb["has_uint32"]) == (sb["state"], 0)
+
+
+# Moduli that reject a quarter to a half of all draws force redraws.
+_DRAW_FIELDS = [BIG, P23, FieldParams(q=2**126 + 7), FieldParams(q=2**64 - 59),
+                FieldParams(q=2**64 + 13, f_bits=0), FieldParams(q=2**61 - 1, f_bits=0)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**128 - 1), st.sampled_from(_DRAW_FIELDS),
+       st.sampled_from([(0,), (1,), (7,), (2, 3, 5), (1024,)]))
+def test_random_vector_equals_the_bytes_path(seed, params, shape):
+    raw, through_bytes = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_vector(raw, shape, params)
+    assert got.dtype == field.LIMB_DTYPE
+    assert got.tobytes() == _random_vector_from_bytes(through_bytes, shape, params).tobytes()
+    assert all(v < params.q for v in to_ints(got.reshape(-1, 2)[:64]))
+    # gen.bytes(0) draws half a word; no caller draws from a generator after
+    # an empty vector (the dealer's n = 1 pool discards it).
+    assert _same_stream_position(raw, through_bytes) or got.size == 0
+
+
+def test_random_vector_redraws_like_the_bytes_path():
+    # Half of all 127-bit draws are >= 2^126 + 7: the redraw loop runs.
+    params = FieldParams(q=2**126 + 7)
+    for seed in range(5):
+        raw, through_bytes = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_vector(raw, (64,), params)
+        assert got.tobytes() == _random_vector_from_bytes(through_bytes, (64,), params).tobytes()
+        assert _same_stream_position(raw, through_bytes)
 
 
 def test_random_vector_small_field_uniform_range():

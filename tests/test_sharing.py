@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from privateyes.field import LIMB_DTYPE, FieldParams, from_ints, to_ints, vec_add, vec_sum
+from privateyes import field
+from privateyes.field import (LIMB_DTYPE, FieldParams, from_ints, random_vector, to_ints, vec_add,
+                              vec_mul, vec_sub, vec_sum)
 from privateyes.sharing import (
     MASK_POOL_SIZE,
     Dealer,
@@ -169,6 +171,36 @@ def test_bulk_masks_relations_and_determinism(params):
     again = Dealer(3, Random(7), params).issue_masks([40], 5)
     assert np.array_equal(again.r, batches[0].r)
     assert np.array_equal(again.server_shares, batches[0].server_shares)
+
+
+def _composed_pool(gen, n, size, mac_key, params):
+    """A pool's r and (server, value/MAC, mask) shares, the last shares by
+    vec_mul, vec_sum and vec_sub, each reduced on its own."""
+    r = random_vector(gen, (size,), params)
+    secrets = np.stack([r, vec_mul(r, from_ints([mac_key])[0], params)])
+    head = random_vector(gen, (2, n - 1, size), params)
+    last = vec_sub(secrets, vec_sum(head, params, axis=1), params)
+    return r, np.concatenate([head, last[:, None]], axis=1).transpose(1, 0, 2, 3)
+
+
+@pytest.mark.parametrize("params", [BIG, P23])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64))
+def test_pool_equals_the_composed_kernels(n, params, seed):
+    """The pool's one reduction gives the bytes of the three-kernel
+    composition, also past two blocks of the field kernels."""
+    dealer = Dealer(n, Random(seed), params)
+    for size in (1, 18, MASK_POOL_SIZE, 2 * field._BLOCK + 1):
+        state = dealer._rng.getstate()
+        dealer._refill(size)
+        shadow = Random()
+        shadow.setstate(state)
+        gen = np.random.default_rng(shadow.getrandbits(128))
+        r, shares = _composed_pool(gen, n, size, dealer.mac_key, params)
+        assert dealer._pool[0].tobytes() == r.tobytes()
+        assert dealer._pool[1].shape == shares.shape
+        assert np.ascontiguousarray(dealer._pool[1]).tobytes() == shares.tobytes()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
