@@ -10,6 +10,11 @@ same codec so its output is bit-identical to the secure path.
 
 from __future__ import annotations
 
+import os
+import pickle
+import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,13 +107,27 @@ def train_cohort_updates(
     round_index: int,
     cohort: list,
     seed: int,
+    worker: "CohortWorker" = None,
 ) -> np.ndarray:
     """Local training for one round's cohort with per-(round, client) seeds.
 
     Returns the (len(cohort), dim) updates in cohort order. Clients train
     stacked, COHORT_BLOCK at a time: one block's data and temporaries stay
-    small and in cache, where the whole cohort at once would not.
+    small and in cache, where the whole cohort at once would not. With a
+    ``worker`` it trains the first half of the cohort while this process
+    trains the second; every row is the same either way, as ``local_train``
+    gives each client the same row in any block.
     """
+    if worker is not None:
+        half = len(cohort) // 2
+        worker.submit(cfg, spec, om_prev, round_index, cohort[:half], seed)
+        try:
+            rest = train_cohort_updates(population, cfg, spec, om_prev, round_index,
+                                        cohort[half:], seed)
+        except Exception:
+            worker.result()  # the first half's failure comes first, as in one process
+            raise
+        return np.concatenate([worker.result(), rest])
     k = round_index - 1
     updates = np.empty((len(cohort), spec.dim))
     for lo in range(0, len(cohort), COHORT_BLOCK):
@@ -118,6 +137,139 @@ def train_cohort_updates(
             derive_seeds((seed, "train", round_index), block),
         )
     return updates
+
+
+# ---------------------------------------------------------------------------
+# The forked training worker
+# ---------------------------------------------------------------------------
+
+
+class TrainingWorkerLost(RuntimeError):
+    """The training worker ended without replying (e.g. killed for memory)."""
+
+
+class CohortWorker:
+    """A forked process that trains half of each round's cohort.
+
+    It inherits the population at the fork and answers each request, the
+    arguments of ``train_cohort_updates`` after the population, with the
+    updates or the exception they raised. Messages are length-prefixed
+    pickles on two pipes; the worker exits when its request pipe closes.
+    """
+
+    def __init__(self, population: Population):
+        requests, self._requests = os.pipe()
+        self._replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self._requests, self._replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._requests)
+                os.close(self._replies)
+                serve_cohorts(population, requests, replies)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(replies)
+
+    def submit(self, *request) -> None:
+        try:
+            _send(self._requests, request)
+        except BrokenPipeError:
+            self._lost()
+
+    def result(self) -> np.ndarray:
+        reply = _receive(self._replies)
+        if reply is None:
+            self._lost()
+        updates, error = reply
+        if error is not None:
+            raise error
+        return updates
+
+    def stop(self) -> None:
+        """Close the request pipe: the worker exits after its last reply."""
+        if self._requests is not None:
+            os.close(self._requests)
+            self._requests = None
+
+    def close(self) -> None:
+        """Stop and reap the worker; ``status`` is then its wait status."""
+        self.stop()
+        if self._replies is not None:
+            os.close(self._replies)
+            self._replies = None
+        if self.pid:
+            self.status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+
+    def _lost(self):
+        self.close()
+        code = os.waitstatus_to_exitcode(self.status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise TrainingWorkerLost(f"the training worker {how} before it replied")
+
+
+def serve_cohorts(population: Population, requests: int, replies: int) -> None:
+    """The worker's loop: train each request's clients until end of file."""
+    while (request := _receive(requests)) is not None:
+        try:
+            reply = (train_cohort_updates(population, *request), None)
+        except Exception as exc:  # re-raised in the parent, with its class
+            reply = (None, exc)
+        _send(replies, reply)
+
+
+def _send(fd: int, message) -> None:
+    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(struct.pack("<Q", len(data)) + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int):
+    """The next message on ``fd``, or None at end of file."""
+    head = bytearray(8)
+    if not _read_into(fd, head):
+        return None
+    body = bytearray(struct.unpack("<Q", head)[0])
+    return pickle.loads(body) if _read_into(fd, body) else None
+
+
+def _read_into(fd: int, buf: bytearray) -> bool:
+    """Fill ``buf`` from ``fd``; False if the file ends first."""
+    view, got = memoryview(buf), 0
+    while got < len(buf) and (n := os.readv(fd, [view[got:]])):
+        got += n
+    return got == len(buf)
+
+
+@contextmanager
+def cohort_worker(population: Population, cohort_clients: int):
+    """A CohortWorker for a run whose cohorts hold ``cohort_clients``, reaped
+    on exit; None without fork, on one CPU, beside other threads (the child
+    could inherit a lock one of them holds) or below two blocks of clients,
+    where a second process cannot gain, or where the fork fails (no process
+    or memory to spare): the run then trains in this process alone."""
+    worker = None
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+            and cohort_clients >= 2 * COHORT_BLOCK):
+        try:
+            worker = CohortWorker(population)
+        except OSError:
+            pass
+    try:
+        yield worker
+    finally:
+        if worker is not None:
+            worker.close()
 
 
 def aggregate_encoded(encoded_updates: list, params: FieldParams) -> list:

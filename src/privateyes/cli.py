@@ -4,7 +4,8 @@ Subcommands: run (one scheme, metrics + transcript), attack (leakage
 probe across schemes), report (comparison tables), bench (communication
 scaling). Exit codes: 0 success, 1 usage/config error, 2 protocol abort or
 damaged frame, 3 numerical failure (diverged training, a value outside the
-codec's range, a degenerate leakage-probe sample set), 4 out of memory.
+codec's range, a degenerate leakage-probe sample set), 4 out of memory or a
+lost training worker.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .aggregation import OPTIMIZER_MODES, OptimizerState
+from .aggregation import OPTIMIZER_MODES, OptimizerState, TrainingWorkerLost
 from .fedcore import (
     ModelSpec,
     TrainConfig,
@@ -466,6 +467,8 @@ def main(argv=None) -> int:
         return _fail(outdir, "protocol", f"protocol failure: {type(exc).__name__}: {exc}", 2)
     except MemoryError as exc:
         return _fail(outdir, "resource", f"resource failure: out of memory: {exc}", 4)
+    except TrainingWorkerLost as exc:
+        return _fail(outdir, "resource", f"resource failure: {exc}", 4)
 
 
 def _fail(outdir: Path, failure_class: str, message: str, code: int, **fields) -> int:

@@ -488,10 +488,15 @@ def fairness_spread(per_client: dict) -> float:
     return max(errs) - min(errs)
 
 
-def select_cohort(num_clients: int, fraction: float, round_index: int, seed: int) -> list:
-    """Deterministic without-replacement cohort for one round."""
+def cohort_size(num_clients: int, fraction: float) -> int:
+    """Clients in every round's cohort."""
     if not 0 < fraction <= 1:
         raise ValueError("cohort fraction must be in (0, 1]")
-    size = math.ceil(fraction * num_clients)
+    return math.ceil(fraction * num_clients)
+
+
+def select_cohort(num_clients: int, fraction: float, round_index: int, seed: int) -> list:
+    """Deterministic without-replacement cohort for one round."""
+    size = cohort_size(num_clients, fraction)
     rng = np.random.default_rng([derive_seed(seed, "cohort", round_index)])
     return sorted(rng.choice(num_clients, size=size, replace=False).tolist())

@@ -20,6 +20,7 @@ from .aggregation import (
     OptimizerState,
     aggregate_encoded,  # perfbench/spans.py wraps it here
     client_average,
+    cohort_worker,
     plaintext_datacentre_oracle,
     train_cohort_updates,
     update_global_model,
@@ -28,6 +29,7 @@ from .fedcore import (
     ModelSpec,
     Population,
     TrainConfig,
+    cohort_size,
     evaluate_model,
     fairness_spread,
     init_weights,
@@ -429,56 +431,63 @@ def run_training(
     round_metrics = []
     aborted, reason, phase = False, None, None
 
-    for k in range(1, cfg.rounds + 1):
-        cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
-        # Model delivery: the single server broadcasts every round; with
-        # multiple servers the share return of round k-1 already carried it,
-        # so only the initial model needs a broadcast.
-        if scheme == SCHEME_ADAPTIVE_FL:
-            _broadcast_model(net, n, k, cohort, codec, om)
-        elif k == 1:
-            _broadcast_model(net, n, k, range(population.num_clients), codec, om)
+    with cohort_worker(population, cohort_size(population.num_clients,
+                                               cfg.cohort_fraction)) as worker:
+        for k in range(1, cfg.rounds + 1):
+            cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
+            # Model delivery: the single server broadcasts every round; with
+            # multiple servers the share return of round k-1 already carried it,
+            # so only the initial model needs a broadcast.
+            if scheme == SCHEME_ADAPTIVE_FL:
+                _broadcast_model(net, n, k, cohort, codec, om)
+            elif k == 1:
+                _broadcast_model(net, n, k, range(population.num_clients), codec, om)
 
-        updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
-        stacked = codec.encode_vector(updates)
-        for j, iu in zip(cohort, codec.quantize(updates)):
-            transcript.ground_truth_iu[(j, k)] = iu
+            updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed,
+                                           worker=worker)
+            if worker and k == cfg.rounds:
+                worker.stop()  # its exit overlaps the last secure round
+            stacked = codec.encode_vector(updates)
+            for j, iu in zip(cohort, codec.quantize(updates)):
+                transcript.ground_truth_iu[(j, k)] = iu
 
-        if scheme == SCHEME_PRIVATEYES:
-            result = run_secure_aggregation_round(net, dealer, k, cohort, stacked, seed)
-            if result.opened is None:
-                aborted, reason, phase = True, result.abort_reason, result.abort_phase
+            if scheme == SCHEME_PRIVATEYES:
+                result = run_secure_aggregation_round(net, dealer, k, cohort, stacked, seed)
+                if result.opened is None:
+                    aborted, reason, phase = True, result.abort_reason, result.abort_phase
+                else:
+                    average = client_average(result.opened, len(cohort), codec)
             else:
-                average = client_average(result.opened, len(cohort), codec)
-        else:
-            to_server = np.full(len(cohort), server_wire_id(0))
-            clients = client_wire_id(n, np.asarray(cohort, dtype=np.intp))
-            net.send_many(MsgType.SHARE_UPLOAD, k, clients, to_server, stacked, range(len(cohort)))
-            received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k, to_server, clients, spec.dim)
-            for j, iu in zip(cohort, codec.decode_vector(received)):
-                transcript.server_view_iu[(j, k)] = iu
-            total = vec_sum(received, codec.params)
-            average = client_average(total, len(cohort), codec)
+                to_server = np.full(len(cohort), server_wire_id(0))
+                clients = client_wire_id(n, np.asarray(cohort, dtype=np.intp))
+                net.send_many(MsgType.SHARE_UPLOAD, k, clients, to_server, stacked,
+                              range(len(cohort)))
+                received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k, to_server, clients,
+                                         spec.dim)
+                for j, iu in zip(cohort, codec.decode_vector(received)):
+                    transcript.server_view_iu[(j, k)] = iu
+                total = vec_sum(received, codec.params)
+                average = client_average(total, len(cohort), codec)
 
-        record = {"round": k, "cohort": list(cohort), "aborted": aborted,
-                  "abort_reason": reason,
-                  "bytes": dict(net.metrics.per_round[k])}
-        transcript.round_records.append(record)
-        if aborted:
-            round_metrics.append({"round": k, "abort": 1})
-            transcript.events.append({"event": "abort", "round": k, "reason": reason,
-                                      "phase": phase})
-            break
+            record = {"round": k, "cohort": list(cohort), "aborted": aborted,
+                      "abort_reason": reason,
+                      "bytes": dict(net.metrics.per_round[k])}
+            transcript.round_records.append(record)
+            if aborted:
+                round_metrics.append({"round": k, "abort": 1})
+                transcript.events.append({"event": "abort", "round": k, "reason": reason,
+                                          "phase": phase})
+                break
 
-        raw, state = update_global_model(om, average, state, optimizer_mode)
-        om = codec.quantize(raw)
-        transcript.om_history.append(om)
-        mean_err, per_client = evaluate_model(spec, om, population)
-        round_metrics.append(
-            {"round": k, "abort": 0, "test_mae_deg": mean_err,
-             "fairness_deg": fairness_spread(per_client),
-             "bytes": dict(net.metrics.per_round[k])}
-        )
+            raw, state = update_global_model(om, average, state, optimizer_mode)
+            om = codec.quantize(raw)
+            transcript.om_history.append(om)
+            mean_err, per_client = evaluate_model(spec, om, population)
+            round_metrics.append(
+                {"round": k, "abort": 0, "test_mae_deg": mean_err,
+                 "fairness_deg": fairness_spread(per_client),
+                 "bytes": dict(net.metrics.per_round[k])}
+            )
 
     transcript.adversary_view = net.adversary_view
     return RunResult(
