@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .fedcore import (
 from .util import derive_seed, derive_seeds
 
 COHORT_BLOCK = 128  # clients trained per stacked local_train call
+_TASKS = "/proc/self/task"  # one entry per thread of this process
 OPTIMIZER_MODES = ("adaptive", "fedavg")
 
 
@@ -107,16 +108,16 @@ def train_cohort_updates(
     round_index: int,
     cohort: list,
     seed: int,
-    worker: "CohortWorker" = None,
+    worker: "ForkedWorker" = None,
 ) -> np.ndarray:
     """Local training for one round's cohort with per-(round, client) seeds.
 
     Returns the (len(cohort), dim) updates in cohort order. Clients train
     stacked, COHORT_BLOCK at a time: one block's data and temporaries stay
     small and in cache, where the whole cohort at once would not. With a
-    ``worker`` it trains the first half of the cohort while this process
-    trains the second; every row is the same either way, as ``local_train``
-    gives each client the same row in any block.
+    ``worker`` (a ``cohort_worker``) it trains the first half of the cohort
+    while this process trains the second; every row is the same either way,
+    as ``local_train`` gives each client the same row in any block.
     """
     if worker is not None:
         half = len(cohort) // 2
@@ -140,29 +141,34 @@ def train_cohort_updates(
 
 
 # ---------------------------------------------------------------------------
-# The forked training worker
+# The forked worker
 # ---------------------------------------------------------------------------
 
 
 class TrainingWorkerLost(RuntimeError):
-    """The training worker ended without replying (e.g. killed for memory)."""
+    """A forked worker ended without replying (e.g. killed for memory)."""
 
 
-class CohortWorker:
-    """A forked process that trains half of each round's cohort.
+class ForkedWorker:
+    """A forked process that answers each request with ``fn(*request)``.
 
-    It inherits the population at the fork and answers each request, the
-    arguments of ``train_cohort_updates`` after the population, with the
-    updates or the exception they raised. Messages are length-prefixed
-    pickles on two pipes; the worker exits when its request pipe closes.
+    ``fn`` is bound before the fork, so the worker inherits what it reads
+    (the population, say) and only requests and replies are pickled: the
+    result, or the exception raised, as length-prefixed pickles on two
+    pipes. The worker exits when its request pipe closes. ``live`` is true
+    in a worker and in a process with one alive, which then forks no other.
     """
 
-    def __init__(self, population: Population):
+    live = False
+
+    def __init__(self, fn):
         requests, self._requests = os.pipe()
         self._replies, replies = os.pipe()
+        ForkedWorker.live = True
         try:
             self.pid = os.fork()
         except OSError:
+            ForkedWorker.live = False
             for fd in (requests, self._requests, self._replies, replies):
                 os.close(fd)
             raise
@@ -171,7 +177,7 @@ class CohortWorker:
             try:
                 os.close(self._requests)
                 os.close(self._replies)
-                serve_cohorts(population, requests, replies)
+                serve(fn, requests, replies)
                 code = 0
             finally:
                 os._exit(code)
@@ -184,14 +190,14 @@ class CohortWorker:
         except BrokenPipeError:
             self._lost()
 
-    def result(self) -> np.ndarray:
+    def result(self):
         reply = _receive(self._replies)
         if reply is None:
             self._lost()
-        updates, error = reply
+        value, error = reply
         if error is not None:
             raise error
-        return updates
+        return value
 
     def stop(self) -> None:
         """Close the request pipe: the worker exits after its last reply."""
@@ -208,6 +214,7 @@ class CohortWorker:
         if self.pid:
             self.status = os.waitpid(self.pid, 0)[1]
             self.pid = None
+            ForkedWorker.live = False
 
     def _lost(self):
         self.close()
@@ -216,11 +223,11 @@ class CohortWorker:
         raise TrainingWorkerLost(f"the training worker {how} before it replied")
 
 
-def serve_cohorts(population: Population, requests: int, replies: int) -> None:
-    """The worker's loop: train each request's clients until end of file."""
+def serve(fn, requests: int, replies: int) -> None:
+    """The worker's loop: answer each request until end of file."""
     while (request := _receive(requests)) is not None:
         try:
-            reply = (train_cohort_updates(population, *request), None)
+            reply = (fn(*request), None)
         except Exception as exc:  # re-raised in the parent, with its class
             reply = (None, exc)
         _send(replies, reply)
@@ -251,18 +258,19 @@ def _read_into(fd: int, buf: bytearray) -> bool:
 
 
 @contextmanager
-def cohort_worker(population: Population, cohort_clients: int):
-    """A CohortWorker for a run whose cohorts hold ``cohort_clients``, reaped
-    on exit; None without fork, on one CPU, beside other threads (the child
-    could inherit a lock one of them holds) or below two blocks of clients,
-    where a second process cannot gain, or where the fork fails (no process
-    or memory to spare): the run then trains in this process alone."""
+def forked_worker(fn, wanted: bool = True):
+    """A ForkedWorker answering with ``fn``, reaped on exit; None when not
+    ``wanted``, without fork, on one CPU, in or beside a live worker, beside
+    another thread, a BLAS pool's too (the child could inherit a lock it
+    holds, and two processes' pools on two CPUs run many times slower), or
+    where the fork fails (no process or memory to spare): the caller then
+    does all the work in this process."""
     worker = None
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
-            and cohort_clients >= 2 * COHORT_BLOCK):
+    if (wanted and not ForkedWorker.live and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and os.path.isdir(_TASKS) and len(os.listdir(_TASKS)) == 1):
         try:
-            worker = CohortWorker(population)
+            worker = ForkedWorker(fn)
         except OSError:
             pass
     try:
@@ -270,6 +278,13 @@ def cohort_worker(population: Population, cohort_clients: int):
     finally:
         if worker is not None:
             worker.close()
+
+
+def cohort_worker(population: Population, cohort_clients: int):
+    """A forked_worker training cohorts of ``population``, wanted from two
+    blocks of clients on: below that a second process cannot gain."""
+    return forked_worker(partial(train_cohort_updates, population),
+                         cohort_clients >= 2 * COHORT_BLOCK)
 
 
 def aggregate_encoded(encoded_updates: list, params: FieldParams) -> list:

@@ -16,12 +16,14 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from tempfile import TemporaryDirectory
 from types import SimpleNamespace
 
 import numpy as np
 
-from .aggregation import OPTIMIZER_MODES, OptimizerState, TrainingWorkerLost
+from .aggregation import OPTIMIZER_MODES, OptimizerState, TrainingWorkerLost, forked_worker
 from .fedcore import (
     ModelSpec,
     TrainConfig,
@@ -96,8 +98,11 @@ class ProtocolAbort(RuntimeError):
     as a protocol failure, with ``fields``."""
 
     def __init__(self, run: str, reason: str, phase: str, **fields):
-        super().__init__(f"protocol abort: {run} aborted in {phase}: {reason}")
+        super().__init__(run, reason, phase)  # the args a pickle rebuilds it from
         self.fields = {"abort_reason": reason, "abort_phase": phase, **fields}
+
+    def __str__(self):
+        return "protocol abort: {0} aborted in {2}: {1}".format(*self.args)
 
 
 # Valid configurations whose numbers break down during a run. Named one by one:
@@ -340,11 +345,29 @@ def cmd_run(cfg: ExperimentConfig, outdir: Path) -> int:
 
 
 LEAKAGE_SCHEMES = (SCHEME_DATACENTRE, SCHEME_ADAPTIVE_FL, SCHEME_PRIVATEYES)
+LEAKAGE_VIEWS = (*LEAKAGE_SCHEMES, SCHEME_GENERIC_MPC)
 
 
-def _train_leakage_schemes(cfg: ExperimentConfig):
-    """One run per scheme of the leakage table on one shared population:
-    {scheme: (population, result)}. A run that aborts raises ProtocolAbort."""
+def _leakage_step(cfg: ExperimentConfig, population, runs: dict, table: str, name: str):
+    """One step of the leakage tables: for "accuracy" the ``name`` scheme's
+    run, kept in ``runs``, and its round metrics; for "leakage" the ``name``
+    view's ReconstructionReport. A run that aborts raises ProtocolAbort."""
+    if table == "accuracy":
+        runs[name] = result = _run_scheme(cfg, name, population)
+        if result.aborted:
+            raise ProtocolAbort(f"the {name} run", result.abort_reason, result.abort_phase,
+                                scheme=name)
+        return result.round_metrics
+    # Generic MPC leaks nothing; its prior is scored against the same population.
+    run = runs.get(name) or runs[SCHEME_PRIVATEYES]
+    leak = build_leak_set(name, run.transcript, population)
+    return dualview_lite_reconstruct(leak, cfg.build(cfg.servers).attack, population)
+
+
+def cmd_attack(cfg: ExperimentConfig, outdir: Path, report: bool = False) -> int:
+    """Leakage table, and for ``report`` the accuracy and communication tables.
+    A forked worker, if any, runs privateyes and scores its two views. Results
+    are taken, and files written, in serial order: runs, views, benchmark."""
     if cfg.kind != "linear":
         raise ConfigError(f"the leakage probe attacks the linear model only, not {cfg.kind!r}")
     if cfg.epochs < 1:
@@ -353,35 +376,42 @@ def _train_leakage_schemes(cfg: ExperimentConfig):
         raise ConfigError("the leakage probe needs rounds x samples_per_round >= 10 samples, not "
                           f"{cfg.rounds} x {cfg.samples_per_round}")
     population = _population(cfg)
-    runs = {}
-    for scheme in LEAKAGE_SCHEMES:
-        result = _run_scheme(cfg, scheme, population)
-        if result.aborted:
-            raise ProtocolAbort(f"the {scheme} run", result.abort_reason, result.abort_phase,
-                                scheme=scheme)
-        runs[scheme] = (population, result)
-    return runs
-
-
-def cmd_attack(cfg: ExperimentConfig, outdir: Path, runs: dict = None) -> int:
-    """Leakage table; ``runs`` reuses trainings from ``_train_leakage_schemes``."""
     outdir.mkdir(parents=True, exist_ok=True)
-    runs = runs or _train_leakage_schemes(cfg)
-    attack = cfg.build(cfg.servers).attack
-    reports = {}
-    for scheme in (*runs, SCHEME_GENERIC_MPC):
-        # Generic MPC leaks nothing; its prior is scored against the same population.
-        population, result = runs.get(scheme, runs[SCHEME_PRIVATEYES])
-        leak = build_leak_set(scheme, result.transcript, population)
-        reports[scheme] = dualview_lite_reconstruct(leak, attack, population)
-    write_leakage_csv(reports, outdir / "leakage.csv")
-    payload = {
-        scheme: {"mean_mae_deg": round(r.mean_mae_deg, 6), "mean_kl": round(r.mean_kl, 6)}
-        for scheme, r in reports.items()
-    }
-    (outdir / "attack_report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    step = partial(_leakage_step, cfg, population, {})
+    with forked_worker(step) as worker, TemporaryDirectory(dir=outdir) as staging:
+        remote = [("accuracy", SCHEME_PRIVATEYES), ("leakage", SCHEME_PRIVATEYES),
+                  ("leakage", SCHEME_GENERIC_MPC)] if worker else []
+        for request in remote:
+            worker.submit(*request)
+
+        def outcome(*request):
+            return worker.result() if request in remote else step(*request)
+
+        metrics = [outcome("accuracy", scheme) for scheme in LEAKAGE_SCHEMES]
+        if report:
+            with open(outdir / "accuracy.csv", "w") as fh:
+                fh.write("scheme,test_mae_deg\n")
+                for scheme, rounds in zip(LEAKAGE_SCHEMES, metrics):
+                    done = [f"{r['test_mae_deg']:.6f}" for r in rounds if not r["abort"]]
+                    fh.write(f"{scheme},{done[-1] if done else ''}\n")
+        reports = {view: outcome("leakage", view) for view in LEAKAGE_VIEWS[:2]}
+        try:  # beside the worker's views; its failure comes after theirs
+            bench = report and cmd_bench(cfg, Path(staging))
+        except Exception as exc:
+            bench = exc
+        reports.update((view, outcome("leakage", view)) for view in LEAKAGE_VIEWS[2:])
+        write_leakage_csv(reports, outdir / "leakage.csv")
+        payload = {
+            scheme: {"mean_mae_deg": round(r.mean_mae_deg, 6), "mean_kl": round(r.mean_kl, 6)}
+            for scheme, r in reports.items()
+        }
+        (outdir / "attack_report.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        )
+        if isinstance(bench, Exception):
+            raise bench
+        if report:
+            os.replace(Path(staging) / "bench.csv", outdir / "bench.csv")
     return 0
 
 
@@ -423,14 +453,7 @@ def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:
 
 def cmd_report(cfg: ExperimentConfig, outdir: Path) -> int:
     """Accuracy, leakage, and communication comparison tables."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    runs = _train_leakage_schemes(cfg)
-    with open(outdir / "accuracy.csv", "w") as fh:
-        fh.write("scheme,test_mae_deg\n")
-        for scheme, (_, result) in runs.items():
-            done = [f"{r['test_mae_deg']:.6f}" for r in result.round_metrics if not r["abort"]]
-            fh.write(f"{scheme},{done[-1] if done else ''}\n")
-    return cmd_attack(cfg, outdir, runs) or cmd_bench(cfg, outdir)
+    return cmd_attack(cfg, outdir, report=True)
 
 
 # ---------------------------------------------------------------------------

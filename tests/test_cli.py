@@ -467,31 +467,33 @@ def test_passive_corrupted_server_run_exits_zero(tmp_path):
     assert report["rounds_completed"] == 3
 
 
-def _count_trainings(monkeypatch):
-    calls = []
+def _count_trainings(monkeypatch, log):
+    """Record each ``run_training`` call's scheme in the file ``log``, so that
+    a forked worker's calls count too; returns a reader of the schemes."""
     original = cli.run_training
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
+        with open(log, "a") as fh:
+            fh.write(args[3] + "\n")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_training", counted)
-    return calls
+    return lambda: log.read_text().split()
 
 
 SMALL = dict(clients=4, rounds=3, steps=40, seed=2)
 
 
 def test_report_trains_each_scheme_once(tmp_path, monkeypatch):
-    calls = _count_trainings(monkeypatch)
+    calls = _count_trainings(monkeypatch, tmp_path / "trainings")
     assert cmd_report(ExperimentConfig(**SMALL), tmp_path / "r") == 0
-    assert sorted(calls) == ["adaptive_fl", "datacentre", "privateyes"]
+    assert sorted(calls()) == ["adaptive_fl", "datacentre", "privateyes"]
 
 
 def test_attack_trains_each_scheme_once(tmp_path, monkeypatch):
-    calls = _count_trainings(monkeypatch)
+    calls = _count_trainings(monkeypatch, tmp_path / "trainings")
     assert cmd_attack(ExperimentConfig(**SMALL), tmp_path / "a") == 0
-    assert sorted(calls) == ["adaptive_fl", "datacentre", "privateyes"]
+    assert sorted(calls()) == ["adaptive_fl", "datacentre", "privateyes"]
     lines = (tmp_path / "a" / "leakage.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == [
         "datacentre", "adaptive_fl", "privateyes", "mpc"]

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -674,19 +675,26 @@ def test_grid_kde_guard_sides(monkeypatch, case, fallback):
 
 
 def test_report_traffic_stays_on_the_fast_path(tmp_path, monkeypatch):
-    calls = _count_fallbacks(monkeypatch)
-    grids = []
-    original = leakprobe.grid_kde_density
+    """Each density call is logged to a file, so that a forked worker's calls
+    count too: every one is a grid KDE of 2-d data, none the fallback."""
+    log = tmp_path / "densities"
 
-    def counted(data, axes, kernel):
-        grids.append(data.shape)
-        return original(data, axes, kernel)
+    def logged(name):
+        original = getattr(leakprobe, name)
 
-    monkeypatch.setattr(leakprobe, "grid_kde_density", counted)
+        def counted(data, *args):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {data.shape[1]}\n")
+            return original(data, *args)
+
+        monkeypatch.setattr(leakprobe, name, counted)
+
+    logged("gaussian_kde_density")
+    logged("grid_kde_density")
     cfg = cli.ExperimentConfig(clients=4, rounds=3, steps=40, seed=4)
-    assert cli.cmd_report(cfg, tmp_path) == 0
-    assert len(grids) > 0 and all(d == 2 for _, d in grids)
-    assert calls == []
+    assert cli.cmd_report(cfg, tmp_path / "r") == 0
+    calls = log.read_text().splitlines()
+    assert len(calls) > 0 and set(calls) == {"grid_kde_density 2"}
 
 
 def _np_cov_kernel(data):
@@ -760,17 +768,20 @@ def test_stacked_kls_match_per_row_calls(rho, n, m, log_scales, equal_row, seed)
 def test_attack_per_client_values_are_pinned(tmp_path, monkeypatch):
     """The CSVs round to 6 decimals; every scheme's per-client kl, mae_deg,
     mu_hat and b_hat bytes of a small attack are pinned here (BLAS on one
-    thread, as in the test above)."""
-    reports = {}
-    original = cli.dualview_lite_reconstruct
+    thread, as in the test above). Each report is recorded in a file, so that
+    a forked worker's reports count too."""
+    original, recordings = cli.dualview_lite_reconstruct, tmp_path / "reports"
+    recordings.mkdir()
 
     def recorded(leak, attack, population):
-        reports[leak.scheme] = original(leak, attack, population)
-        return reports[leak.scheme]
+        report = original(leak, attack, population)
+        (recordings / leak.scheme).write_bytes(pickle.dumps(report))
+        return report
 
     monkeypatch.setattr(cli, "dualview_lite_reconstruct", recorded)
     cfg = cli.ExperimentConfig(clients=5, rounds=3, steps=60, seed=7)
     assert cli.cmd_attack(cfg, tmp_path) == 0
+    reports = {p.name: pickle.loads(p.read_bytes()) for p in recordings.iterdir()}
     assert sorted(reports) == ["adaptive_fl", "datacentre", "mpc", "privateyes"]
     assert _per_client_digest(reports) == (
         "1adc9584f7789617fe1710f21be8c2064503f25483077424cc49c177e5edee4a")

@@ -4,8 +4,11 @@ class, and no process left behind."""
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import pytest
 from privateyes import aggregation
 from privateyes.aggregation import (
     COHORT_BLOCK,
-    CohortWorker,
     cohort_worker,
     plaintext_adaptive_fl_oracle,
     train_cohort_updates,
@@ -34,20 +36,7 @@ from privateyes.simnet import AdversarySpec
 from privateyes.util import derive_seed
 
 J = 300  # two blocks of clients and more: the worker runs
-
-
-def _cpus(monkeypatch, cpus):
-    """Give this process ``cpus`` CPUs; returns the list of workers started."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    started = []
-
-    class Recorded(CohortWorker):
-        def __init__(self, population):
-            super().__init__(population)
-            started.append(self)
-
-    monkeypatch.setattr(aggregation, "CohortWorker", Recorded)
-    return started
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _assert_no_child():
@@ -55,15 +44,15 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _with_and_without_worker(monkeypatch, run):
+def _with_and_without_worker(forks, run):
     """run() with the worker, then on the serial path (one CPU)."""
     results = []
-    for cpus, forks in ((2, 1), (1, 0)):
-        with monkeypatch.context() as m:
-            started = _cpus(m, cpus)
-            results.append(run())
-            assert len(started) == forks
-            _assert_no_child()
+    for cpus, forked in ((2, 1), (1, 0)):
+        forks.cpus(cpus)
+        before = len(forks)
+        results.append(run())
+        assert len(forks) - before == forked
+        _assert_no_child()
     return results
 
 
@@ -81,36 +70,34 @@ def _assert_same_run(a, b, tmp_path):
     ("privateyes", 1.0), ("adaptive_fl", 1.0),
     ("privateyes", 0.855),  # 257 clients: the halves differ in size
 ])
-def test_worker_runs_are_byte_identical_to_serial(monkeypatch, tmp_path, scheme, fraction):
+def test_worker_runs_are_byte_identical_to_serial(forks, tmp_path, scheme, fraction):
     pop = gen_synthetic_population(J, seed=31, rounds=2)
     cfg = TrainConfig(rounds=2, epochs=2, batch_size=8, cohort_fraction=fraction)
     cohort = select_cohort(J, fraction, 1, 31)
     assert len(cohort) >= 2 * COHORT_BLOCK and (fraction == 1.0 or len(cohort) % 2)
     forked, serial = _with_and_without_worker(
-        monkeypatch, lambda: run_training(pop, cfg, ModelSpec(), scheme, seed=31))
+        forks, lambda: run_training(pop, cfg, ModelSpec(), scheme, seed=31))
     assert not forked.aborted and len(forked.transcript.om_history) == 3
     _assert_same_run(forked, serial, tmp_path)
 
 
-def test_secure_cohort_shape_matches_the_serial_oracle(monkeypatch, tmp_path):
+def test_secure_cohort_shape_matches_the_serial_oracle(forks, tmp_path):
     pop = gen_synthetic_population(600, seed=901, samples_per_round=128, rounds=1, d_in=8)
     cfg = TrainConfig(epochs=3, lr=0.2, batch_size=32, rounds=1)
     spec = ModelSpec(kind="linear", d_in=8)
     codec = FixedPointCodec()
     forked, serial = _with_and_without_worker(
-        monkeypatch, lambda: run_training(pop, cfg, spec, "privateyes", seed=901, codec=codec))
+        forks, lambda: run_training(pop, cfg, spec, "privateyes", seed=901, codec=codec))
     _assert_same_run(forked, serial, tmp_path)
-    with monkeypatch.context() as m:
-        started = _cpus(m, 2)
-        oracle = plaintext_adaptive_fl_oracle(pop, cfg, spec, codec, 901)
-        assert not started  # the oracle stays serial
+    forks.cpus(2)
+    oracle = plaintext_adaptive_fl_oracle(pop, cfg, spec, codec, 901)
+    assert len(forks) == 1  # the oracle stays serial
     assert [om.tobytes() for om in oracle.om_history] == \
         [om.tobytes() for om in forked.transcript.om_history]
 
 
-def test_serial_below_two_blocks_on_one_cpu_or_beside_threads(monkeypatch):
+def test_serial_below_two_blocks_on_one_cpu_or_beside_threads(forks):
     pop = gen_synthetic_population(3, seed=1, rounds=1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with cohort_worker(pop, 2 * COHORT_BLOCK - 1) as worker:
         assert worker is None
     idle = threading.Event()
@@ -122,20 +109,37 @@ def test_serial_below_two_blocks_on_one_cpu_or_beside_threads(monkeypatch):
     finally:
         idle.set()
         thread.join()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    forks.cpus(1)
     with cohort_worker(pop, 2 * COHORT_BLOCK) as worker:
         assert worker is None
+    assert not forks
 
 
-def test_a_failed_fork_trains_in_one_process(monkeypatch):
+def test_serial_beside_a_blas_thread_pool():
+    """Two processes' BLAS pools on two CPUs would run many times slower."""
+    code = ("import os, numpy as np\n"
+            "from privateyes.aggregation import forked_worker\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "np.ones((512, 512)) @ np.ones((512, 512))  # starts a lazy pool\n"
+            "with forked_worker(print) as worker:\n"
+            "    print(worker is not None)\n")
+    src = str(Path(aggregation.__file__).parents[1])
+    for threads, forked in (("2", "False"), ("1", "True")):
+        env = {**os.environ, "PYTHONPATH": src, **dict.fromkeys(BLAS_THREADS, threads)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.stdout == f"{forked}\n", done.stderr
+
+
+def test_a_failed_fork_trains_in_one_process(monkeypatch, forks):
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     pop = gen_synthetic_population(J, seed=2, rounds=1)
     cfg = TrainConfig(rounds=1)
-    _cpus(monkeypatch, 1)
+    forks.cpus(1)
     serial = run_training(pop, cfg, ModelSpec(), "privateyes", seed=2)
-    _cpus(monkeypatch, 2)
+    forks.cpus(2)
     monkeypatch.setattr(os, "fork", fork)
     fds = sorted(os.listdir("/proc/self/fd"))
     res = run_training(pop, cfg, ModelSpec(), "privateyes", seed=2)
@@ -143,7 +147,7 @@ def test_a_failed_fork_trains_in_one_process(monkeypatch):
     assert res.final_model.tobytes() == serial.final_model.tobytes()
 
 
-def test_the_first_halfs_failure_comes_first(monkeypatch):
+def test_the_first_halfs_failure_comes_first(monkeypatch, forks):
     """Both halves fail: the worker's, which holds the first half, is raised,
     as the serial path raises the first block's."""
     def local_train(w, X, G, cfg, spec, seeds):
@@ -155,7 +159,6 @@ def test_the_first_halfs_failure_comes_first(monkeypatch):
     args = (pop, TrainConfig(rounds=1), ModelSpec(), init_weights(ModelSpec(), 0), 1, cohort, 4)
     with pytest.raises(TrainingDivergence) as serial:
         train_cohort_updates(*args)
-    _cpus(monkeypatch, 2)
     with cohort_worker(pop, J) as worker:
         assert worker is not None
         with pytest.raises(TrainingDivergence) as forked:
@@ -177,21 +180,21 @@ def _report(out):
     return json.loads((out / "report.json").read_text())
 
 
-def test_diverged_training_in_the_worker_exits_3(monkeypatch, tmp_path, capsys):
+def test_diverged_training_in_the_worker_exits_3(forks, tmp_path, capsys):
     config = _config(tmp_path, "[train]\nlr = 1e100\nepochs = 5\n")
     errs = []
     for cpus in (2, 1):
-        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
-            started = _cpus(m, cpus)
+        forks.cpus(cpus)
+        with np.errstate(over="ignore", invalid="ignore"):
             out = tmp_path / f"o{cpus}"
             assert main(["run", "--config", str(config), "--out", str(out)]) == 3
-            assert len(started) == (cpus == 2)
+            assert len(forks) == 1
         errs.append(capsys.readouterr().err)
         assert _report(out)["failure_class"] == "numerical"
     assert errs[0] == errs[1] == "numerical failure: TrainingDivergence: non-finite loss inf\n"
 
 
-def test_out_of_memory_in_the_worker_exits_4(monkeypatch, tmp_path, capsys):
+def test_out_of_memory_in_the_worker_exits_4(monkeypatch, forks, tmp_path, capsys):
     message = "Unable to allocate 1.16 TiB for an array with shape (100000000, 10, 20, 8)"
     parent, local_train = os.getpid(), aggregation.local_train
 
@@ -201,10 +204,9 @@ def test_out_of_memory_in_the_worker_exits_4(monkeypatch, tmp_path, capsys):
         return local_train(*args)
 
     monkeypatch.setattr(aggregation, "local_train", allocation)
-    started = _cpus(monkeypatch, 2)
     out = tmp_path / "o"
     assert main(["run", "--config", str(_config(tmp_path)), "--out", str(out)]) == 4
-    assert started
+    assert forks
     assert capsys.readouterr().err == f"resource failure: out of memory: {message}\n"
     assert _report(out)["failure_class"] == "resource"
     _assert_no_child()
@@ -214,25 +216,23 @@ def test_out_of_memory_in_the_worker_exits_4(monkeypatch, tmp_path, capsys):
     (lambda: os._exit(7), "exited with status 7"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
 ])
-def test_a_worker_that_dies_without_replying_is_a_resource_failure(monkeypatch, tmp_path,
-                                                                   capsys, death, how):
-    def serve(population, requests, replies):
+def test_a_worker_that_dies_without_replying_is_a_resource_failure(monkeypatch, forks,
+                                                                   tmp_path, capsys, death, how):
+    def serve(fn, requests, replies):
         aggregation._receive(requests)
         death()
 
-    monkeypatch.setattr(aggregation, "serve_cohorts", serve)
-    started = _cpus(monkeypatch, 2)
+    monkeypatch.setattr(aggregation, "serve", serve)
     out = tmp_path / "o"
     assert main(["run", "--config", str(_config(tmp_path)), "--out", str(out)]) == 4
-    assert started
+    assert forks
     err = capsys.readouterr().err
     assert err == f"resource failure: the training worker {how} before it replied\n"
     assert _report(out) == {"failure_class": "resource", "message": err.rstrip("\n")}
     _assert_no_child()
 
 
-def test_no_process_outlives_a_run_that_returns_raises_or_aborts(monkeypatch):
-    started = _cpus(monkeypatch, 2)
+def test_no_process_outlives_a_run_that_returns_raises_or_aborts(forks):
     pop = gen_synthetic_population(J, seed=5, rounds=2)
     cfg = TrainConfig(rounds=2)
     assert not run_training(pop, cfg, ModelSpec(), "privateyes", seed=5).aborted
@@ -245,10 +245,10 @@ def test_no_process_outlives_a_run_that_returns_raises_or_aborts(monkeypatch):
     res = run_training(pop, cfg, ModelSpec(), "privateyes", seed=5, adversary=adv)
     assert res.aborted and res.abort_reason == ABORT_MAC_FAILURE
     _assert_no_child()
-    assert len(started) == 3
+    assert len(forks) == 3
 
 
-def test_a_parent_that_fails_its_half_closes_the_pipes_and_reaps(monkeypatch):
+def test_a_parent_that_fails_its_half_closes_the_pipes_and_reaps(monkeypatch, forks):
     parent, local_train = os.getpid(), aggregation.local_train
 
     def fails_here(*args):
@@ -257,11 +257,10 @@ def test_a_parent_that_fails_its_half_closes_the_pipes_and_reaps(monkeypatch):
         return local_train(*args)
 
     monkeypatch.setattr(aggregation, "local_train", fails_here)
-    started = _cpus(monkeypatch, 2)
     pop = gen_synthetic_population(J, seed=6, rounds=1)
     fds = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(TrainingDivergence, match="the parent's half"):
         run_training(pop, TrainConfig(rounds=1), ModelSpec(), "privateyes", seed=6)
-    assert started
+    assert forks
     assert sorted(os.listdir("/proc/self/fd")) == fds
     _assert_no_child()
