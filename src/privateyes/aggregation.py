@@ -11,11 +11,10 @@ same codec so its output is bit-identical to the secure path.
 from __future__ import annotations
 
 import os
-import pickle
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from multiprocessing import Pipe
 
 import numpy as np
 
@@ -153,8 +152,8 @@ class ForkedWorker:
     """A forked process that answers each request with ``fn(*request)``.
 
     ``fn`` is bound before the fork, so the worker inherits what it reads
-    (the population, say) and only requests and replies are pickled: the
-    result, or the exception raised, as length-prefixed pickles on two
+    (the population, say) and only requests and replies are sent: the
+    result, or the exception raised, on two one-way ``multiprocessing``
     pipes. The worker exits when its request pipe closes. ``live`` is true
     in a worker and in a process with one alive, which then forks no other.
     """
@@ -162,55 +161,51 @@ class ForkedWorker:
     live = False
 
     def __init__(self, fn):
-        requests, self._requests = os.pipe()
-        self._replies, replies = os.pipe()
+        requests, self._requests = Pipe(duplex=False)
+        self._replies, replies = Pipe(duplex=False)
         ForkedWorker.live = True
         try:
             self.pid = os.fork()
         except OSError:
             ForkedWorker.live = False
-            for fd in (requests, self._requests, self._replies, replies):
-                os.close(fd)
+            for end in (requests, self._requests, self._replies, replies):
+                end.close()
             raise
         if self.pid == 0:
             code = 1
             try:
-                os.close(self._requests)
-                os.close(self._replies)
+                self._requests.close()
+                self._replies.close()
                 serve(fn, requests, replies)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(requests)
-        os.close(replies)
+        requests.close()
+        replies.close()
 
     def submit(self, *request) -> None:
         try:
-            _send(self._requests, request)
+            self._requests.send(request)
         except BrokenPipeError:
             self._lost()
 
     def result(self):
-        reply = _receive(self._replies)
-        if reply is None:
+        try:  # a reply cut short by the worker's death is an OSError
+            value, error = self._replies.recv()
+        except (EOFError, OSError):
             self._lost()
-        value, error = reply
         if error is not None:
             raise error
         return value
 
     def stop(self) -> None:
         """Close the request pipe: the worker exits after its last reply."""
-        if self._requests is not None:
-            os.close(self._requests)
-            self._requests = None
+        self._requests.close()
 
     def close(self) -> None:
         """Stop and reap the worker; ``status`` is then its wait status."""
         self.stop()
-        if self._replies is not None:
-            os.close(self._replies)
-            self._replies = None
+        self._replies.close()
         if self.pid:
             self.status = os.waitpid(self.pid, 0)[1]
             self.pid = None
@@ -223,38 +218,18 @@ class ForkedWorker:
         raise TrainingWorkerLost(f"the training worker {how} before it replied")
 
 
-def serve(fn, requests: int, replies: int) -> None:
-    """The worker's loop: answer each request until end of file."""
-    while (request := _receive(requests)) is not None:
+def serve(fn, requests, replies) -> None:
+    """The worker's loop: answer each request until its pipe closes."""
+    while True:
+        try:
+            request = requests.recv()
+        except EOFError:  # the parent closed the pipe
+            return
         try:
             reply = (fn(*request), None)
         except Exception as exc:  # re-raised in the parent, with its class
             reply = (None, exc)
-        _send(replies, reply)
-
-
-def _send(fd: int, message) -> None:
-    data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(struct.pack("<Q", len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int):
-    """The next message on ``fd``, or None at end of file."""
-    head = bytearray(8)
-    if not _read_into(fd, head):
-        return None
-    body = bytearray(struct.unpack("<Q", head)[0])
-    return pickle.loads(body) if _read_into(fd, body) else None
-
-
-def _read_into(fd: int, buf: bytearray) -> bool:
-    """Fill ``buf`` from ``fd``; False if the file ends first."""
-    view, got = memoryview(buf), 0
-    while got < len(buf) and (n := os.readv(fd, [view[got:]])):
-        got += n
-    return got == len(buf)
+        replies.send(reply)
 
 
 @contextmanager

@@ -37,7 +37,7 @@ from .field import (
     FieldParams,
     FixedPointCodec,
     random_vector,
-    vector_to_bytes,
+    vector_to_bytes,  # perfbench/spans.py wraps it here
 )
 from .leakprobe import (
     REFERENCE_GAZE_CNN,
@@ -56,9 +56,11 @@ from .protocol import (
     KeyShareError,
     client_wire_id,
     run_secure_aggregation,
+    run_single_server_round,
     run_training,
     scheme_servers,
     server_wire_id,
+    start_run,
 )
 from .simnet import (
     EDGE_CLIENT_TO_SERVER,
@@ -67,9 +69,6 @@ from .simnet import (
     EDGE_SERVER_TO_SERVER,
     AdversarySpec,
     FrameError,
-    MsgType,
-    Network,
-    WireMessage,
     overhead_ratio,
 )
 from .util import derive_seed
@@ -429,12 +428,9 @@ def measure_communication(n_servers: int, d: int, seed: int = 0):
     if secure.opened is None:
         raise ProtocolAbort(f"the n = {n_servers} benchmark round", secure.abort_reason,
                             secure.abort_phase)
-
-    baseline_net = Network({0: "server", 1: "client"}, params)
-    payload = vector_to_bytes(inputs[0])
-    baseline_net.send(WireMessage(MsgType.BROADCAST_MODEL, 1, 0, 1, payload))
-    baseline_net.send(WireMessage(MsgType.SHARE_UPLOAD, 1, 1, 0, payload))
-    return secure.net.metrics, baseline_net.metrics
+    baseline, _ = start_run(SCHEME_ADAPTIVE_FL, 1, 1, params, seed)
+    run_single_server_round(baseline, 1, [0], inputs[0][None], inputs[0])
+    return secure.net.metrics, baseline.metrics
 
 
 def cmd_bench(cfg: ExperimentConfig, outdir: Path) -> int:

@@ -254,6 +254,23 @@ def run_secure_aggregation_round(
     )
 
 
+def run_single_server_round(net: Network, round_index: int, cohort: list, inputs: np.ndarray,
+                            model: np.ndarray):
+    """The single-server round: the server broadcasts the encoded ``model``
+    to the cohort, whose clients upload their encoded vectors ``inputs`` (as
+    in ``run_secure_aggregation_round``) in the clear, and the server sums
+    them. Returns a namespace as that round does, plus the uploads the
+    server saw as ``received``."""
+    _broadcast_model(net, 1, round_index, cohort, model)
+    server = np.full(len(cohort), server_wire_id(0))
+    clients = client_wire_id(1, np.asarray(cohort, dtype=np.intp))
+    net.send_many(MsgType.SHARE_UPLOAD, round_index, clients, server, inputs, range(len(cohort)))
+    received = _recv_vectors(net, MsgType.SHARE_UPLOAD, round_index, server, clients,
+                             inputs.shape[1])
+    return SimpleNamespace(opened=vec_sum(received, net.params), abort_reason=None,
+                           abort_phase=None, received=received)
+
+
 def _abort(net, round_index, n, clients, reason, phase):
     # Detecting party notifies everyone; the run is over.
     payload = reason.encode()
@@ -354,12 +371,8 @@ def run_secure_aggregation(
     dealer=None,
 ):
     """Standalone one-shot aggregation (no training), e.g. for golden vectors."""
-    num_clients = max(inputs) + 1
-    roles = _build_roles(n_servers, num_clients)
-    net = Network(roles, params, adversary)
-    if dealer is None:
-        dealer = Dealer(n_servers, Random(derive_seed(seed, "dealer")), params)
-    _distribute_key_shares(net, dealer)
+    net, dealer = start_run(SCHEME_PRIVATEYES, n_servers, max(inputs) + 1, params, seed,
+                            adversary, dealer)
     order = sorted(inputs)
     stacked = np.stack([as_limbs(inputs[j]) for j in order])
     result = run_secure_aggregation_round(net, dealer, 1, order, stacked, seed)
@@ -367,13 +380,22 @@ def run_secure_aggregation(
     return result
 
 
-def _build_roles(n_servers, num_clients):
-    roles = {DEALER_ID: "dealer"}
-    for i in range(n_servers):
-        roles[server_wire_id(i)] = "server"
-    for j in range(num_clients):
-        roles[client_wire_id(n_servers, j)] = "client"
-    return roles
+def start_run(scheme: str, n_servers: int, num_clients: int, params: FieldParams, seed: int,
+              adversary: AdversarySpec = None, dealer=None):
+    """A run's Network over the dealer, the scheme's servers and
+    ``num_clients`` clients, and its dealer: for privateyes ``dealer`` or
+    one seeded from ``seed``, whose MAC key shares the servers have taken;
+    None for a single server."""
+    n = scheme_servers(scheme, n_servers)
+    roles = {DEALER_ID: "dealer", **{server_wire_id(i): "server" for i in range(n)},
+             **{client_wire_id(n, j): "client" for j in range(num_clients)}}
+    net = Network(roles, params, adversary)
+    if scheme != SCHEME_PRIVATEYES:
+        return net, None
+    if dealer is None:
+        dealer = Dealer(n, Random(derive_seed(seed, "dealer")), params)
+    _distribute_key_shares(net, dealer)
+    return net, dealer
 
 
 def _distribute_key_shares(net, dealer):
@@ -416,14 +438,9 @@ def run_training(
     if scheme == SCHEME_DATACENTRE:
         return _run_datacentre(population, cfg, spec, seed, config)
 
-    n = scheme_servers(scheme, n_servers)
-    roles = _build_roles(n, population.num_clients)
-    net = Network(roles, codec.params, adversary)
+    net, dealer = start_run(scheme, n_servers, population.num_clients, codec.params, seed,
+                            adversary)
     transcript = Transcript(scheme=scheme, config=config, comm=net.metrics)
-    dealer = None
-    if scheme == SCHEME_PRIVATEYES:
-        dealer = Dealer(n, Random(derive_seed(seed, "dealer")), codec.params)
-        _distribute_key_shares(net, dealer)
 
     state = optimizer or OptimizerState.zeros(spec.dim)
     om = codec.quantize(init_weights(spec, derive_seed(seed, "init")))
@@ -435,13 +452,12 @@ def run_training(
                                                cfg.cohort_fraction)) as worker:
         for k in range(1, cfg.rounds + 1):
             cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
-            # Model delivery: the single server broadcasts every round; with
-            # multiple servers the share return of round k-1 already carried it,
-            # so only the initial model needs a broadcast.
-            if scheme == SCHEME_ADAPTIVE_FL:
-                _broadcast_model(net, n, k, cohort, codec, om)
-            elif k == 1:
-                _broadcast_model(net, n, k, range(population.num_clients), codec, om)
+            # Model delivery: the single-server round broadcasts it; with multiple
+            # servers the share return of round k-1 already carried it, so only
+            # the initial model needs a broadcast.
+            if scheme == SCHEME_PRIVATEYES and k == 1:
+                _broadcast_model(net, n_servers, k, range(population.num_clients),
+                                 codec.encode_vector(om))
 
             updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed,
                                            worker=worker)
@@ -453,21 +469,13 @@ def run_training(
 
             if scheme == SCHEME_PRIVATEYES:
                 result = run_secure_aggregation_round(net, dealer, k, cohort, stacked, seed)
-                if result.opened is None:
-                    aborted, reason, phase = True, result.abort_reason, result.abort_phase
-                else:
-                    average = client_average(result.opened, len(cohort), codec)
             else:
-                to_server = np.full(len(cohort), server_wire_id(0))
-                clients = client_wire_id(n, np.asarray(cohort, dtype=np.intp))
-                net.send_many(MsgType.SHARE_UPLOAD, k, clients, to_server, stacked,
-                              range(len(cohort)))
-                received = _recv_vectors(net, MsgType.SHARE_UPLOAD, k, to_server, clients,
-                                         spec.dim)
-                for j, iu in zip(cohort, codec.decode_vector(received)):
+                result = run_single_server_round(net, k, cohort, stacked,
+                                                 codec.encode_vector(om))
+                for j, iu in zip(cohort, codec.decode_vector(result.received)):
                     transcript.server_view_iu[(j, k)] = iu
-                total = vec_sum(received, codec.params)
-                average = client_average(total, len(cohort), codec)
+            aborted, reason, phase = (result.opened is None, result.abort_reason,
+                                      result.abort_phase)
 
             record = {"round": k, "cohort": list(cohort), "aborted": aborted,
                       "abort_reason": reason,
@@ -479,6 +487,7 @@ def run_training(
                                           "phase": phase})
                 break
 
+            average = client_average(result.opened, len(cohort), codec)
             raw, state = update_global_model(om, average, state, optimizer_mode)
             om = codec.quantize(raw)
             transcript.om_history.append(om)
@@ -500,10 +509,10 @@ def run_training(
     )
 
 
-def _broadcast_model(net, n, k, client_indices, codec, om):
+def _broadcast_model(net, n, k, client_indices, model):
     """Server 0 sends the encoded model to the clients, which take it off the
     wire and check it arrived intact."""
-    payload = vector_to_bytes(codec.encode_vector(om))
+    payload = vector_to_bytes(model)
     sid = server_wire_id(0)
     clients = [client_wire_id(n, j) for j in client_indices]
     net.send_many(MsgType.BROADCAST_MODEL, k, [sid] * len(clients), clients,

@@ -1,10 +1,11 @@
-"""Deterministic simulated transport: bit-exact wire format, adversary
-injection, and per-edge-class communication accounting.
+"""Deterministic simulated transport: metered frames, adversary injection,
+and per-edge-class communication accounting.
 
 All frames pass through a single Network instance, a phase's frames of one
 type in one ``send_many`` call; delivery order is the send order, so
-identical seeds give identical transcripts and byte counts. A frame's
-metered size is its encoded length, ``FRAME_OVERHEAD + len(payload)``.
+identical seeds give identical transcripts and byte counts. No frame is
+encoded: its metered size is ``FRAME_OVERHEAD`` (a fixed header) plus its
+payload's length.
 
 A ``send_many`` call is kept as one batch record; an honest vector frame
 is a reference to one row of a stacked (frames, length, 2) limb array, and
@@ -17,7 +18,6 @@ small byte frames (coin, sigma, key share, abort, model broadcast).
 
 from __future__ import annotations
 
-import struct
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from enum import IntEnum
@@ -27,14 +27,9 @@ import numpy as np
 
 from .field import ELEMENT_BYTES, FieldParams
 
-MAGIC = b"PE"
-VERSION = 1
-
-# magic(2) version(1) type(1) round(4) sender(4) receiver(4) -> 16 bytes,
-# followed by an 8-byte little-endian payload length.
-_HEADER = struct.Struct("<2sBBIII")
-_LENGTH = struct.Struct("<Q")
-FRAME_OVERHEAD = _HEADER.size + _LENGTH.size  # 24
+# The metered frame header: magic "PE"(2) version(1) type(1) round(4)
+# sender(4) receiver(4), then the payload's length(8), all little-endian.
+FRAME_OVERHEAD = 24
 
 
 class MsgType(IntEnum):
@@ -61,32 +56,6 @@ class WireMessage(NamedTuple):
     sender: int
     receiver: int
     payload: bytes
-
-
-def encode_message(msg: WireMessage) -> bytes:
-    if msg.msg_type not in _MSG_TYPES:
-        raise FrameError(f"unknown message type {msg.msg_type}")
-    header = _HEADER.pack(
-        MAGIC, VERSION, msg.msg_type, msg.round, msg.sender, msg.receiver
-    )
-    return header + _LENGTH.pack(len(msg.payload)) + msg.payload
-
-
-def decode_message(data: bytes) -> WireMessage:
-    if len(data) < FRAME_OVERHEAD:
-        raise FrameError("truncated frame header")
-    magic, version, msg_type, rnd, sender, receiver = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FrameError(f"unsupported version {version}")
-    if msg_type not in _MSG_TYPES:
-        raise FrameError(f"unknown message type {msg_type}")
-    (length,) = _LENGTH.unpack_from(data, _HEADER.size)
-    payload = data[FRAME_OVERHEAD:]
-    if len(payload) != length:
-        raise FrameError(f"length field {length} does not match payload {len(payload)}")
-    return WireMessage(MsgType(msg_type), rnd, sender, receiver, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,10 @@ def test_bench_csv(tmp_path):
     lines = (out / "bench.csv").read_text().splitlines()
     assert lines[0] == "n_servers,secure_bytes,baseline_bytes,ratio"
     assert len(lines) == 4
+    # One secure round at d = 1000 against the single-server round's model
+    # broadcast and upload: 2 * (24 + 16 * 1000) = 32048 bytes.
+    assert lines[1:] == ["2,176744,32048,4.500999", "3,305848,32048,6.501498",
+                         "5,661544,32048,10.502496"]
 
 
 def test_attack_subcommand(tmp_path):

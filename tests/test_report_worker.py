@@ -120,7 +120,7 @@ def test_the_first_failure_in_serial_order_wins(monkeypatch, forks, capsys, tmp_
 
 def test_a_killed_worker_exits_4_as_a_resource_failure(monkeypatch, forks, capsys, tmp_path):
     def serve(fn, requests, replies):
-        aggregation._receive(requests)
+        requests.recv()
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(aggregation, "serve", serve)

@@ -11,17 +11,13 @@ from privateyes.simnet import (
     EDGE_SERVER_TO_CLIENT,
     EDGE_SERVER_TO_SERVER,
     FRAME_OVERHEAD,
-    MAGIC,
-    VERSION,
     AdversarySpec,
     CommMetrics,
     FrameError,
     MsgType,
     Network,
     WireMessage,
-    decode_message,
     edge_class,
-    encode_message,
     overhead_ratio,
 )
 
@@ -30,34 +26,11 @@ ROLES = {0: "dealer", 1: "server", 2: "server", 3: "client"}
 
 
 def test_frame_overhead_is_24():
-    assert FRAME_OVERHEAD == 24
-    msg = WireMessage(MsgType.COMMIT, 1, 0, 1, b"")
-    assert len(encode_message(msg)) == 24
-
-
-def test_frame_roundtrip():
-    msg = WireMessage(MsgType.SHARE_UPLOAD, 7, 3, 1, b"\x01\x02\x03")
-    data = encode_message(msg)
-    assert data[:2] == MAGIC
-    assert data[2] == VERSION
-    out = decode_message(data)
-    assert out == msg
-    assert len(data) == FRAME_OVERHEAD + 3
-
-
-def test_frame_validation():
-    good = encode_message(WireMessage(MsgType.COMMIT, 0, 0, 1, b"xy"))
-    with pytest.raises(FrameError):
-        decode_message(good[:10])
-    with pytest.raises(FrameError):
-        decode_message(b"XX" + good[2:])
-    bad_version = good[:2] + bytes([9]) + good[3:]
-    with pytest.raises(FrameError):
-        decode_message(bad_version)
-    with pytest.raises(FrameError):
-        decode_message(good + b"extra")
-    with pytest.raises(FrameError):
-        encode_message(WireMessage(99, 0, 0, 1, b""))
+    # magic(2) version(1) type(1) round(4) sender(4) receiver(4) length(8)
+    assert FRAME_OVERHEAD == 2 + 1 + 1 + 4 + 4 + 4 + 8 == 24
+    net = Network(ROLES, P)
+    net.send(WireMessage(MsgType.COMMIT, 1, 0, 1, b""))
+    assert net.metrics.total_bytes() == 24
 
 
 def test_edge_classes():
@@ -197,9 +170,9 @@ def test_send_many_bookkeeping_matches_single_sends(adversary):
     for sender, receiver, payload in MIXED:
         single.send(WireMessage(MsgType.OPEN_SHARE, 3, sender, receiver, payload))
     for net in (batched, single):
-        # Arithmetic metering agrees with the encoded size of what was delivered.
+        # Metering counts each delivered frame's header and payload.
         delivered = net.pending()
-        assert net.metrics.total_bytes() == sum(len(encode_message(m)) for m in delivered)
+        assert net.metrics.total_bytes() == sum(FRAME_OVERHEAD + len(m.payload) for m in delivered)
         assert sum(net.metrics.message_counts.values()) == len(delivered) == len(net.log)
     assert batched.metrics.per_round == single.metrics.per_round
     assert list(batched.metrics.per_round[3]) == list(single.metrics.per_round[3])

@@ -4,6 +4,7 @@ class, and no process left behind."""
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -212,15 +213,23 @@ def test_out_of_memory_in_the_worker_exits_4(monkeypatch, forks, tmp_path, capsy
     _assert_no_child()
 
 
+def _dies_mid_reply(replies):
+    """Write the first bytes of a reply, a length header that promises more
+    than follows, and exit."""
+    os.write(replies.fileno(), struct.pack("!i", 1000) + b"cut short")
+    os._exit(5)
+
+
 @pytest.mark.parametrize("death,how", [
-    (lambda: os._exit(7), "exited with status 7"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    (lambda replies: os._exit(7), "exited with status 7"),
+    (lambda replies: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    (_dies_mid_reply, "exited with status 5"),
 ])
 def test_a_worker_that_dies_without_replying_is_a_resource_failure(monkeypatch, forks,
                                                                    tmp_path, capsys, death, how):
     def serve(fn, requests, replies):
-        aggregation._receive(requests)
-        death()
+        requests.recv()
+        death(replies)
 
     monkeypatch.setattr(aggregation, "serve", serve)
     out = tmp_path / "o"
