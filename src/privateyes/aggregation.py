@@ -45,7 +45,6 @@ class OptimizerState:
     beta2: float = 0.99
     tau: float = 1e-3
     eta: float = 0.1
-    round_index: int = 0
 
     def __post_init__(self):
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -67,7 +66,7 @@ def adaptive_step(w_prev: np.ndarray, delta: np.ndarray, state: OptimizerState):
     m = state.beta1 * state.m + (1.0 - state.beta1) * delta
     v = state.beta2 * state.v + (1.0 - state.beta2) * delta**2
     w = w_prev + state.eta * m / (np.sqrt(v) + state.tau)
-    return w, replace(state, m=m, v=v, round_index=state.round_index + 1)
+    return w, replace(state, m=m, v=v)
 
 
 def update_global_model(om_prev, average, state: OptimizerState, mode: str):
@@ -76,8 +75,7 @@ def update_global_model(om_prev, average, state: OptimizerState, mode: str):
         raise ValueError(f"unknown optimizer mode {mode!r}")
     if mode == "adaptive":
         return adaptive_step(om_prev, average - om_prev, state)
-    w = om_prev + state.eta * (average - om_prev)
-    return w, replace(state, round_index=state.round_index + 1)
+    return om_prev + state.eta * (average - om_prev), state
 
 
 def client_average(opened, cohort_size: int, codec: FixedPointCodec) -> np.ndarray:
@@ -96,7 +94,6 @@ def client_average(opened, cohort_size: int, codec: FixedPointCodec) -> np.ndarr
 @dataclass
 class OracleRun:
     om_history: list  # om_0 .. om_t (quantized)
-    individual_updates: dict  # (client_id, round) -> quantized update vector
 
 
 def train_cohort_updates(
@@ -281,19 +278,15 @@ def plaintext_adaptive_fl_oracle(
     state = OptimizerState.zeros(spec.dim)
     om = codec.quantize(init_weights(spec, derive_seed(seed, "init")))
     history = [om]
-    ius = {}
     for k in range(1, cfg.rounds + 1):
         cohort = select_cohort(population.num_clients, cfg.cohort_fraction, k, seed)
         updates = train_cohort_updates(population, cfg, spec, om, k, cohort, seed)
-        encoded = codec.encode_vector(updates)
-        for j, iu in zip(cohort, codec.decode_vector(encoded)):
-            ius[(j, k)] = iu
-        total = aggregate_encoded(encoded, codec.params)
+        total = aggregate_encoded(codec.encode_vector(updates), codec.params)
         average = client_average(total, len(cohort), codec)
         raw, state = update_global_model(om, average, state, "adaptive")
         om = codec.quantize(raw)
         history.append(om)
-    return OracleRun(om_history=history, individual_updates=ius)
+    return OracleRun(om_history=history)
 
 
 def plaintext_datacentre_oracle(

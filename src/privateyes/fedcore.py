@@ -90,10 +90,8 @@ class Population:
     ``b`` (J, d_in) its generating parameters.
     """
 
-    seed: int
     heterogeneity: float
     samples_per_round: int
-    rounds: int
     d_in: int
     sigma_gaze: float
     sigma_noise: float
@@ -145,7 +143,7 @@ def gen_synthetic_population(
     # test stream; each stream is used by itself, so the order they are taken
     # in changes no draw.
     for j, rng in enumerate(_streams([seed, 0xC11E27, j] for j in range(J))):
-        mu[j] = _clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), 0.6)
+        np.clip(rng.normal(0.0, 0.25 * heterogeneity, GAZE_DIM), -0.6, 0.6, out=mu[j])
         b[j] = rng.normal(0.0, 0.5 * heterogeneity, d_in)
     # A stream's draws land where its two normal() calls put them, gaze first;
     # normal(0, s) is s * z (+ 0.0, which changes no sum below).
@@ -163,20 +161,13 @@ def gen_synthetic_population(
     for G, F in ((gaze, features), (test_gaze, test_features)):
         for s in (slice(lo, lo + step) for lo in range(0, J, step)):
             lead = (s,) + (None,) * (G.ndim - 2)
-            G[s] = _clip(sigma_gaze * G[s] + mu[lead], GAZE_LIMITS)
+            np.clip(sigma_gaze * G[s] + mu[lead], -GAZE_LIMITS, GAZE_LIMITS, out=G[s])
             F[s] = sigma_noise * F[s] + (G[s] @ A.T + b[lead])
     return Population(
-        seed=seed, heterogeneity=heterogeneity, samples_per_round=samples_per_round,
-        rounds=rounds, d_in=d_in, sigma_gaze=sigma_gaze, sigma_noise=sigma_noise, A=A,
-        mu=mu, b=b, features=features, gaze=gaze,
-        test_features=test_features, test_gaze=test_gaze,
+        heterogeneity=heterogeneity, samples_per_round=samples_per_round, d_in=d_in,
+        sigma_gaze=sigma_gaze, sigma_noise=sigma_noise, A=A, mu=mu, b=b, features=features,
+        gaze=gaze, test_features=test_features, test_gaze=test_gaze,
     )
-
-
-def _clip(x, bound):
-    """np.clip(x, -bound, bound) in place, without the wrapper's call overhead."""
-    np.maximum(x, -bound, out=x)
-    return np.minimum(x, bound, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +455,7 @@ def _angles_deg(pred_vecs: np.ndarray, true_vecs: np.ndarray) -> np.ndarray:
     terms = pred_vecs * true_vecs
     dots = terms[0] + terms[1]
     dots += terms[2]
-    return np.degrees(np.arccos(_clip(dots, 1.0)))
+    return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0, out=dots)))
 
 
 def evaluate_model(spec: ModelSpec, w: np.ndarray, population: Population):

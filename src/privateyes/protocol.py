@@ -260,13 +260,15 @@ def run_single_server_round(net: Network, round_index: int, cohort: list, inputs
     to the cohort, whose clients upload their encoded vectors ``inputs`` (as
     in ``run_secure_aggregation_round``) in the clear, and the server sums
     them. Returns a namespace as that round does, plus the uploads the
-    server saw as ``received``."""
+    server saw as ``received`` unless it aborts."""
     _broadcast_model(net, 1, round_index, cohort, model)
     server = np.full(len(cohort), server_wire_id(0))
     clients = client_wire_id(1, np.asarray(cohort, dtype=np.intp))
     net.send_many(MsgType.SHARE_UPLOAD, round_index, clients, server, inputs, range(len(cohort)))
     received = _recv_vectors(net, MsgType.SHARE_UPLOAD, round_index, server, clients,
                              inputs.shape[1])
+    if received is None:
+        return _abort(net, round_index, 1, clients, ABORT_TIMEOUT, "upload")
     return SimpleNamespace(opened=vec_sum(received, net.params), abort_reason=None,
                            abort_phase=None, received=received)
 
@@ -432,8 +434,9 @@ def run_training(
         raise ValueError(f"unknown optimizer mode {optimizer_mode!r}")
     codec = codec or FixedPointCodec()
     codec.check_headroom(population.num_clients)
-    config = _config_snapshot(population, cfg, spec, scheme, n_servers, seed, codec,
-                              optimizer, optimizer_mode)
+    state = optimizer or OptimizerState.zeros(spec.dim)
+    config = _config_snapshot(population, cfg, spec, scheme, n_servers, seed, codec, state,
+                              optimizer_mode)
 
     if scheme == SCHEME_DATACENTRE:
         return _run_datacentre(population, cfg, spec, seed, config)
@@ -442,7 +445,6 @@ def run_training(
                             adversary)
     transcript = Transcript(scheme=scheme, config=config, comm=net.metrics)
 
-    state = optimizer or OptimizerState.zeros(spec.dim)
     om = codec.quantize(init_weights(spec, derive_seed(seed, "init")))
     transcript.om_history.append(om)
     round_metrics = []
@@ -472,8 +474,9 @@ def run_training(
             else:
                 result = run_single_server_round(net, k, cohort, stacked,
                                                  codec.encode_vector(om))
-                for j, iu in zip(cohort, codec.decode_vector(result.received)):
-                    transcript.server_view_iu[(j, k)] = iu
+                if result.opened is not None:
+                    for j, iu in zip(cohort, codec.decode_vector(result.received)):
+                        transcript.server_view_iu[(j, k)] = iu
             aborted, reason, phase = (result.opened is None, result.abort_reason,
                                       result.abort_phase)
 
@@ -532,9 +535,8 @@ def _run_datacentre(population, cfg, spec, seed, config):
     return RunResult(w, transcript, False, None, metrics)
 
 
-def _config_snapshot(population, cfg, spec, scheme, n_servers, seed, codec,
-                     optimizer, optimizer_mode):
-    opt = optimizer or OptimizerState.zeros(spec.dim)
+def _config_snapshot(population, cfg, spec, scheme, n_servers, seed, codec, opt,
+                     optimizer_mode):
     return {
         "scheme": scheme,
         "seed": seed,

@@ -56,7 +56,6 @@ class MaskBatch:
     its MAC shares of kappa*r.
     """
 
-    client_id: list
     r: np.ndarray
     server_shares: np.ndarray
 
@@ -106,7 +105,7 @@ class Dealer:
                 pool_shares[:, :, :take].reshape(n, 2, served, count, 2).transpose(2, 0, 1, 3, 4))
             self._pool = (pool_r[take:], pool_shares[:, :, take:])
             done += served
-        return MaskBatch(client_id, r, shares.reshape(J, n, 2 * count, 2))
+        return MaskBatch(r, shares.reshape(J, n, 2 * count, 2))
 
     def _refill(self, size: int) -> None:
         """Draw ``size`` masks: r and the first n-1 value and MAC shares

@@ -94,9 +94,6 @@ class AdversarySpec:
         if self.behavior not in BEHAVIORS:
             raise ValueError(f"unknown adversary behavior {self.behavior!r}")
 
-    def active_in(self, round_index: int) -> bool:
-        return self.target_round is None or self.target_round == round_index
-
 
 # ---------------------------------------------------------------------------
 # Accounting
@@ -203,7 +200,7 @@ class Network:
     def corrupted_servers(self, round_index: int) -> frozenset:
         """Wire ids of the servers the adversary controls in this round."""
         spec = self.adversary
-        if spec is None or not spec.active_in(round_index):
+        if spec is None or spec.target_round not in (None, round_index):
             return frozenset()
         return spec.corrupted_servers
 

@@ -97,7 +97,6 @@ def test_oracle_deterministic():
     for x, y in zip(a.om_history, b.om_history):
         assert np.array_equal(x, y)
     assert len(a.om_history) == 4
-    assert len(a.individual_updates) == 12
 
 
 def test_oracle_om_on_codec_grid():

@@ -16,6 +16,7 @@ from privateyes.cli import (
     measure_communication,
 )
 from privateyes.protocol import SCHEME_ADAPTIVE_FL, client_wire_id, server_wire_id
+from privateyes.sharing import ABORT_TIMEOUT
 from privateyes.simnet import MsgType, Network, overhead_ratio
 
 
@@ -313,6 +314,26 @@ def test_malformed_frames_are_protocol_failures(tmp_path, capsys, monkeypatch, m
     err = capsys.readouterr().err
     assert err == f"protocol failure: {message}\n"
     assert _failure_report(out, err) == "protocol"
+
+
+def test_lost_single_server_upload_is_a_protocol_abort(tmp_path, capsys, monkeypatch):
+    class DroppingNetwork(Network):
+        def _hooked(self, point, k, endpoints):
+            return point == MsgType.SHARE_UPLOAD and k == 2
+
+        def _mutate(self, msg):
+            return None
+
+    monkeypatch.setattr(protocol, "Network", DroppingNetwork)
+    config = write_config(tmp_path / "exp.ini")
+    config.write_text(config.read_text().replace("scheme = privateyes", "scheme = adaptive_fl"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert (report["aborted"], report["abort_reason"], report["abort_phase"]) == (
+        True, ABORT_TIMEOUT, "upload")
+    assert report["rounds_completed"] == 1
 
 
 def test_single_server_secure_run_completes(tmp_path):

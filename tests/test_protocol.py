@@ -412,20 +412,22 @@ def _dropping_network(msg_type, receiver_role, round_index):
     return DroppingNetwork
 
 
-@pytest.mark.parametrize("msg_type,receiver_role,phase", [
-    (MsgType.MASK_DELIVERY, "client", "mask delivery"),
-    (MsgType.MASK_DELIVERY, "server", "input phase"),
-    (MsgType.INPUT_OFFSET, "server", "input phase"),
-    (MsgType.COMMIT, "server", "opening"),
-    (MsgType.REVEAL, "server", "opening"),
-    (MsgType.OPEN_SHARE, "server", "opening"),
-    (MsgType.SHARE_UPLOAD, "client", "share return"),
+@pytest.mark.parametrize("scheme,msg_type,receiver_role,phase", [
+    ("privateyes", MsgType.MASK_DELIVERY, "client", "mask delivery"),
+    ("privateyes", MsgType.MASK_DELIVERY, "server", "input phase"),
+    ("privateyes", MsgType.INPUT_OFFSET, "server", "input phase"),
+    ("privateyes", MsgType.COMMIT, "server", "opening"),
+    ("privateyes", MsgType.REVEAL, "server", "opening"),
+    ("privateyes", MsgType.OPEN_SHARE, "server", "opening"),
+    ("privateyes", MsgType.SHARE_UPLOAD, "client", "share return"),
+    ("adaptive_fl", MsgType.SHARE_UPLOAD, "server", "upload"),
 ], ids=["mask-to-client", "mask-to-server", "offset", "commit", "reveal", "open-share",
-        "share-return"])
-def test_dropped_frame_at_every_phase_times_out(monkeypatch, msg_type, receiver_role, phase):
+        "share-return", "single-server-upload"])
+def test_dropped_frame_at_every_phase_times_out(monkeypatch, scheme, msg_type, receiver_role,
+                                                phase):
     nets = _capture_networks(monkeypatch, _dropping_network(msg_type, receiver_role, 2))
     pop = gen_synthetic_population(4, seed=12, rounds=2)
-    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), "privateyes", seed=12)
+    res = run_training(pop, TrainConfig(rounds=2), ModelSpec(), scheme, seed=12)
     assert len(nets[0].dropped) == 1
     assert nets[0].dropped[0]["type"] == msg_type
     assert res.aborted

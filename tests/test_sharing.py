@@ -147,7 +147,6 @@ def test_dealer_key_and_mask_relations():
     dealer = Dealer(3, rng, BIG)
     assert sum(dealer.key_shares) % BIG.q == dealer.mac_key
     batch = dealer.issue_masks([42], 1)
-    assert batch.client_id == [42]
     vals, macs = zip(*(to_ints(shares) for shares in batch.server_shares[0]))
     assert sum(vals) % BIG.q == to_ints(batch.r[0])[0]
     assert sum(macs) % BIG.q == dealer.mac_key * to_ints(batch.r[0])[0] % BIG.q
@@ -216,7 +215,7 @@ def test_mask_single_use(calls):
         before = dealer._pool
         batch = dealer.issue_masks([cid], count)
         after = dealer._pool[0]
-        assert batch.client_id == [cid] and len(batch) == count
+        assert len(batch) == count
         if before is not None and len(before[0]) >= count:
             assert np.array_equal(batch.r[0], before[0][:count])
             assert np.array_equal(after, before[0][count:])
@@ -250,7 +249,7 @@ def test_cohort_masks_match_per_client_calls(count, cohorts):
         ids = list(range(first, first + size))
         first += size
         batch = cohort_dealer.issue_masks(ids, count)
-        assert batch.client_id == ids and len(batch) == size * count
+        assert len(batch) == size * count
         assert batch.r.shape == (size, count, 2)
         assert batch.server_shares.shape == (size, 3, 2 * count, 2)
         for j, cid in enumerate(ids):
@@ -270,11 +269,9 @@ def test_mask_ids_unique():
 
 
 def test_mask_ownership():
-    # A batch carries the client it was issued for, and two clients'
-    # batches share no mask.
+    # Two clients' batches share no mask.
     dealer = Dealer(3, Random(5), BIG)
     a, b = dealer.issue_masks([0], 4), dealer.issue_masks([1], 4)
-    assert (a.client_id, b.client_id) == ([0], [1])
     assert not {tuple(r) for r in a.r[0]} & {tuple(r) for r in b.r[0]}
 
 
